@@ -4,19 +4,35 @@ Provides order, membership with word witness, orbits, pointwise
 stabilizers, normal closure, centralizer of a normal subgroup,
 intersection with a normal subgroup, induced actions and kernels.
 
-The chain is built by a deterministic Schreier-Sims procedure: base
-points are the smallest non-fixed points (optionally preceded by a
-forced prefix, used for pointwise stabilizers and kernels), orbits are
-explored breadth-first in generator order.
+The chain is grown in place by an incremental Schreier-Sims procedure.
+``PermGroup.extend(g)`` sifts g through the chain; a nontrivial residue
+becomes a strong generator of every level from the first down to the one
+where it dropped out, and only the levels that changed are verified
+again.  Building a chain installs the residue of each generator in the
+same way, starting from the levels of a forced base prefix (used for
+pointwise stabilizers and kernels), and then verifies once from the
+deepest level.  Further base points are the smallest points moved by a
+residue.
+
+Each level keeps its transversal as ``point -> (u, u^-1, word)`` with
+u(base) = point; an entry, once found, is never recomputed, and orbits
+only grow, breadth-first in generator order.  Each level also records
+the Schreier pairs (orbit point, strong generator) it has checked, so a
+pair is sifted once however often the level is revisited.  Verification
+walks the levels bottom-up; when a Schreier generator leaves a
+nontrivial residue, the residue is installed and verification restarts
+at the deepest level that received it, so no deeper level is left with
+unchecked pairs or a stale orbit.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import ResourceBudgetError
-from .perm import Permutation, compose, conjugate, identity, inverse
+from .perm import Permutation, compose, compose3, conjugate, identity, inverse
 
 DEFAULT_NODE_BUDGET = 5_000_000
 
@@ -75,32 +91,52 @@ def evaluate_word(word: Sequence[int], gens: Sequence[Permutation], degree: int)
     return g
 
 
-def _recompute_orbit(lvl: "_Level", ident: Permutation) -> None:
-    lvl.transversal = {lvl.base: (ident, W_EMPTY)}
-    queue = [lvl.base]
-    while queue:
-        x = queue.pop(0)
-        ux, wx = lvl.transversal[x]
-        for h, wh in zip(lvl.gens, lvl.words):
-            y = h.images[x]
-            if y not in lvl.transversal:
-                lvl.transversal[y] = (compose(ux, h), _wmul(wx, wh))
-                queue.append(y)
-
-
 class _Level:
-    __slots__ = ("base", "gens", "words", "transversal")
+    __slots__ = ("base", "gens", "inverses", "words", "transversal", "checked")
 
-    def __init__(self, base: int):
+    def __init__(self, base: int, degree: int):
+        ident = identity(degree)
         self.base = base
         self.gens: list[Permutation] = []
+        self.inverses: list[Permutation] = []
         self.words: list = []
-        # point -> (u, word) with u in the level group and u(base) = point
-        self.transversal: dict[int, tuple[Permutation, object]] = {}
+        # orbit point -> (u, u^-1, word) with u in the level group and
+        # u(base) = point, in discovery order
+        self.transversal = {base: (ident, ident, W_EMPTY)}
+        # Schreier pairs (point, generator index) known to give an element
+        # of the next level's group
+        self.checked: set[tuple[int, int]] = set()
+
+    def add_gen(self, g: Permutation, ginv: Permutation, w) -> None:
+        """Append a strong generator and grow the orbit breadth-first."""
+        self.gens.append(g)
+        self.inverses.append(ginv)
+        self.words.append(w)
+        trans = self.transversal
+        queue = deque()
+        for x in list(trans):  # old points under the new generator
+            y = g.images[x]
+            if y not in trans:
+                u, uinv, wx = trans[x]
+                trans[y] = (compose(u, g), compose(ginv, uinv), _wmul(wx, w))
+                queue.append(y)
+        while queue:
+            x = queue.popleft()
+            u, uinv, wx = trans[x]
+            for h, hinv, wh in zip(self.gens, self.inverses, self.words):
+                y = h.images[x]
+                if y not in trans:
+                    trans[y] = (compose(u, h), compose(hinv, uinv),
+                                _wmul(wx, wh))
+                    queue.append(y)
+
+
+def _smallest_moved_point(g: Permutation) -> int:
+    return next(x for x, y in enumerate(g.images) if x != y)
 
 
 class PermGroup:
-    """A permutation group with a lazily built stabilizer chain."""
+    """A permutation group with a lazily built, extensible stabilizer chain."""
 
     def __init__(self, degree: int, generators: Iterable[Permutation] = (),
                  forced_base: Sequence[int] = ()):
@@ -120,18 +156,6 @@ class PermGroup:
             self._build_chain()
         return self._levels
 
-    def _new_level(self, levels: list[_Level], mover: Permutation) -> None:
-        used = {lvl.base for lvl in levels}
-        for b in self._forced_base:
-            if b not in used:
-                levels.append(_Level(b))
-                return
-        for b in range(self.degree):
-            if b not in used and mover.images[b] != b:
-                levels.append(_Level(b))
-                return
-        raise AssertionError("no base point available for a non-identity residue")
-
     def _sift(self, levels, g, w, start=0):
         """Sift g (with word w) through levels[start:].
 
@@ -146,81 +170,86 @@ class PermGroup:
             entry = lvl.transversal.get(x)
             if entry is None:
                 return g, w, i
-            u, uw = entry
-            g = compose(g, inverse(u))
+            _, uinv, uw = entry
+            g = compose(g, uinv)
             w = _wmul(w, _winv(uw))
         return g, w, len(levels)
 
     def _build_chain(self) -> None:
-        levels: list[_Level] = []
-        ident = identity(self.degree)
-        # Force-create levels for the requested base prefix up front so that
-        # pointwise stabilizers can be read off even when points are fixed.
-        for b in self._forced_base:
-            lvl = _Level(b)
-            lvl.transversal = {b: (ident, W_EMPTY)}
-            levels.append(lvl)
-
-        def insert(g, w, start):
-            """Sift and install a residue as a strong generator."""
-            while True:
-                g, w, i = self._sift(levels, g, w, start)
-                if g.is_identity():
-                    return None
-                if i < len(levels):
-                    self._add_strong_gen(levels, i, g, w)
-                    return i
-                self._new_level(levels, g)
-                lvl = levels[-1]
-                lvl.transversal = {lvl.base: (ident, W_EMPTY)}
-                start = i  # re-sift from the new level
-
+        # Levels for the forced base prefix come first, so that pointwise
+        # stabilizers can be read off even when those points are fixed.
+        levels = [_Level(b, self.degree) for b in self._forced_base]
+        self._levels = levels
         for k, g in enumerate(self.generators):
-            insert(g, k + 1, 0)
+            self._install(levels, g, k + 1, 0)
+        self._verify(levels, len(levels) - 1)
 
-        # Verify Schreier generators bottom-up; re-verify from any level that
-        # receives a new strong generator.
-        i = len(levels) - 1
+    def extend(self, g: Permutation) -> bool:
+        """Add g to the group unless it is already a member.
+
+        Returns whether g was new; only then is it appended to
+        ``generators``, and the chain is extended in place.
+        """
+        if g.degree != self.degree:
+            raise ValueError("degree mismatch")
+        levels = self._chain()
+        i = self._install(levels, g, len(self.generators) + 1, 0)
+        if i is None:
+            return False
+        self.generators.append(g)
+        self._verify(levels, i)
+        return True
+
+    def _verify(self, levels, i) -> None:
+        """Check Schreier pairs from level i up to level 0."""
         while i >= 0:
-            lvl = levels[i]
-            _recompute_orbit(lvl, ident)
-            failed_at = None
-            for x in sorted(lvl.transversal):
-                ux, wx = lvl.transversal[x]
-                for g, wg in zip(lvl.gens, lvl.words):
-                    y = g.images[x]
-                    uy, wy = lvl.transversal[y]
-                    s = compose(compose(ux, g), inverse(uy))
-                    if s.is_identity():
-                        continue
-                    sw = _wmul(_wmul(wx, wg), _winv(wy))
-                    j = insert(s, sw, i + 1)
-                    if j is not None:
-                        failed_at = j if failed_at is None else min(failed_at, j)
-                if failed_at is not None:
-                    break
-            i = failed_at if failed_at is not None else i - 1
-
+            j = self._check_level(levels, i)
+            i = i - 1 if j is None else j
         order = 1
         for lvl in levels:
             order *= len(lvl.transversal)
-        self._levels = levels
         self._order = order
 
-    def _add_strong_gen(self, levels, i, g, w) -> None:
-        """Register g as a strong generator at levels 0..i and refresh orbits."""
-        ident = identity(self.degree)
-        for j in range(i + 1):
-            lvl = levels[j]
-            if g.images[lvl.base] != lvl.base and j < i:
-                raise AssertionError("strong generator must fix shallower base points")
-        for j in range(i + 1):
-            lvl = levels[j]
-            lvl.gens.append(g)
-            lvl.words.append(w)
-        # orbits at shallower levels cannot grow (g is already a member there),
-        # but level i's orbit must be recomputed
-        _recompute_orbit(levels[i], ident)
+    def _install(self, levels, g, w, start) -> Optional[int]:
+        """Sift g from levels[start]; a nontrivial residue becomes a strong
+        generator of levels 0..i.  Returns i, or None for members."""
+        g, w, i = self._sift(levels, g, w, start)
+        if g.is_identity():
+            return None
+        if i == len(levels):
+            levels.append(_Level(_smallest_moved_point(g), self.degree))
+        ginv = inverse(g)
+        for lvl in levels[:i + 1]:
+            lvl.add_gen(g, ginv, w)
+        return i
+
+    def _check_level(self, levels, i) -> Optional[int]:
+        """Sift the unchecked Schreier generators of level i through the
+        deeper levels.  Returns the deepest level that received a new strong
+        generator, or None once every pair of level i checks out."""
+        lvl = levels[i]
+        trans, checked = lvl.transversal, lvl.checked
+        # Points in sorted order, and all of a point's pairs before
+        # descending: this order decides which residues become strong
+        # generators, so changing it changes same-seed outputs.
+        for x in sorted(trans):
+            ux, _, wx = trans[x]
+            failed_at = None
+            for k, (g, wg) in enumerate(zip(lvl.gens, lvl.words)):
+                if (x, k) in checked:
+                    continue
+                checked.add((x, k))
+                _, uyinv, wy = trans[g.images[x]]
+                s = compose3(ux, g, uyinv)
+                if s.is_identity():
+                    continue
+                j = self._install(levels, s, _wmul(_wmul(wx, wg), _winv(wy)),
+                                  i + 1)
+                if j is not None and (failed_at is None or j > failed_at):
+                    failed_at = j
+            if failed_at is not None:
+                return failed_at
+        return None
 
     # -- queries -------------------------------------------------------------
 
@@ -251,9 +280,9 @@ class PermGroup:
         if not 0 <= point < self.degree:
             raise ValueError("point out of range")
         orb = {point}
-        queue = [point]
+        queue = deque([point])
         while queue:
-            x = queue.pop(0)
+            x = queue.popleft()
             for g in self.generators:
                 y = g.images[x]
                 if y not in orb:
@@ -274,8 +303,7 @@ class PermGroup:
         g = identity(self.degree)
         for lvl in levels:
             pts = sorted(lvl.transversal)
-            u, _ = lvl.transversal[rng.choice(pts)]
-            g = compose(u, g)
+            g = compose(lvl.transversal[rng.choice(pts)][0], g)
         return g
 
     def pointwise_stabilizer(self, points: Iterable[int]) -> "PermGroup":
@@ -310,8 +338,7 @@ def _enumerate(levels, start, top):
             yield prefix
             continue
         for x in sorted(levels[i].transversal, reverse=True):
-            u, _ = levels[i].transversal[x]
-            stack.append((i - 1, compose(prefix, u)))
+            stack.append((i - 1, compose(prefix, levels[i].transversal[x][0])))
 
 
 # ---------------------------------------------------------------------------
@@ -349,17 +376,13 @@ def normal_closure(G: PermGroup, seeds: Sequence[Permutation]) -> PermGroup:
     for s in seeds:
         if not G.member(s):
             raise ValueError("seed element not in G")
-    gens = [s for s in seeds if not s.is_identity()]
-    N = PermGroup(G.degree, gens)
+    N = PermGroup(G.degree, seeds)
     changed = True
     while changed:
         changed = False
         for g in G.generators:
-            for s in list(gens):
-                c = conjugate(s, g)
-                if not N.member(c):
-                    gens.append(c)
-                    N = PermGroup(G.degree, gens)
+            for s in list(N.generators):
+                if N.extend(conjugate(s, g)):
                     changed = True
     return N
 
@@ -381,7 +404,6 @@ def centralizer_of_normal(G: PermGroup, H: PermGroup,
     levels = G._chain()
     base = [lvl.base for lvl in levels]
     base_pos = {b: j for j, b in enumerate(base)}
-    found: list[Permutation] = []
     K = PermGroup(G.degree)
     nodes = 0
 
@@ -411,13 +433,11 @@ def centralizer_of_normal(G: PermGroup, H: PermGroup,
         if nodes > budget:
             raise ResourceBudgetError("centralizer search budget exceeded")
         if i == len(levels):
-            if not prefix.is_identity() and leaf_ok(prefix) and not K.member(prefix):
-                found.append(prefix)
-                K = PermGroup(G.degree, found)
+            if not prefix.is_identity() and leaf_ok(prefix):
+                K.extend(prefix)
             continue
         for x in sorted(levels[i].transversal, reverse=True):
-            u, _ = levels[i].transversal[x]
-            cand = compose(u, prefix)
+            cand = compose(levels[i].transversal[x][0], prefix)
             if prune(i, cand):
                 stack.append((i + 1, cand))
     return K
@@ -434,7 +454,6 @@ def intersect_with_normal(G: PermGroup, H: PermGroup,
     # H rebased so its chain can absorb target base-point images level by level
     Hb = PermGroup(H.degree, H.generators, forced_base=base)
     hlevels = Hb._chain()
-    found: list[Permutation] = []
     K = PermGroup(G.degree)
     nodes = 0
 
@@ -446,15 +465,13 @@ def intersect_with_normal(G: PermGroup, H: PermGroup,
         if nodes > budget:
             raise ResourceBudgetError("intersection search budget exceeded")
         if i == len(levels):
-            if not prefix.is_identity() and Hb.member(prefix) and not K.member(prefix):
-                found.append(prefix)
-                K = PermGroup(G.degree, found)
+            if not prefix.is_identity() and Hb.member(prefix):
+                K.extend(prefix)
             continue
         hl = hlevels[i]
         tinv = inverse(t)
         for x in sorted(levels[i].transversal, reverse=True):
-            u, _ = levels[i].transversal[x]
-            cand = compose(u, prefix)
+            cand = compose(levels[i].transversal[x][0], prefix)
             target = cand.images[base[i]]
             z = tinv.images[target]
             entry = hl.transversal.get(z)

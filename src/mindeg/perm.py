@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from math import lcm
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -41,7 +41,7 @@ class Permutation:
         return inverse(self)
 
     def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.images))
+        return self.images == _identity_images(len(self.images))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, 0-based, each starting at its smallest point."""
@@ -71,28 +71,53 @@ class Permutation:
         return f"Permutation({self!s}, degree={self.degree})"
 
 
+@cache
+def _identity_images(degree: int) -> tuple[int, ...]:
+    return tuple(range(degree))
+
+
+def _unchecked(images: tuple[int, ...]) -> Permutation:
+    """Wrap an image table known to be a bijection, skipping validation.
+
+    Only for results computed from valid permutations of one degree
+    (products, inverses); input from outside goes through Permutation().
+    """
+    p = object.__new__(Permutation)
+    object.__setattr__(p, "images", images)
+    return p
+
+
 def identity(degree: int) -> Permutation:
-    return Permutation(tuple(range(degree)))
+    if degree < 1:
+        raise ValueError("degree must be at least 1")
+    return _unchecked(_identity_images(degree))
 
 
 def compose(a: Permutation, b: Permutation) -> Permutation:
     """Left-to-right product: apply a first, then b."""
-    if a.degree != b.degree:
+    if len(a.images) != len(b.images):
         raise ValueError(f"degree mismatch: {a.degree} vs {b.degree}")
-    bi = b.images
-    return Permutation(tuple(bi[x] for x in a.images))
+    return _unchecked(tuple(map(b.images.__getitem__, a.images)))
 
 
 def inverse(a: Permutation) -> Permutation:
-    inv = [0] * a.degree
+    inv = [0] * len(a.images)
     for i, x in enumerate(a.images):
         inv[x] = i
-    return Permutation(tuple(inv))
+    return _unchecked(tuple(inv))
+
+
+def compose3(a: Permutation, b: Permutation, c: Permutation) -> Permutation:
+    """Left-to-right product a * b * c in one pass."""
+    if not len(a.images) == len(b.images) == len(c.images):
+        raise ValueError(f"degree mismatch: {a.degree}, {b.degree}, {c.degree}")
+    return _unchecked(tuple(map(c.images.__getitem__,
+                                map(b.images.__getitem__, a.images))))
 
 
 def conjugate(s: Permutation, g: Permutation) -> Permutation:
     """The conjugate g^{-1} s g (as a function: g after s after g^{-1})."""
-    return compose(compose(inverse(g), s), g)
+    return compose3(inverse(g), s, g)
 
 
 def element_order(a: Permutation) -> int:

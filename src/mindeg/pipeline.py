@@ -22,14 +22,14 @@ from .autlift import (
     MatrixAut, ProjectiveAut, classify_aut, lift_omega_aut, lift_psl_aut,
     subgroup_in_gamma,
 )
-from .bsgs import PermGroup, build_group, centralizer_of_normal
+from .bsgs import PermGroup, build_group, centralizer_of_normal, evaluate_word
 from .errors import HintRequired, LimitExceededError, UnsupportedCase
 from .fflinalg import (
     FFMatrix, determinant, form_matrix, identity_matrix, matrix, multiply,
     preserves_form, standard_generators,
 )
 from .oracle import mu_oracle
-from .perm import Permutation, compose, conjugate, inverse
+from .perm import Permutation, conjugate
 from .simpleid import SimpleName, mu_simple, name_simple, simple_order
 from .smallgroup import QuotientGroup, isomorphism_search, list_elements
 from .socle import (
@@ -175,14 +175,6 @@ class InducedAutData:
         return self.order // self.order_S
 
 
-def _word_eval_perm(word, gens: list[Permutation], degree: int) -> Permutation:
-    g = Permutation(tuple(range(degree)))
-    for s in word:
-        h = gens[abs(s) - 1]
-        g = compose(g, h if s > 0 else inverse(h))
-    return g
-
-
 def _word_eval_matrix(word, mats: list[FFMatrix]) -> FFMatrix:
     fld = mats[0].field
     g = identity_matrix(fld, mats[0].nrows)
@@ -193,23 +185,22 @@ def _word_eval_matrix(word, mats: list[FFMatrix]) -> FFMatrix:
     return g
 
 
-def _spot_check_hint(S1: PermGroup, gens: list[Permutation],
-                     mats: list[FFMatrix], pi, samples: int = 8) -> None:
+def _spot_check_hint(gens: list[Permutation], hint_group: PermGroup,
+                     Gstd: PermGroup, pi_mats: list[Permutation],
+                     samples: int = 8) -> None:
     """Homomorphism spot-check: pi(matrix word) must match the perm word."""
-    Gstd = build_group(pi(mats[0]).degree if mats else S1.degree,
-                       [pi(M) for M in mats])
-    if Gstd.order() != S1.order():
+    if Gstd.order() != hint_group.order():
         raise ValueError("hint images do not generate the standard copy "
                          "(order mismatch)")
     rng = random.Random(0x41D7)
     for _ in range(samples):
         word = [rng.randrange(1, len(gens) + 1) for _ in range(6)]
-        g = _word_eval_perm(word, gens, S1.degree)
-        ok, word2 = PermGroup(S1.degree, gens).contains(g)
+        g = evaluate_word(word, gens, hint_group.degree)
+        ok, word2 = hint_group.contains(g)
         if not ok:
             raise ValueError("hint generators do not generate the factor")
-        lhs = _word_eval_perm(word, [pi(M) for M in mats], Gstd.degree)
-        rhs = _word_eval_perm(word2, [pi(M) for M in mats], Gstd.degree)
+        lhs = evaluate_word(word, pi_mats, Gstd.degree)
+        rhs = evaluate_word(word2, pi_mats, Gstd.degree)
         if lhs != rhs:
             raise ValueError("hint homomorphism spot-check failed")
 
@@ -239,23 +230,23 @@ def induced_aut_group(G: PermGroup, N: PermGroup, S1: PermGroup,
     for g in hint_gens:
         if not S1.member(g):
             raise ValueError("hint generator is not in the factor")
-    if build_group(S1.degree, hint_gens).order() != S1.order():
+    hint_group = build_group(S1.degree, hint_gens)
+    if hint_group.order() != S1.order():
         raise ValueError("hint generators do not generate the factor")
 
     fld, L, pi = projective_action(hint.family, hint.d, hint.q)
     mats = hint.generator_images
-    _spot_check_hint(S1, hint_gens, mats, pi)
+    pi_mats = [pi(M) for M in mats]
+    Gstd = build_group(pi_mats[0].degree, pi_mats)
+    _spot_check_hint(hint_gens, hint_group, Gstd, pi_mats)
 
     # preimages of the standard generators: decompose pi(U) in the copy
     # generated by the hint images, replay the word over the hint perms
-    pi_mats = [pi(M) for M in mats]
-    Gstd = build_group(pi_mats[0].degree, pi_mats)
-    hint_group = PermGroup(S1.degree, hint_gens)
     preimages = []
     for U in L:
         ok, word = Gstd.contains(pi(U))
         assert ok, "standard generator missing from the hinted copy"
-        preimages.append(_word_eval_perm(word, hint_gens, S1.degree))
+        preimages.append(evaluate_word(word, hint_gens, S1.degree))
 
     matrix_auts = []
     for g in NG.generators:

@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -9,7 +10,9 @@ from mindeg.bsgs import (
     normal_closure, orbit, pointwise_stabilizer, preimage_of_stabilizer,
     random_element,
 )
-from mindeg.perm import Permutation, compose, conjugate, identity, inverse, parse_permutation
+from mindeg.perm import (
+    Permutation, compose, conjugate, element_order, identity, inverse, parse_permutation,
+)
 
 
 def P(text, n):
@@ -264,3 +267,87 @@ def test_elements_enumeration_count_and_distinct():
     els = list(G.elements())
     assert len(els) == 60
     assert len({g.images for g in els}) == 60
+
+
+def test_s6_order_regression():
+    # verification must restart at the deepest level that received a new
+    # strong generator; restarting at the shallowest left a stale orbit
+    assert PermGroup(6, [P("(3 4)", 6), P("(1 3 4 5 6 2)", 6)]).order() == 720
+
+
+def test_extend_grows_the_group_in_place():
+    G = build_group(5, A5)
+    assert not G.extend(P("(1 2 3)(4 5)", 5) * P("(4 5)", 5))  # a member
+    assert len(G.generators) == 2
+    assert G.extend(P("(1 2)", 5))
+    assert len(G.generators) == 3
+    assert G.order() == 120
+    assert G.member(P("(1 2 3 4)", 5))
+
+
+def _relabelled_generating_set(rng, degree, gens):
+    """A random generating set of <gens>: each generator replaced by a power
+    coprime to its order, the points relabelled, the order shuffled."""
+    images = list(range(degree))
+    rng.shuffle(images)
+    sigma = Permutation(tuple(images))
+    out = []
+    for g in gens:
+        o = element_order(g)
+        h = g
+        for _ in range(rng.choice([k for k in range(o) if gcd(k + 1, o) == 1])):
+            h = compose(h, g)
+        out.append(conjugate(h, sigma))
+    rng.shuffle(out)
+    return out
+
+
+def test_order_matches_sympy_on_random_generating_sets():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    from tests.groups import a5xa6, alt, psl2, sym
+    rng = random.Random(1)
+    checked = 0
+    for G in (sym(6), alt(7), psl2(7), a5xa6()):
+        for _ in range(13):
+            gens = _relabelled_generating_set(rng, G.degree, G.generators)
+            expected = combinatorics.PermutationGroup(
+                [combinatorics.Permutation(list(g.images)) for g in gens]).order()
+            assert expected == G.order()
+            assert PermGroup(G.degree, gens).order() == expected, \
+                [str(g) for g in gens]
+            checked += 1
+    assert checked == 52
+
+
+def _count_chain_builds(monkeypatch):
+    builds = []
+    original = PermGroup._build_chain
+
+    def counting(self):
+        builds.append(self)
+        original(self)
+
+    monkeypatch.setattr(PermGroup, "_build_chain", counting)
+    return builds
+
+
+def test_normal_closure_builds_one_chain(monkeypatch):
+    gens = [P("(1 2 3 4 5 6 7 8 9 10 11)", 12), P("(3 7 11 8)(4 10 5 6)", 12),
+            P("(1 12)(2 11)(3 6)(4 8)(5 9)(7 10)", 12)]
+    G = PermGroup(12, gens)  # M12, chain not built yet
+    builds = _count_chain_builds(monkeypatch)
+    N = normal_closure(G, [gens[1]])
+    assert N.order() == 95040
+    assert len(N.generators) > 2  # the closure grew the seed's group
+    assert len(builds) <= 2  # G's chain and N's, extended in place
+
+
+def test_centralizer_builds_one_chain(monkeypatch):
+    from tests.groups import a5xa6
+    G = a5xa6()
+    H = build_group(11, [P("(1 2 3)", 11), P("(1 2 3 4 5)", 11)])
+    builds = _count_chain_builds(monkeypatch)
+    C = centralizer_of_normal(G, H)
+    assert C.order() == 360
+    assert len(C.generators) > 2
+    assert len(builds) <= 1  # the result's chain only, not one per element found

@@ -9,6 +9,9 @@ FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir,
                         "src", "mindeg", "fixtures")
 
 
+PINS = os.path.join(os.path.dirname(__file__), "data", "cli_pins.json")
+
+
 def fx(name):
     return os.path.join(FIXTURES, name)
 
@@ -169,3 +172,14 @@ def test_same_seed_byte_identical(capsys):
         assert code == 0
         runs.append(out)
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("command", ["mu", "socle"])
+@pytest.mark.parametrize("name", ["A5xA6", "A5wrZ2", "AutA6", "PGammaL28", "M12"])
+def test_json_output_is_pinned(capsys, name, command):
+    # same-seed output stays byte-identical when the engine changes
+    with open(PINS, encoding="utf-8") as fh:
+        expected = json.load(fh)[name][command]
+    code, out, err = run(capsys, command, fx(name + ".grp"), "--json")
+    assert code == 0, err
+    assert out == expected

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mindeg.perm import (
-    Permutation, compose, element_order, identity, inverse, parse_permutation,
+    Permutation, compose, compose3, element_order, identity, inverse, parse_permutation,
 )
 
 
@@ -62,6 +62,8 @@ def test_compose_identity():
 def test_compose_degree_mismatch():
     with pytest.raises(ValueError):
         compose(identity(3), identity(4))
+    with pytest.raises(ValueError):
+        compose3(identity(3), identity(3), identity(4))
 
 
 def test_inverse_examples():
@@ -87,6 +89,7 @@ def test_compose_associative(n, data):
     ps = [Permutation(tuple(data.draw(st.permutations(list(range(n)))))) for _ in range(3)]
     a, b, c = ps
     assert compose(compose(a, b), c) == compose(a, compose(b, c))
+    assert compose3(a, b, c) == compose(compose(a, b), c)
 
 
 @given(perm_strategy)

@@ -351,26 +351,6 @@ def build_group(degree: int, generators: Iterable[Permutation]) -> PermGroup:
     return G
 
 
-def group_order(G: PermGroup) -> int:
-    return G.order()
-
-
-def contains(G: PermGroup, g: Permutation):
-    return G.contains(g)
-
-
-def orbit(G: PermGroup, point: int) -> set[int]:
-    return G.orbit(point)
-
-
-def pointwise_stabilizer(G: PermGroup, points: Iterable[int]) -> PermGroup:
-    return G.pointwise_stabilizer(points)
-
-
-def random_element(G: PermGroup, rng: random.Random) -> Permutation:
-    return G.random_element(rng)
-
-
 def normal_closure(G: PermGroup, seeds: Sequence[Permutation]) -> PermGroup:
     """Smallest subgroup containing the seeds and normalized by G."""
     for s in seeds:

@@ -124,6 +124,15 @@ def element_order(a: Permutation) -> int:
     return reduce(lcm, (len(c) for c in a.cycles()), 1)
 
 
+def power(a: Permutation, k: int) -> Permutation:
+    """a^k for k >= 0, one cycle at a time."""
+    images = list(a.images)
+    for cyc in a.cycles():
+        for j, x in enumerate(cyc):
+            images[x] = cyc[(j + k) % len(cyc)]
+    return _unchecked(tuple(images))
+
+
 def parse_permutation(text: str, degree: int) -> Permutation:
     """Parse disjoint-cycle notation with 1-based points; "()" is the identity."""
     text = text.strip()

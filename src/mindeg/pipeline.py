@@ -32,9 +32,7 @@ from .oracle import mu_oracle
 from .perm import Permutation, conjugate
 from .simpleid import SimpleName, mu_simple, name_simple, simple_order
 from .smallgroup import QuotientGroup, isomorphism_search, list_elements
-from .socle import (
-    DEFAULT_SEED, normalizer_of_factor, simple_factors, socle_fitting_free,
-)
+from .socle import DEFAULT_SEED, normalizer_of_factor, socle_fitting_free
 
 SMALL_GROUP_LIMIT = 2000
 FIELD_CONVENTION = "lex-least-irreducible"
@@ -167,7 +165,6 @@ class InducedAutData:
     S1: PermGroup
     normalizer: PermGroup
     centralizer: PermGroup
-    conjugators: list[Permutation]
     matrix_auts: Optional[list[MatrixAut]] = None  # present when hinted
 
     @property
@@ -205,21 +202,21 @@ def _spot_check_hint(gens: list[Permutation], hint_group: PermGroup,
             raise ValueError("hint homomorphism spot-check failed")
 
 
-def induced_aut_group(G: PermGroup, N: PermGroup, S1: PermGroup,
+def induced_aut_group(G: PermGroup, S1: PermGroup, factors: list[PermGroup],
                       hint: Optional[RecognitionHint] = None) -> InducedAutData:
     """A = N_G(S1)/C_G(S1) with its generator conjugation automorphisms.
 
-    With a hint, each conjugation automorphism C_g is transported to a
-    matrix automorphism of the standard copy via Iso o C_g o Iso^{-1},
-    evaluated through word decompositions.
+    ``factors`` are the simple factors of the minimal normal subgroup that
+    contains S1, as split by ``socle_fitting_free``.  With a hint, each
+    conjugation automorphism C_g is transported to a matrix automorphism of
+    the standard copy via Iso o C_g o Iso^{-1}, evaluated through word
+    decompositions.
     """
-    factors = simple_factors(N)
     NG = normalizer_of_factor(G, S1, factors)
     CG = centralizer_of_normal(NG, S1)
     order_A = NG.order() // CG.order()
     data = InducedAutData(order=order_A, order_S=S1.order(), S1=S1,
-                          normalizer=NG, centralizer=CG,
-                          conjugators=list(NG.generators))
+                          normalizer=NG, centralizer=CG)
     if hint is None:
         return data
 
@@ -453,8 +450,6 @@ def mu_fitting_free(G: PermGroup,
         # across the orbit)
         s1_index = hint.factor_index if hint is not None else orbit[0]
         S1 = dec.factors[s1_index]
-        ngens = [g for i in orbit for g in dec.factors[i].generators]
-        N = build_group(G.degree, ngens)
         record = MinimalNormalRecord(length=len(orbit), factor_name=None,
                                      order_A=None, outer_index=None,
                                      rule=None, mu=None)
@@ -462,7 +457,8 @@ def mu_fitting_free(G: PermGroup,
         try:
             name = name_simple(S1)
             record.factor_name = str(name)
-            data = induced_aut_group(G, N, S1, hint)
+            data = induced_aut_group(G, S1, [dec.factors[i] for i in orbit],
+                                     hint)
             if hint is not None:
                 cert.flags["hint-used"] = True
             record.order_A = data.order

@@ -53,7 +53,7 @@ def _prime_powers():
     q = 2
     while True:
         t = q
-        p = next(d for d in range(2, q + 1) if q % d == 0)
+        p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
         while t % p == 0:
             t //= p
         if t == 1:

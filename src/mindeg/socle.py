@@ -12,14 +12,15 @@ import random
 from dataclasses import dataclass, field
 
 from .bsgs import (
-    PermGroup, build_group, centralizer_of_normal, induced_action,
-    normal_closure, preimage_of_stabilizer,
+    PermGroup, _smallest_moved_point, build_group, centralizer_of_normal,
+    induced_action, normal_closure, preimage_of_stabilizer,
 )
 from .errors import NotFittingFree
-from .perm import Permutation, compose, conjugate, inverse
+from .perm import (
+    Permutation, compose, conjugate, element_order, inverse, power,
+)
 
 EXHAUSTIVE_MINIMALITY_BOUND = 10 ** 4
-DESCENT_SEED_BUDGET = 64
 RANDOM_MINIMALITY_SAMPLES = 256
 DEFAULT_SEED = 0x50C1E
 
@@ -33,41 +34,6 @@ class SocleDecomposition:
     minimal_normals: list[list[int]]
     fitting_free_certificate: bool
     probabilistic_minimality: bool = field(default=False)
-
-
-def _smallest_moved_point(p: Permutation) -> int:
-    for i, x in enumerate(p.images):
-        if x != i:
-            return i
-    return p.degree
-
-
-def _descent_seeds(C: PermGroup, rng: random.Random):
-    """Deterministic seed sweep: generators, generator-pair products, random.
-
-    Seeds within each stage are ordered by smallest moved point so that the
-    choice among several minimal normal subgroups is reproducible.
-    """
-    emitted = 0
-    gens = [g for g in C.generators if not g.is_identity()]
-    for g in sorted(gens, key=lambda p: (_smallest_moved_point(p), p.images)):
-        yield g
-        emitted += 1
-    pair_products = []
-    for a in C.generators:
-        for b in C.generators:
-            p = compose(a, b)
-            if not p.is_identity():
-                pair_products.append(p)
-    for p in sorted(set(pair_products),
-                    key=lambda p: (_smallest_moved_point(p), p.images)):
-        yield p
-        emitted += 1
-    while emitted < DESCENT_SEED_BUDGET:
-        x = C.random_element(rng)
-        if not x.is_identity():
-            yield x
-            emitted += 1
 
 
 def _class_representatives(G: PermGroup, N: PermGroup):
@@ -93,45 +59,63 @@ def _class_representatives(G: PermGroup, N: PermGroup):
         covered |= orbit
 
 
-def minimal_normal_under(G: PermGroup, C: PermGroup,
-                         seed: int = DEFAULT_SEED) -> PermGroup:
-    """A minimal normal subgroup of G contained in the normal subgroup C.
+def _prime_divisors(n: int) -> list[int]:
+    primes, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return primes + [n] if n > 1 else primes
 
-    Starts from the normal closure of a seed element of C and descends:
-    whenever the closure of some element of the candidate is a proper
-    nontrivial normal subgroup, it replaces the candidate.  Minimality is
-    certified exhaustively for candidates of order at most 10^4, otherwise
-    by random sampling; the result carries ``minimality_probabilistic``.
+
+def _prime_order_samples(N: PermGroup, rng: random.Random):
+    """Random elements y of N, each raised to y^(o(y)/p) for a random prime
+    p dividing o(y).
+
+    A uniform element of T x T rarely has a trivial component; its powers
+    of prime order often do, so their closures split a non-minimal N.
+    """
+    for _ in range(RANDOM_MINIMALITY_SAMPLES):
+        y = N.random_element(rng)
+        o = element_order(y)
+        if o > 1:
+            y = power(y, o // rng.choice(_prime_divisors(o)))
+        yield y
+
+
+def minimal_normal_under(G: PermGroup, C: PermGroup,
+                         seed: int = DEFAULT_SEED) -> tuple[PermGroup, bool]:
+    """A minimal normal subgroup N of G inside the normal subgroup C.
+
+    Starts from the normal closure of the nontrivial generator of C with
+    the smallest moved point, so the choice among several minimal normal
+    subgroups is reproducible, and descends: whenever the closure of some
+    element of the candidate is a proper nontrivial normal subgroup, it
+    replaces the candidate.  Minimality is certified exhaustively for
+    candidates of order at most 10^4, otherwise by random sampling.
+    Returns N and whether its minimality was only sampled.
     """
     if C.is_trivial():
         raise ValueError("C must be nontrivial")
     rng = random.Random(seed)
-    start = next(iter(_descent_seeds(C, rng)))
+    start = min((g for g in C.generators if not g.is_identity()),
+                key=lambda g: (_smallest_moved_point(g), g.images))
     N = normal_closure(G, [start])
-    probabilistic = False
-
     while True:
-        improved = False
-        if N.order() <= EXHAUSTIVE_MINIMALITY_BOUND:
-            sweep = _class_representatives(G, N)
-            probabilistic = False
-        else:
-            sweep = (N.random_element(rng)
-                     for _ in range(RANDOM_MINIMALITY_SAMPLES))
-            probabilistic = True
+        sampled = N.order() > EXHAUSTIVE_MINIMALITY_BOUND
+        sweep = (_prime_order_samples(N, rng) if sampled
+                 else _class_representatives(G, N))
         for y in sweep:
             if y.is_identity():
                 continue
             M = normal_closure(G, [y])
             if 1 < M.order() < N.order():
                 N = M
-                improved = True
                 break
-        if not improved:
-            break
-
-    N.minimality_probabilistic = probabilistic
-    return N
+        else:
+            return N, sampled
 
 
 def _is_abelian(H: PermGroup) -> bool:
@@ -139,51 +123,51 @@ def _is_abelian(H: PermGroup) -> bool:
     return all(compose(a, b) == compose(b, a) for a in gens for b in gens)
 
 
+def _centralizer_recursion(G: PermGroup, seed: int):
+    """Soc(G) = N × Soc(C_G(N)), unrolled.
+
+    Adjoins a minimal normal subgroup of G inside the centralizer of the
+    product so far until that centralizer is trivial.  Returns the minimal
+    normal subgroups found, their product and whether the minimality of
+    any of them was only sampled.  Any abelian one proves G is not
+    Fitting-free.
+    """
+    parts: list[PermGroup] = []
+    sampled = False
+    C = G
+    while True:
+        N, s = minimal_normal_under(G, C, seed)
+        if _is_abelian(N):
+            raise NotFittingFree("abelian minimal normal subgroup found")
+        sampled |= s
+        parts.append(N)
+        M = N if len(parts) == 1 else build_group(
+            G.degree, [*M.generators, *N.generators])
+        C = centralizer_of_normal(G, M)
+        if C.is_trivial():
+            return parts, M, sampled
+
+
 def socle_fitting_free(G: PermGroup,
                        seed: int = DEFAULT_SEED) -> SocleDecomposition:
     """Socle decomposition of G, certifying that G is Fitting-free.
 
-    Applies the recursion Soc(G) = M × Soc(C_G(M)): adjoin a minimal normal
-    subgroup inside the shrinking centralizer until it is trivial.  Any
-    abelian minimal normal subgroup proves G is not Fitting-free.
+    The socle is split into its simple factors here, once; callers pass
+    ``factors`` on instead of splitting again.
     """
     if G.is_trivial():
         raise ValueError("G must be nontrivial")
-    probabilistic = False
-    M = minimal_normal_under(G, G, seed)
-    if _is_abelian(M):
-        raise NotFittingFree("abelian minimal normal subgroup found")
-    probabilistic |= M.minimality_probabilistic
-    C = centralizer_of_normal(G, M)
-    while not C.is_trivial():
-        N = minimal_normal_under(G, C, seed)
-        if _is_abelian(N):
-            raise NotFittingFree("abelian minimal normal subgroup found")
-        probabilistic |= N.minimality_probabilistic
-        M = build_group(G.degree, list(M.generators) + list(N.generators))
-        C = centralizer_of_normal(G, M)
-
+    _, M, sampled = _centralizer_recursion(G, seed)
     factors = simple_factors(M)
-    blocks = minimal_normal_subgroups(G, factors)
     return SocleDecomposition(
-        socle=M, factors=factors, minimal_normals=blocks,
-        fitting_free_certificate=True,
-        probabilistic_minimality=probabilistic)
+        socle=M, factors=factors,
+        minimal_normals=minimal_normal_subgroups(G, factors),
+        fitting_free_certificate=True, probabilistic_minimality=sampled)
 
 
 def simple_factors(soc: PermGroup) -> list[PermGroup]:
     """The simple factors of a direct product of non-abelian simple groups."""
-    factors: list[PermGroup] = []
-    S = minimal_normal_under(soc, soc)
-    factors.append(S)
-    M = S
-    C = centralizer_of_normal(soc, M)
-    while not C.is_trivial():
-        S = minimal_normal_under(soc, C)
-        factors.append(S)
-        M = build_group(soc.degree, list(M.generators) + list(S.generators))
-        C = centralizer_of_normal(soc, M)
-    return factors
+    return _centralizer_recursion(soc, DEFAULT_SEED)[0]
 
 
 def _factor_image(g: Permutation, i: int, factors: list[PermGroup]) -> int:

@@ -1,10 +1,9 @@
 """Shared test constructors for classical permutation groups."""
 
-from itertools import product
-
 from mindeg.bsgs import PermGroup, build_group
 from mindeg.fflinalg import make_field, standard_generators
 from mindeg.perm import Permutation, parse_permutation
+from mindeg.pipeline import projective_points
 
 
 def P(text, n):
@@ -114,16 +113,6 @@ def _mult_order(F, x):
         y = F.mul(y, x)
         k += 1
     return k
-
-
-def projective_points(F, d):
-    """Canonical projective-point representatives: first nonzero entry is 1."""
-    pts = []
-    for v in product(F.elements(), repeat=d):
-        nz = next((x for x in v if x), None)
-        if nz == 1:
-            pts.append(v)
-    return pts
 
 
 def matrix_on_projective_points(U, pts, index):

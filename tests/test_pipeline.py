@@ -157,9 +157,8 @@ def test_induced_aut_group_orders():
         G = make()
         dec = socle_fitting_free(G)
         orbit = dec.minimal_normals[0]
-        N = build_group(G.degree, [g for i in orbit
-                                   for g in dec.factors[i].generators])
-        data = induced_aut_group(G, N, dec.factors[orbit[0]])
+        data = induced_aut_group(G, dec.factors[orbit[0]],
+                                 [dec.factors[i] for i in orbit])
         assert data.order == expected
         assert data.order % data.order_S == 0
 
@@ -171,7 +170,7 @@ def _fake_data(order_A, order_S, matrix_auts=None):
     triv = build_group(1, [])
     return InducedAutData(order=order_A, order_S=order_S, S1=triv,
                           normalizer=triv, centralizer=triv,
-                          conjugators=[], matrix_auts=matrix_auts)
+                          matrix_auts=matrix_auts)
 
 
 @pytest.mark.parametrize("name,idx,expected,rule", [

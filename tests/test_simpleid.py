@@ -3,11 +3,26 @@ import pytest
 from mindeg.errors import UnsupportedCase
 from mindeg.oracle import mu_oracle
 from mindeg.simpleid import (
-    SimpleName, _order_table, mu_simple, name_simple, simple_order,
+    MAX_TABLE_ORDER, SimpleName, _order_table, _prime_powers, mu_simple,
+    name_simple, simple_order,
 )
 from mindeg.smallgroup import from_direct_factors, list_elements
 
 from .groups import alt, psl2, psl_on_plane, sym
+
+
+def test_prime_powers_match_sympy():
+    factorint = pytest.importorskip("sympy").factorint
+    # PSL(2, q) has order about q^3 / 2, so the table sweeps stop below this
+    limit = round((2 * MAX_TABLE_ORDER) ** (1 / 3)) + 100
+    got = []
+    for q, p in _prime_powers():
+        if q > limit:
+            break
+        got.append((q, p))
+    expected = [(q, next(iter(f))) for q in range(2, limit + 1)
+                if len(f := factorint(q)) == 1]
+    assert got == expected
 
 
 def test_order_table_self_check_passes():

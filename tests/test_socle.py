@@ -1,10 +1,16 @@
+import json
+
 import pytest
 
+import mindeg.pipeline
+import mindeg.socle
 from mindeg.bsgs import (
     build_group, centralizer_of_normal, intersect_with_normal, normal_closure,
 )
+from mindeg.cli import run_cli
 from mindeg.errors import NotFittingFree
 from mindeg.perm import compose, conjugate
+from mindeg.pipeline import mu_fitting_free
 from mindeg.socle import (
     minimal_normal_subgroups, minimal_normal_under, normalizer_of_factor,
     simple_factors, socle_fitting_free,
@@ -52,27 +58,27 @@ def brute_socle(G):
 
 
 def test_minimal_normal_under_sym5():
-    N = minimal_normal_under(sym(5), sym(5))
+    N, sampled = minimal_normal_under(sym(5), sym(5))
     assert N.order() == 60
-    assert not N.minimality_probabilistic
+    assert not sampled
 
 
 def test_minimal_normal_under_wreath_socle_is_minimal():
     G = a5wrz2()
     soc = build_group(10, list(G.generators)[:4])
     assert soc.order() == 3600
-    N = minimal_normal_under(G, soc)
+    N, _ = minimal_normal_under(G, soc)
     # the swap fuses the two Alt(5) blocks into one minimal normal subgroup
     assert N.order() == 3600
 
 
 def test_minimal_normal_under_deterministic_choice():
     G = a5xa6()
-    N = minimal_normal_under(G, G)
+    N, _ = minimal_normal_under(G, G)
     # both factors are minimal normal; the seed with the smallest moved
     # point lives in the Alt(5) block
     assert N.order() == 60
-    again = minimal_normal_under(G, G)
+    again, _ = minimal_normal_under(G, G)
     assert sorted(g.images for g in again.generators) == \
         sorted(g.images for g in N.generators)
 
@@ -198,3 +204,62 @@ def test_socle_of_normal_subgroup_is_restriction():
     inter = intersect_with_normal(dec.socle, N)
     assert decN.socle.order() == inter.order()
     assert all(inter.member(g) for g in decN.socle.generators)
+
+
+# Products T1 x T2 of order above the exhaustive minimality bound, where a
+# uniform random element almost never has a trivial component.  Without the
+# prime-order powers the sampled sweep kept A6 x PSL(2,8) whole (its order
+# is |A9|, so it was named Alt(9) and mu came out as 9 instead of 15) and
+# left A7 x A7 whole (an order outside the simple-group table).
+A6_PSL28 = ["(1 2 3)(7 8)(9 10)(11 12)(13 14)",
+            "(2 3 4 5 6)(7 15)(9 12)(10 13)(11 14)",
+            "(1 2 3)(8 9 11 10 13 14 12)"]
+A7_A7 = ["(1 2 3)(8 9 10 11 12 13 14)", "(1 2 3 4 5 6 7)(8 9 10)"]
+
+
+def _product_group(cycles, degree):
+    return build_group(degree, [P(c, degree) for c in cycles])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_socle_splits_a6_x_psl28(seed):
+    G = _product_group(A6_PSL28, 15)
+    assert G.order() == 360 * 504
+    dec = socle_fitting_free(G, seed)
+    assert sorted(F.order() for F in dec.factors) == [360, 504]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_socle_splits_a7_x_a7(seed):
+    G = _product_group(A7_A7, 14)
+    assert G.order() == 2520 ** 2
+    dec = socle_fitting_free(G, seed)
+    assert sorted(F.order() for F in dec.factors) == [2520, 2520]
+
+
+@pytest.mark.parametrize("cycles,degree,mu", [(A6_PSL28, 15, 15),
+                                              (A7_A7, 14, 14)],
+                         ids=["A6xPSL28", "A7xA7"])
+def test_cli_mu_of_product(tmp_path, capsys, cycles, degree, mu):
+    path = tmp_path / "G.grp"
+    path.write_text(f"degree {degree}\n"
+                    + "".join(f"gen {c}\n" for c in cycles))
+    assert run_cli(["mu", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["total"] == mu
+
+
+@pytest.mark.parametrize("make", [a5xa6, a5wrz2], ids=["A5xA6", "A5wrZ2"])
+def test_mu_splits_the_socle_once(monkeypatch, make):
+    calls = []
+    original = mindeg.socle.simple_factors
+
+    def counted(soc):
+        calls.append(soc)
+        return original(soc)
+
+    # patch every module that could hold the name, as a tracer would
+    monkeypatch.setattr(mindeg.socle, "simple_factors", counted)
+    monkeypatch.setattr(mindeg.pipeline, "simple_factors", counted,
+                        raising=False)
+    mu_fitting_free(make())
+    assert len(calls) == 1

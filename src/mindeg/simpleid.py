@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-from .bsgs import PermGroup, normal_closure
+from .bsgs import PermGroup, closure_has_order, normal_closure
 from .errors import UnsupportedCase
 from .smallgroup import CayleyGroup
 
@@ -182,11 +182,12 @@ def _looks_simple_perm(G: PermGroup, samples: int = 16) -> bool:
     if G.order() == 1:
         return False
     rng = random.Random(0x5EED)
+    closure_rng = random.Random(0x5EED + 1)
     seeds = list(G.generators)
     for _ in range(samples):
         seeds.append(G.random_element(rng))
     for x in seeds:
-        if x.is_identity():
+        if x.is_identity() or closure_has_order(G, x, G.order(), closure_rng):
             continue
         if normal_closure(G, [x]).order() != G.order():
             return False

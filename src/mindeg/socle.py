@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .bsgs import (
     PermGroup, _smallest_moved_point, build_group, centralizer_of_normal,
-    induced_action, normal_closure, preimage_of_stabilizer,
+    closure_has_order, induced_action, normal_closure, preimage_of_stabilizer,
 )
 from .errors import NotFittingFree
 from .perm import (
@@ -96,10 +96,15 @@ def minimal_normal_under(G: PermGroup, C: PermGroup,
     replaces the candidate.  Minimality is certified exhaustively for
     candidates of order at most 10^4, otherwise by random sampling.
     Returns N and whether its minimality was only sampled.
+
+    Most closures are all of N; ``closure_has_order`` proves that without
+    a verified chain, and draws from its own generator so that the sweep's
+    draws, and with them N, do not depend on how often it is called.
     """
     if C.is_trivial():
         raise ValueError("C must be nontrivial")
     rng = random.Random(seed)
+    closure_rng = random.Random(seed + 1)
     start = min((g for g in C.generators if not g.is_identity()),
                 key=lambda g: (_smallest_moved_point(g), g.images))
     N = normal_closure(G, [start])
@@ -108,7 +113,8 @@ def minimal_normal_under(G: PermGroup, C: PermGroup,
         sweep = (_prime_order_samples(N, rng) if sampled
                  else _class_representatives(G, N))
         for y in sweep:
-            if y.is_identity():
+            if y.is_identity() or closure_has_order(G, y, N.order(),
+                                                    closure_rng):
                 continue
             M = normal_closure(G, [y])
             if 1 < M.order() < N.order():

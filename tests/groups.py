@@ -10,6 +10,14 @@ def P(text, n):
     return parse_permutation(text, n)
 
 
+# Direct products with disjoint supports: A6 on 1..6 times PSL(2,8) on
+# 7..15, and A7 on 1..7 times A7 on 8..14.
+A6_PSL28 = ["(1 2 3)(7 8)(9 10)(11 12)(13 14)",
+            "(2 3 4 5 6)(7 15)(9 12)(10 13)(11 14)",
+            "(1 2 3)(8 9 11 10 13 14 12)"]
+A7_A7 = ["(1 2 3)(8 9 10 11 12 13 14)", "(1 2 3 4 5 6 7)(8 9 10)"]
+
+
 def alt(n):
     gens = [P("(1 2 3)", n)]
     if n > 3:

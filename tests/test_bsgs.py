@@ -5,13 +5,15 @@ from math import gcd
 import pytest
 
 from mindeg.bsgs import (
-    PermGroup, build_group, centralizer_of_normal, evaluate_word,
-    induced_action, intersect_with_normal, kernel_of_action, normal_closure,
+    PermGroup, build_group, centralizer_of_normal, closure_has_order,
+    evaluate_word, induced_action, intersect_with_normal, normal_closure,
     preimage_of_stabilizer,
 )
 from mindeg.perm import (
     Permutation, compose, conjugate, element_order, identity, inverse, parse_permutation,
 )
+
+from .groups import A6_PSL28, A7_A7
 
 
 def P(text, n):
@@ -195,21 +197,15 @@ def test_induced_action_and_kernel():
 
     Gstar, phi = induced_action(S4, pairings, act)
     assert Gstar.order() == 6
-    K = kernel_of_action(S4, phi)
-    assert K.order() == 4
-    assert all(K.member(g) for g in
-               build_group(4, [P("(1 2)(3 4)", 4), P("(1 3)(2 4)", 4)]).generators)
 
 
 def test_induced_action_trivial_and_faithful():
     G = build_group(5, A5)
     Gstar, phi = induced_action(G, [0], lambda g, o: 0)
     assert Gstar.order() == 1
-    assert kernel_of_action(G, phi).order() == 60
 
     Gstar2, phi2 = induced_action(G, list(range(5)), lambda g, x: g.images[x])
     assert Gstar2.order() == 60
-    assert kernel_of_action(G, phi2).order() == 1
 
 
 def test_preimage_of_stabilizer():
@@ -227,7 +223,6 @@ def test_preimage_of_stabilizer():
     assert Gstar.order() == 2
     N = preimage_of_stabilizer(G, phi, 0)
     assert N.order() == 3600
-    assert kernel_of_action(G, phi).order() == 3600
 
 
 def test_random_element_uniform():
@@ -350,3 +345,36 @@ def test_centralizer_builds_one_chain(monkeypatch):
     assert C.order() == 360
     assert len(C.generators) > 2
     assert len(builds) <= 1  # the result's chain only, not one per element found
+
+
+M12 = ["(1 2 3 4 5 6 7 8 9 10 11)", "(3 7 11 8)(4 10 5 6)",
+       "(1 12)(2 11)(3 6)(4 8)(5 9)(7 10)"]
+
+
+@pytest.mark.parametrize("cycles,degree,blocks", [
+    (A7_A7, 14, [range(7), range(7, 14)]),
+    (A6_PSL28, 15, [range(6), range(6, 15)]),
+    (M12, 12, []),
+], ids=["A7xA7", "A6xPSL28", "M12"])
+def test_closure_has_order_never_claims_a_proper_closure(cycles, degree,
+                                                         blocks):
+    G = build_group(degree, [P(c, degree) for c in cycles])
+    # elements of G, and elements inside one direct factor (the pointwise
+    # stabilizer of the other factor's support), whose closures are proper
+    sources = [G] + [G.pointwise_stabilizer(set(range(degree)) - set(b))
+                     for b in blocks]
+    rng = random.Random(11)
+    decided = proper = 0
+    for H in sources:
+        for _ in range(6):
+            y = H.random_element(rng)
+            if y.is_identity():
+                continue
+            whole = normal_closure(G, [y]).order() == G.order()
+            assert not whole or H is G  # a factor's element is never whole
+            claimed = closure_has_order(G, y, G.order(), random.Random(7))
+            assert not claimed or whole, str(y)
+            decided += claimed
+            proper += not whole
+    assert decided > 0
+    assert proper > 0 or not blocks

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +17,11 @@ from mindeg.socle import (
     simple_factors, socle_fitting_free,
 )
 
-from .groups import P, a5wrz2, a5xa6, alt, d8, pgammal2, pgl2, psl2, sym
+from .groups import (
+    A6_PSL28, A7_A7, P, a5wrz2, a5xa6, alt, d8, pgammal2, pgl2, psl2, sym,
+)
+
+FIXTURES = Path(mindeg.socle.__file__).parent / "fixtures"
 
 
 def brute_socle(G):
@@ -211,10 +216,6 @@ def test_socle_of_normal_subgroup_is_restriction():
 # prime-order powers the sampled sweep kept A6 x PSL(2,8) whole (its order
 # is |A9|, so it was named Alt(9) and mu came out as 9 instead of 15) and
 # left A7 x A7 whole (an order outside the simple-group table).
-A6_PSL28 = ["(1 2 3)(7 8)(9 10)(11 12)(13 14)",
-            "(2 3 4 5 6)(7 15)(9 12)(10 13)(11 14)",
-            "(1 2 3)(8 9 11 10 13 14 12)"]
-A7_A7 = ["(1 2 3)(8 9 10 11 12 13 14)", "(1 2 3 4 5 6 7)(8 9 10)"]
 
 
 def _product_group(cycles, degree):
@@ -263,3 +264,24 @@ def test_mu_splits_the_socle_once(monkeypatch, make):
                         raising=False)
     mu_fitting_free(make())
     assert len(calls) == 1
+
+
+def test_sampled_sweep_rarely_builds_a_verified_closure(monkeypatch):
+    # |Soc| = 20160 > 10^4, so both sweeps (in G and in the socle) sample
+    # 256 elements each; a closure that is all of the candidate is proved
+    # so by closure_has_order, and normal_closure runs only when it gives
+    # up (and for each sweep's starting candidate).
+    from mindeg.cli import parse_group_file
+    G = parse_group_file(str(FIXTURES / "PSL34.grp")).group
+    calls = []
+    original = mindeg.socle.normal_closure
+
+    def counted(H, seeds):
+        calls.append(seeds)
+        return original(H, seeds)
+
+    monkeypatch.setattr(mindeg.socle, "normal_closure", counted)
+    dec = socle_fitting_free(G)
+    assert [F.order() for F in dec.factors] == [20160]
+    assert dec.probabilistic_minimality
+    assert len(calls) <= 8  # 514 when every sample built a verified closure

@@ -64,15 +64,6 @@ def center_scalars(family: str, d: int, field) -> list[int]:
     raise ValueError(f"unknown family {family!r}")
 
 
-def projective_equal(A: FFMatrix, B: FFMatrix, scalars: list[int]) -> bool:
-    """AZ = BZ: the quotient-difference A B^{-1} must be a central scalar."""
-    D = multiply(A, invert(B))
-    n = D.nrows
-    field = D.field
-    return any(D == scalar_multiply(c, identity_matrix(field, n))
-               for c in scalars)
-
-
 def _has_order_p(W: FFMatrix, p: int) -> bool:
     I = identity_matrix(W.field, W.nrows)
     if W == I:
@@ -130,12 +121,6 @@ def lift_omega_aut(lam: ProjectiveAut) -> MatrixAut:
         raise ValueError("lifting requires matrix size 2d >= 8")
     field, L = standard_generators("OmegaPlus", lam.d, lam.q)
     return _lift(lam, L, field)
-
-
-def is_inner_or_diagonal(alpha: MatrixAut):
-    """(true, F) with F U F^{-1} = alpha(U) on L, or (false, None)."""
-    F = solve_commutation(alpha.gens, alpha.images)
-    return (F is not None, F)
 
 
 def sp_graph_permutation(q: int) -> list[int]:

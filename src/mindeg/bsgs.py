@@ -1,9 +1,8 @@
 """Stabilizer-chain engine for permutation groups.
 
-Provides order, membership with word witness, orbits, pointwise
-stabilizers, normal closure, centralizer of a normal subgroup,
-intersection with a normal subgroup, induced actions and preimages of
-point stabilizers under them.
+Provides order, membership with word witness, pointwise stabilizers,
+normal closure, centralizer of a normal subgroup, induced actions and
+preimages of point stabilizers under them.
 
 The chain is grown in place by an incremental Schreier-Sims procedure.
 ``PermGroup.extend(g)`` sifts g through the chain; a nontrivial residue
@@ -11,9 +10,8 @@ becomes a strong generator of every level from the first down to the one
 where it dropped out, and only the levels that changed are verified
 again.  Building a chain installs the residue of each generator in the
 same way, starting from the levels of a forced base prefix (used for
-pointwise stabilizers and kernels), and then verifies once from the
-deepest level.  Further base points are the smallest points moved by a
-residue.
+pointwise stabilizers), and then verifies once from the deepest level.
+Further base points are the smallest points moved by a residue.
 
 Each level keeps its transversal as ``point -> (u, u^-1, word)`` with
 u(base) = point; an entry, once found, is never recomputed, and orbits
@@ -274,9 +272,6 @@ class PermGroup:
         self._chain()
         return self._order
 
-    def base(self) -> list[int]:
-        return [lvl.base for lvl in self._chain()]
-
     def member(self, g: Permutation) -> bool:
         if g.degree != self.degree:
             raise ValueError("degree mismatch")
@@ -292,20 +287,6 @@ class PermGroup:
             return False, None
         # g * prod(inverses) = id, so g = (that product) inverted
         return True, flatten_word(_winv(w))
-
-    def orbit(self, point: int) -> set[int]:
-        if not 0 <= point < self.degree:
-            raise ValueError("point out of range")
-        orb = {point}
-        queue = deque([point])
-        while queue:
-            x = queue.popleft()
-            for g in self.generators:
-                y = g.images[x]
-                if y not in orb:
-                    orb.add(y)
-                    queue.append(y)
-        return orb
 
     def elements(self, limit: Optional[int] = None) -> Iterator[Permutation]:
         """Iterate over all group elements via the chain."""
@@ -406,13 +387,12 @@ def closure_has_order(G: PermGroup, y: Permutation, order: int,
     ``CLOSURE_STALE_SIFTS`` sifts in a row that do not extend the chain it
     gives up, and the closure may still be whole.
     """
-    H = PermGroup(G.degree)
-    levels: list[_Level] = []
+    levels: list[_Level] = []  # G._install grows these, not G's chain
     x = identity(G.degree)
     stale = 0
     while stale < CLOSURE_STALE_SIFTS:
         x = compose(x, conjugate(y, G.random_element(rng)))
-        if H._install(levels, x, W_EMPTY, 0) is None:
+        if G._install(levels, x, W_EMPTY, 0) is None:
             stale += 1
         elif _chain_order(levels) == order:
             return True
@@ -428,8 +408,7 @@ def _check_normalizes(G: PermGroup, H: PermGroup) -> None:
                 raise ValueError("precondition failed: G does not normalize H")
 
 
-def centralizer_of_normal(G: PermGroup, H: PermGroup,
-                          budget: int = DEFAULT_NODE_BUDGET) -> PermGroup:
+def centralizer_of_normal(G: PermGroup, H: PermGroup) -> PermGroup:
     """C_G(H) for H normalized by G, by pruned backtrack over G's chain."""
     _check_normalizes(G, H)
     hgens = H.generators
@@ -464,7 +443,7 @@ def centralizer_of_normal(G: PermGroup, H: PermGroup,
     while stack:
         i, prefix = stack.pop()
         nodes += 1
-        if nodes > budget:
+        if nodes > DEFAULT_NODE_BUDGET:
             raise ResourceBudgetError("centralizer search budget exceeded")
         if i == len(levels):
             if not prefix.is_identity() and leaf_ok(prefix):
@@ -477,64 +456,16 @@ def centralizer_of_normal(G: PermGroup, H: PermGroup,
     return K
 
 
-def intersect_with_normal(G: PermGroup, H: PermGroup,
-                          budget: int = DEFAULT_NODE_BUDGET) -> PermGroup:
-    """G ∩ H for H normalized by G, by pruned backtrack over G's chain."""
-    _check_normalizes(G, H)
-    if all(H.member(g) for g in G.generators):
-        return G
-    levels = G._chain()
-    base = [lvl.base for lvl in levels]
-    # H rebased so its chain can absorb target base-point images level by level
-    Hb = PermGroup(H.degree, H.generators, forced_base=base)
-    hlevels = Hb._chain()
-    K = PermGroup(G.degree)
-    nodes = 0
-
-    # state: (level i, prefix in G, partial t in H with t(base[j]) = prefix(base[j]) for j < i)
-    stack = [(0, identity(G.degree), identity(G.degree))]
-    while stack:
-        i, prefix, t = stack.pop()
-        nodes += 1
-        if nodes > budget:
-            raise ResourceBudgetError("intersection search budget exceeded")
-        if i == len(levels):
-            if not prefix.is_identity() and Hb.member(prefix):
-                K.extend(prefix)
-            continue
-        hl = hlevels[i]
-        tinv = inverse(t)
-        for x in reversed(levels[i].points):
-            cand = compose(levels[i].transversal[x][0], prefix)
-            target = cand.images[base[i]]
-            z = tinv.images[target]
-            entry = hl.transversal.get(z)
-            if entry is None:
-                continue  # no element of H matches these base images
-            stack.append((i + 1, cand, compose(entry[0], t)))
-    return K
-
-
 # ---------------------------------------------------------------------------
 # Induced actions
 
 
-class Homomorphism:
-    """A homomorphism given by generator images."""
-
-    def __init__(self, source: PermGroup, target: PermGroup,
-                 gen_images: Sequence[Permutation]):
-        if len(gen_images) != len(source.generators):
-            raise ValueError("one image per source generator required")
-        self.source = source
-        self.target = target
-        self.gen_images = list(gen_images)
-
-
-def induced_action(G: PermGroup, objects: Sequence, act: Callable):
+def induced_action(G: PermGroup, objects: Sequence, act: Callable
+                   ) -> list[Permutation]:
     """Action of G on a list of objects; act(g, obj) -> obj.
 
-    Returns (image group G*, homomorphism G -> G*).
+    Returns the image of each generator of G as a permutation of the
+    object indices.
     """
     index = {obj: i for i, obj in enumerate(objects)}
     m = len(objects)
@@ -544,26 +475,27 @@ def induced_action(G: PermGroup, objects: Sequence, act: Callable):
         if sorted(im) != list(range(m)):
             raise ValueError("action rule is not a bijection of the objects")
         images.append(Permutation(tuple(im)))
-    Gstar = build_group(max(m, 1), images)
-    return Gstar, Homomorphism(G, Gstar, images)
-
-
-def _extended_group(G: PermGroup, phi: Homomorphism) -> PermGroup:
-    """G acting on its own domain extended by phi's target domain."""
-    n, m = G.degree, phi.target.degree
-    ext = []
-    for g, im in zip(G.generators, phi.gen_images):
-        ext.append(Permutation(tuple(g.images) + tuple(n + y for y in im.images)))
-    return PermGroup(n + m, ext)
+    return images
 
 
 def _restrict(gens: Iterable[Permutation], degree: int) -> list[Permutation]:
     return [Permutation(g.images[:degree]) for g in gens]
 
 
-def preimage_of_stabilizer(G: PermGroup, phi: Homomorphism, point: int) -> PermGroup:
-    """{g in G : phi(g) fixes the given target point}."""
+def preimage_of_stabilizer(G: PermGroup, images: Sequence[Permutation],
+                           point: int) -> PermGroup:
+    """{g in G : the induced image of g fixes point}.
+
+    ``images`` holds the image of each generator of G, as returned by
+    ``induced_action``.  G acts on its own domain extended by the objects;
+    the preimage is a pointwise stabilizer there, restricted back.
+    """
+    if len(images) != len(G.generators):
+        raise ValueError("one image per generator of G required")
     n = G.degree
-    E = _extended_group(G, phi)
+    m = images[0].degree if images else point + 1  # no images: G trivial
+    E = PermGroup(n + m, [
+        Permutation(g.images + tuple(n + y for y in im.images))
+        for g, im in zip(G.generators, images)])
     stab = E.pointwise_stabilizer([n + point])
     return PermGroup(n, _restrict(stab.generators, n))

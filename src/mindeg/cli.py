@@ -54,7 +54,12 @@ def parse_group_file(path: str) -> GroupFile:
         if line.startswith("degree"):
             if degree is not None:
                 raise ValueError(f"{path}:{lineno}: duplicate degree line")
-            degree = int(line.split()[1])
+            parts = line.split()
+            if (len(parts) != 2 or parts[0] != "degree"
+                    or not parts[1].isdecimal() or int(parts[1]) < 1):
+                raise ValueError(f"{path}:{lineno}: expected 'degree <positive"
+                                 f" integer>', got {line!r}")
+            degree = int(parts[1])
         elif line == "kernel":
             if degree is None:
                 raise ValueError(f"{path}:{lineno}: kernel before degree")
@@ -98,7 +103,7 @@ def _cmd_socle(gf: GroupFile, args) -> int:
         "socle_generators": [str(g) for g in dec.socle.generators],
         "factor_orders": [F.order() for F in dec.factors],
         "minimal_normal_blocks": dec.minimal_normals,
-        "fitting_free": dec.fitting_free_certificate,
+        "fitting_free": True,  # socle_fitting_free raises otherwise
         "probabilistic_minimality": dec.probabilistic_minimality,
     }
     lines = [f"socle order {dec.socle.order()}",

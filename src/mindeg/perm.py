@@ -31,15 +31,6 @@ class Permutation:
     def degree(self) -> int:
         return len(self.images)
 
-    def __call__(self, point: int) -> int:
-        return self.images[point]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        return compose(self, other)
-
-    def __invert__(self) -> "Permutation":
-        return inverse(self)
-
     def is_identity(self) -> bool:
         return self.images == _identity_images(len(self.images))
 

@@ -25,17 +25,18 @@ from .autlift import (
 from .bsgs import PermGroup, build_group, centralizer_of_normal, evaluate_word
 from .errors import HintRequired, LimitExceededError, UnsupportedCase
 from .fflinalg import (
-    FFMatrix, determinant, form_matrix, identity_matrix, matrix, multiply,
-    preserves_form, standard_generators,
+    FFMatrix, determinant, form_matrix, identity_matrix, invert, matrix,
+    multiply, preserves_form, standard_generators,
 )
 from .oracle import mu_oracle
 from .perm import Permutation, conjugate
-from .simpleid import SimpleName, mu_simple, name_simple, simple_order
+from .simpleid import SimpleName, mu_simple, name_simple
 from .smallgroup import QuotientGroup, isomorphism_search, list_elements
 from .socle import DEFAULT_SEED, normalizer_of_factor, socle_fitting_free
 
 SMALL_GROUP_LIMIT = 2000
 FIELD_CONVENTION = "lex-least-irreducible"
+HINT_SPOT_CHECKS = 8  # random words checked per hint
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +176,6 @@ class InducedAutData:
 def _word_eval_matrix(word, mats: list[FFMatrix]) -> FFMatrix:
     fld = mats[0].field
     g = identity_matrix(fld, mats[0].nrows)
-    from .fflinalg import invert
     for s in word:
         h = mats[abs(s) - 1]
         g = multiply(g, h if s > 0 else invert(h))
@@ -183,14 +183,13 @@ def _word_eval_matrix(word, mats: list[FFMatrix]) -> FFMatrix:
 
 
 def _spot_check_hint(gens: list[Permutation], hint_group: PermGroup,
-                     Gstd: PermGroup, pi_mats: list[Permutation],
-                     samples: int = 8) -> None:
+                     Gstd: PermGroup, pi_mats: list[Permutation]) -> None:
     """Homomorphism spot-check: pi(matrix word) must match the perm word."""
     if Gstd.order() != hint_group.order():
         raise ValueError("hint images do not generate the standard copy "
                          "(order mismatch)")
     rng = random.Random(0x41D7)
-    for _ in range(samples):
+    for _ in range(HINT_SPOT_CHECKS):
         word = [rng.randrange(1, len(gens) + 1) for _ in range(6)]
         g = evaluate_word(word, gens, hint_group.degree)
         ok, word2 = hint_group.contains(g)

@@ -22,9 +22,12 @@ from pathlib import Path
 
 from .bsgs import PermGroup, closure_has_order, normal_closure
 from .errors import UnsupportedCase
-from .smallgroup import CayleyGroup
+from .perm import element_order
 
 MAX_TABLE_ORDER = 10 ** 12
+# random elements whose normal closures ``name_simple`` checks, besides
+# the generators
+SIMPLICITY_SAMPLES = 16
 
 # canonical aliases: the Alt form wins; PSL(2,7) wins over PSL(3,2);
 # PSp(4,3) wins over PSU(4,2)
@@ -178,13 +181,13 @@ def _self_check(table):
             f"unexpected order collision at {o}: {names}")
 
 
-def _looks_simple_perm(G: PermGroup, samples: int = 16) -> bool:
+def _looks_simple_perm(G: PermGroup) -> bool:
     if G.order() == 1:
         return False
     rng = random.Random(0x5EED)
     closure_rng = random.Random(0x5EED + 1)
     seeds = list(G.generators)
-    for _ in range(samples):
+    for _ in range(SIMPLICITY_SAMPLES):
         seeds.append(G.random_element(rng))
     for x in seeds:
         if x.is_identity() or closure_has_order(G, x, G.order(), closure_rng):
@@ -194,37 +197,8 @@ def _looks_simple_perm(G: PermGroup, samples: int = 16) -> bool:
     return True
 
 
-def _ncl_cayley(C: CayleyGroup, x: int) -> int:
-    """Order of the normal closure of x in the Cayley-table group C."""
-    import numpy as np
-
-    t, inv = C.table, C.inverse
-    gens = C.generating_set()
-    members = np.array([0, x], dtype=np.int64)
-    while True:
-        conj = {int(t[t[inv[g], y], g]) for y in members.tolist() for g in gens}
-        seed = sorted(conj | set(members.tolist()))
-        closed = C._close(np.array([0], dtype=np.int64), seed)
-        if len(closed) == len(members):
-            return len(members)
-        members = closed
-
-
-def _looks_simple_cayley(C: CayleyGroup) -> bool:
-    if C.order == 1:
-        return False
-    rng = random.Random(0x5EED)
-    sample = set(C.generating_set())
-    for _ in range(16):
-        sample.add(rng.randrange(1, C.order))
-    return all(_ncl_cayley(C, x) == C.order for x in sample if x != 0)
-
-
-def _has_element_of_order(G, k: int) -> bool:
-    if isinstance(G, CayleyGroup):
-        return bool((G.element_orders() == k).any())
+def _has_element_of_order(G: PermGroup, k: int) -> bool:
     rng = random.Random(0xD15A)
-    from .perm import element_order
     for g in G.generators:
         if element_order(g) == k:
             return True
@@ -234,17 +208,10 @@ def _has_element_of_order(G, k: int) -> bool:
     return False
 
 
-def name_simple(G) -> SimpleName:
-    """Canonical name of a simple permutation or Cayley-table group."""
-    if isinstance(G, CayleyGroup):
-        order = G.order
-        simple = _looks_simple_cayley(G)
-    elif isinstance(G, PermGroup):
-        order = G.order()
-        simple = _looks_simple_perm(G)
-    else:
-        raise TypeError("expected PermGroup or CayleyGroup")
-    if not simple:
+def name_simple(G: PermGroup) -> SimpleName:
+    """Canonical name of a simple permutation group."""
+    order = G.order()
+    if not _looks_simple_perm(G):
         raise ValueError("input group is not simple")
     entries = _order_table().get(order)
     if entries is None:

@@ -1,8 +1,8 @@
 """Small groups materialized as Cayley tables.
 
 Covers element listing for permutation groups and small quotients G/K,
-brute-force subgroup enumeration, automorphism groups, and isomorphism
-search by generator-image enumeration.
+brute-force subgroup enumeration, and isomorphism search by
+generator-image enumeration.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .errors import LimitExceededError
 from .perm import Permutation, compose, conjugate, inverse
 
 SUBGROUP_LIMIT = 2000
-AUTOMORPHISM_LIMIT = 5000
+ISOMORPHISM_LIMIT = 5000
 
 
 class CayleyGroup:
@@ -445,7 +445,7 @@ def _join(t: np.ndarray, subgroup: np.ndarray, gens: list[int],
 
 
 # ---------------------------------------------------------------------------
-# Automorphisms and isomorphisms
+# Isomorphisms
 
 
 def _hom_from_gen_images(Csrc: CayleyGroup, Cdst: CayleyGroup,
@@ -483,44 +483,31 @@ def _candidate_images(Csrc: CayleyGroup, Cdst: CayleyGroup, g: int) -> list[int]
             if od[x] == os_[g] and cd[x] == cs[g]]
 
 
-def _search_isos(Csrc: CayleyGroup, Cdst: CayleyGroup, find_all: bool):
-    if Csrc.order != Cdst.order:
-        return []
-    if sorted(Csrc.element_orders().tolist()) != sorted(Cdst.element_orders().tolist()):
-        return []
-    gens = Csrc.generating_set()
+def isomorphism_search(C1: CayleyGroup, C2: CayleyGroup) -> Optional[list[int]]:
+    """An explicit isomorphism C1 -> C2, or None."""
+    if max(C1.order, C2.order) > ISOMORPHISM_LIMIT:
+        raise LimitExceededError(
+            f"order exceeds isomorphism limit {ISOMORPHISM_LIMIT}")
+    if C1.order != C2.order:
+        return None
+    if sorted(C1.element_orders().tolist()) != sorted(C2.element_orders().tolist()):
+        return None
+    gens = C1.generating_set()
     if not gens:  # trivial group
-        return [np.zeros(1, dtype=np.int64)]
-    cands = [_candidate_images(Csrc, Cdst, g) for g in gens]
-    out = []
+        return [0]
+    cands = [_candidate_images(C1, C2, g) for g in gens]
 
     def rec(i, chosen):
         if i == len(gens):
-            phi = _hom_from_gen_images(Csrc, Cdst, gens, chosen)
-            if phi is not None and len(np.unique(phi)) == Csrc.order:
-                out.append(phi)
-                return not find_all
-            return False
+            phi = _hom_from_gen_images(C1, C2, gens, chosen)
+            if phi is not None and len(np.unique(phi)) == C1.order:
+                return phi
+            return None
         for x in cands[i]:
-            if rec(i + 1, chosen + [x]):
-                return True
-        return False
+            phi = rec(i + 1, chosen + [x])
+            if phi is not None:
+                return phi
+        return None
 
-    rec(0, [])
-    return out
-
-
-def automorphism_group(C: CayleyGroup, limit: int = AUTOMORPHISM_LIMIT) -> list[list[int]]:
-    """All automorphisms of C, each as an element-index image list."""
-    if C.order > limit:
-        raise LimitExceededError(f"order {C.order} exceeds automorphism limit {limit}")
-    return [phi.tolist() for phi in _search_isos(C, C, find_all=True)]
-
-
-def isomorphism_search(C1: CayleyGroup, C2: CayleyGroup,
-                       limit: int = AUTOMORPHISM_LIMIT) -> Optional[list[int]]:
-    """An explicit isomorphism C1 -> C2, or None."""
-    if max(C1.order, C2.order) > limit:
-        raise LimitExceededError(f"order exceeds isomorphism limit {limit}")
-    isos = _search_isos(C1, C2, find_all=False)
-    return isos[0].tolist() if isos else None
+    phi = rec(0, [])
+    return None if phi is None else phi.tolist()

@@ -9,7 +9,7 @@ point stabilizers of the induced action on factors.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bsgs import (
     PermGroup, _smallest_moved_point, build_group, centralizer_of_normal,
@@ -32,8 +32,7 @@ class SocleDecomposition:
     socle: PermGroup
     factors: list[PermGroup]
     minimal_normals: list[list[int]]
-    fitting_free_certificate: bool
-    probabilistic_minimality: bool = field(default=False)
+    probabilistic_minimality: bool
 
 
 def _class_representatives(G: PermGroup, N: PermGroup):
@@ -168,7 +167,7 @@ def socle_fitting_free(G: PermGroup,
     return SocleDecomposition(
         socle=M, factors=factors,
         minimal_normals=minimal_normal_subgroups(G, factors),
-        fitting_free_certificate=True, probabilistic_minimality=sampled)
+        probabilistic_minimality=sampled)
 
 
 def simple_factors(soc: PermGroup) -> list[PermGroup]:
@@ -228,7 +227,6 @@ def normalizer_of_factor(G: PermGroup, S1: PermGroup,
                    and all(S.member(s) for s in S1.generators)), None)
     if target is None:
         raise ValueError("S1 is not one of the factors")
-    _, phi = induced_action(
-        G, list(range(len(factors))),
-        lambda g, i: _factor_image(g, i, factors))
-    return preimage_of_stabilizer(G, phi, target)
+    images = induced_action(G, list(range(len(factors))),
+                            lambda g, i: _factor_image(g, i, factors))
+    return preimage_of_stabilizer(G, images, target)

@@ -1,6 +1,6 @@
 """Shared test constructors for classical permutation groups."""
 
-from mindeg.bsgs import PermGroup, build_group
+from mindeg.bsgs import build_group
 from mindeg.fflinalg import make_field, standard_generators
 from mindeg.perm import Permutation, parse_permutation
 from mindeg.pipeline import projective_points

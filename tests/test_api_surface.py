@@ -1,0 +1,43 @@
+"""Every definition and import in ``src/mindeg`` is used by the program.
+
+A function or class that only tests call is API the program does not
+need; it is deleted together with its tests instead of kept alive by them.
+"""
+
+import ast
+from pathlib import Path
+
+import mindeg.bsgs
+
+SRC = Path(mindeg.bsgs.__file__).parent
+TREES = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+
+# part of the brute-force oracle, which the tests check directly
+ALLOWED_UNUSED = {"oracle.core"}
+
+
+def _used_names(tree):
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+
+
+def test_every_definition_is_used_in_src():
+    used = set().union(*map(_used_names, TREES.values()))
+    unused = [f"{mod}.{node.name}" for mod, tree in TREES.items()
+              for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name not in used]
+    assert sorted(set(unused) - ALLOWED_UNUSED) == []
+
+
+def test_every_import_is_used_in_its_module():
+    unused = []
+    for mod, tree in TREES.items():
+        used = _used_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{mod}: {a.name}" for a in node.names
+                           if (a.asname or a.name).split(".")[0] not in used]
+    assert unused == []

@@ -3,13 +3,13 @@ import random
 import pytest
 
 from mindeg.autlift import (
-    AutClassification, ProjectiveAut, center_scalars, classify_aut,
-    is_inner_or_diagonal, lift_omega_aut, lift_psl_aut, projective_equal,
+    ProjectiveAut, center_scalars, classify_aut, lift_omega_aut, lift_psl_aut,
     sp_graph_permutation, subgroup_in_gamma,
 )
 from mindeg.fflinalg import (
     MatrixAut, form_matrix, frobenius, identity_matrix, invert, matrix,
-    multiply, preserves_form, scalar_multiply, standard_generators, transpose,
+    multiply, preserves_form, scalar_multiply, solve_commutation,
+    standard_generators, transpose,
 )
 
 
@@ -19,6 +19,13 @@ def random_word_element(L, rng, length=10):
     for _ in range(length):
         g = multiply(g, L[rng.randrange(len(L))])
     return g
+
+
+def projective_equal(A, B, scalars):
+    """AZ = BZ: the quotient-difference A B^{-1} must be a central scalar."""
+    D = multiply(A, invert(B))
+    return any(D == scalar_multiply(c, identity_matrix(D.field, D.nrows))
+               for c in scalars)
 
 
 def conj_aut(family, L, g):
@@ -122,12 +129,14 @@ def test_lift_omega_rejects_small_dimension():
 
 
 # --- inner-or-diagonal test ----------------------------------------------------
+# An automorphism is inner-or-diagonal iff F U F^{-1} = alpha(U) on L has a
+# solution F.
 
 
 def test_is_inner_or_diagonal_identity():
     _, L = standard_generators("SL", 3, 3)
-    ok, F = is_inner_or_diagonal(MatrixAut("SL", L, list(L)))
-    assert ok
+    F = solve_commutation(L, list(L))
+    assert F is not None
     field = F.field
     assert F == scalar_multiply(F.rows[0][0], identity_matrix(field, 3))
 
@@ -136,8 +145,9 @@ def test_is_inner_or_diagonal_inner():
     _, L = standard_generators("SL", 3, 3)
     rng = random.Random(5)
     g = random_word_element(L, rng)
-    ok, F = is_inner_or_diagonal(conj_aut("SL", L, g))
-    assert ok
+    alpha = conj_aut("SL", L, g)
+    F = solve_commutation(alpha.gens, alpha.images)
+    assert F is not None
     # F is proportional to g
     field = F.field
     lam = None
@@ -154,8 +164,7 @@ def test_is_inner_or_diagonal_inner():
 def test_is_inner_or_diagonal_graph_fails():
     _, L = standard_generators("SL", 3, 3)
     alpha = MatrixAut("SL", L, [transpose(invert(U)) for U in L])
-    ok, F = is_inner_or_diagonal(alpha)
-    assert not ok and F is None
+    assert solve_commutation(alpha.gens, alpha.images) is None
 
 
 # --- classification ------------------------------------------------------------

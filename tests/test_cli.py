@@ -49,6 +49,10 @@ def test_parse_rejects_malformed(tmp_path):
         "degree 4\nkernel\nkernel\n",        # duplicate kernel
         "# only a comment\n",                # missing degree
         "degree 4\ngen (1 2 3)\nkernel\ngen (1 4)\n",  # K not normal
+        "degree 0\n",                        # degree not positive
+        "degree -2\n",
+        "degree 4 5\n",                      # extra token
+        "degree\n",                          # no degree value
     ]
     for i, text in enumerate(cases):
         p = tmp_path / f"bad{i}.grp"

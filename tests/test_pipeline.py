@@ -6,7 +6,6 @@ import pytest
 from mindeg.bsgs import build_group
 from mindeg.errors import HintRequired, LimitExceededError, UnsupportedCase
 from mindeg.oracle import mu_oracle
-from mindeg.perm import Permutation
 from mindeg.pipeline import (
     InducedAutData, dispatch_table, induced_aut_group, load_hint,
     load_hint_file, mu_fitting_free, mu_small_quotient,
@@ -218,12 +217,12 @@ def test_dispatch_graph_rows_need_hints():
 def test_dispatch_row_13_value():
     # with a hinted graph-type generator the value is (3^d-1)(3^{d-1}+1)/2
     from mindeg.autlift import MatrixAut
-    from mindeg.fflinalg import standard_generators, transpose, invert
+    from mindeg.fflinalg import standard_generators, invert
 
     name = SimpleName("POmegaPlus", (10, 3))
     field, L = standard_generators("OmegaPlus", 10, 3)
     # a similitude that scales the form by the non-square 2 has a graph part
-    from mindeg.fflinalg import form_matrix, matrix, multiply, preserves_form
+    from mindeg.fflinalg import matrix, multiply
     rows = [[0] * 10 for _ in range(10)]
     for i in range(10):
         rows[i][i] = 2 if i < 5 else 1

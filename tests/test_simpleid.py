@@ -1,14 +1,15 @@
 import pytest
 
+from mindeg.bsgs import build_group
 from mindeg.errors import UnsupportedCase
 from mindeg.oracle import mu_oracle
 from mindeg.simpleid import (
     MAX_TABLE_ORDER, SimpleName, _order_table, _prime_powers, mu_simple,
     name_simple, simple_order,
 )
-from mindeg.smallgroup import from_direct_factors, list_elements
+from mindeg.smallgroup import list_elements
 
-from .groups import alt, psl2, psl_on_plane, sym
+from .groups import P, alt, psl2, psl_on_plane, sym
 
 
 def test_prime_powers_match_sympy():
@@ -71,12 +72,8 @@ def test_name_simple_rejects_nonsimple():
 
 def test_name_simple_order_not_in_table():
     with pytest.raises(ValueError):
-        name_simple(from_direct_factors([7]))  # simple but abelian: no entry
-
-
-def test_name_simple_cayley_input():
-    C = list_elements(alt(5), bound=100)
-    assert name_simple(C) == SimpleName("Alt", (5,))
+        # Z7: simple but abelian, so no entry
+        name_simple(build_group(7, [P("(1 2 3 4 5 6 7)", 7)]))
 
 
 def test_mu_simple_values():

@@ -5,21 +5,20 @@ import pytest
 
 import mindeg.pipeline
 import mindeg.socle
-from mindeg.bsgs import (
-    build_group, centralizer_of_normal, intersect_with_normal, normal_closure,
-)
+from mindeg.bsgs import build_group, centralizer_of_normal, normal_closure
 from mindeg.cli import run_cli
 from mindeg.errors import NotFittingFree
 from mindeg.perm import compose, conjugate
 from mindeg.pipeline import mu_fitting_free
 from mindeg.socle import (
-    minimal_normal_subgroups, minimal_normal_under, normalizer_of_factor,
-    simple_factors, socle_fitting_free,
+    minimal_normal_under, normalizer_of_factor, simple_factors,
+    socle_fitting_free,
 )
 
 from .groups import (
     A6_PSL28, A7_A7, P, a5wrz2, a5xa6, alt, d8, pgammal2, pgl2, psl2, sym,
 )
+from .test_bsgs import _count_chain_builds
 
 FIXTURES = Path(mindeg.socle.__file__).parent / "fixtures"
 
@@ -98,7 +97,6 @@ def test_socle_sym5():
     assert dec.socle.order() == 60
     assert len(dec.factors) == 1
     assert dec.minimal_normals == [[0]]
-    assert dec.fitting_free_certificate
 
 
 def test_socle_pgl27():
@@ -165,6 +163,27 @@ def test_normalizer_of_factor():
                                 deca.factors).order() == 60
 
 
+@pytest.mark.parametrize("make,blocks", [
+    (a5wrz2, [[0, 1]]),
+    (lambda: _product_group(A7_A7, 14), [[0], [1]]),
+], ids=["A5wrZ2", "A7xA7"])
+def test_normalizer_of_factor_builds_one_chain(monkeypatch, make, blocks):
+    G = make()
+    dec = socle_fitting_free(G)
+    assert dec.minimal_normals == blocks
+    for F in dec.factors:  # every chain built up front
+        F.order()
+    builds = _count_chain_builds(monkeypatch)
+    for block in blocks:
+        factors = [dec.factors[i] for i in block]
+        builds.clear()
+        N = normalizer_of_factor(G, factors[0], factors)
+        # the rebased chain of G acting on points and factors, and no chain
+        # for the image of G on the factors alone
+        assert len(builds) == 1
+        assert N.order() == G.order() // len(block)
+
+
 @pytest.mark.parametrize("make", [sym(5), pgl2(7), a5wrz2, a5xa6],
                          ids=["S5", "PGL27", "A5wrZ2", "A5xA6"])
 def test_socle_invariants(make):
@@ -178,7 +197,10 @@ def test_socle_invariants(make):
             for a in Fi.generators:
                 for b in Fj.generators:
                     assert compose(a, b) == compose(b, a)
-            assert intersect_with_normal(Fi, Fj).order() == 1
+            # commuting factors meet trivially iff they generate a group of
+            # order |Fi| * |Fj|
+            assert build_group(G.degree, Fi.generators + Fj.generators
+                               ).order() == Fi.order() * Fj.order()
     assert total == dec.socle.order()
     for g in G.generators:
         for s in dec.socle.generators:
@@ -206,9 +228,9 @@ def test_socle_of_normal_subgroup_is_restriction():
     dec = socle_fitting_free(G)
     N = dec.socle  # here the single minimal normal subgroup is the socle
     decN = socle_fitting_free(N)
-    inter = intersect_with_normal(dec.socle, N)
-    assert decN.socle.order() == inter.order()
-    assert all(inter.member(g) for g in decN.socle.generators)
+    # N is the socle, so Soc(G) ∩ N = N
+    assert decN.socle.order() == N.order()
+    assert all(N.member(g) for g in decN.socle.generators)
 
 
 # Products T1 x T2 of order above the exhaustive minimality bound, where a

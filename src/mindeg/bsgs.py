@@ -30,6 +30,14 @@ lengths is a lower bound on |ncl_G(y)|, so reaching the known order proves
 the closure whole without checking a single Schreier pair (the known-order
 test of Seress, *Permutation Group Algorithms*, 4.5).  Callers fall back
 to the verified ``normal_closure`` when it gives up.
+
+``centralizer_of_normal`` uses exact orders as well.  C_G(H) is the
+intersection of the stabilizers, under conjugation, of H's generators; it
+is found as a chain of such stabilizers, each from the class of one
+generator h in the current C: the stabilizer of h in C has order exactly
+|C| / |h^C|, and Schreier generators from the class are added to a fresh
+group until that order is reached.  No search is involved and no random
+element is drawn (Seress, ch. 6).
 """
 
 from __future__ import annotations
@@ -37,12 +45,11 @@ from __future__ import annotations
 import random
 from collections import deque
 from math import prod
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import ResourceBudgetError
 from .perm import Permutation, compose, compose3, conjugate, identity, inverse
-
-DEFAULT_NODE_BUDGET = 5_000_000
 
 # ---------------------------------------------------------------------------
 # Words over signed generator indices.
@@ -409,51 +416,85 @@ def _check_normalizes(G: PermGroup, H: PermGroup) -> None:
 
 
 def centralizer_of_normal(G: PermGroup, H: PermGroup) -> PermGroup:
-    """C_G(H) for H normalized by G, by pruned backtrack over G's chain."""
+    """C_G(H) for H normalized by G, as a chain of exact stabilizers.
+
+    C_G(H) is the intersection of the stabilizers, under conjugation, of
+    H's generators.  C starts as G, and each generator h in turn replaces
+    C by its stabilizer in C, whose order is exactly |C| / |h^C|.
+    """
     _check_normalizes(G, H)
-    hgens = H.generators
-    if not hgens:
-        return G
-    levels = G._chain()
-    base = [lvl.base for lvl in levels]
-    base_pos = {b: j for j, b in enumerate(base)}
-    K = PermGroup(G.degree)
-    nodes = 0
+    C = G
+    for h in H.generators:
+        if C.is_trivial():
+            break
+        C = _conjugation_stabilizer(C, h)
+    return C
 
-    def prune(i, prefix):
-        # images of base[0..i] are fixed to prefix(base[j]); check every
-        # commutation constraint whose both sides are already determined
-        for h in hgens:
-            him = h.images
-            for j in range(i + 1):
-                bj = base[j]
-                y = him[bj]
-                pos = base_pos.get(y)
-                if pos is not None and pos <= i:
-                    if prefix.images[y] != him[prefix.images[bj]]:
-                        return False
-        return True
 
-    def leaf_ok(g):
-        gi = g.images
-        return all(tuple(him[x] for x in gi) == tuple(gi[x] for x in him)
-                   for him in (h.images for h in hgens))
+def conjugator(g: Permutation, ginv: Permutation) -> Callable:
+    """x -> the images of g^-1 x g, on image tuples of length at least 2;
+    ginv is g^-1."""
+    pre, gi = itemgetter(*ginv.images), g.images
+    return lambda x: itemgetter(*pre(x))(gi)
 
-    stack = [(0, identity(G.degree))]
-    while stack:
-        i, prefix = stack.pop()
-        nodes += 1
-        if nodes > DEFAULT_NODE_BUDGET:
-            raise ResourceBudgetError("centralizer search budget exceeded")
-        if i == len(levels):
-            if not prefix.is_identity() and leaf_ok(prefix):
-                K.extend(prefix)
-            continue
-        for x in reversed(levels[i].points):
-            cand = compose(levels[i].transversal[x][0], prefix)
-            if prune(i, cand):
-                stack.append((i + 1, cand))
-    return K
+
+def class_tree(h: Permutation, conjugators: Sequence[Callable],
+               limit: Optional[int] = None) -> Optional[dict]:
+    """The class of h under the given conjugators, as a Schreier tree.
+
+    Maps the images of each member to None for h itself, and otherwise to
+    (x, k) where the member is conjugators[k](x); the keys are in
+    breadth-first discovery order.  None once the class has more than
+    ``limit`` members.
+    """
+    tree = {h.images: None}
+    members = [h.images]
+    for x in members:
+        for k, conj in enumerate(conjugators):
+            y = conj(x)
+            if y not in tree:
+                if len(members) == limit:
+                    return None
+                tree[y] = (x, k)
+                members.append(y)
+    return tree
+
+
+def _conjugation_stabilizer(C: PermGroup, h: Permutation) -> PermGroup:
+    """{c in C : c^-1 h c = h}, proved whole by its order |C| / |h^C|.
+
+    In the class tree of h, the path u_x to a member x, read as a word in
+    C's generators, has h^(u_x) = x.  Schreier generators u_x g u_y^-1,
+    with y = x^g, fix h and generate the stabilizer (Schreier's lemma);
+    they are added to a fresh group until it reaches the known order.
+    """
+    gens = C.generators
+    invs = [inverse(g) for g in gens]
+    conjs = [conjugator(g, ginv) for g, ginv in zip(gens, invs)]
+    tree = class_tree(h, conjs)
+    if len(tree) == 1:
+        return C
+    target = C.order() // len(tree)
+    S = PermGroup(C.degree)
+    if S.order() == target:
+        return S
+    ident = identity(C.degree)
+
+    def path(x, uinv):
+        # u_x, or u_x^-1, from the tree path read back from x to h
+        w = ident
+        while tree[x] is not None:
+            x, k = tree[x]
+            w = compose(w, invs[k]) if uinv else compose(gens[k], w)
+        return w
+
+    for x in tree:
+        u = path(x, False)
+        for g, conj in zip(gens, conjs):
+            s = compose3(u, g, path(conj(x), True))
+            if S.extend(s) and S.order() == target:
+                return S
+    raise AssertionError("Schreier generators fell short of the stabilizer")
 
 
 # ---------------------------------------------------------------------------

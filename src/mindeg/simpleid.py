@@ -3,9 +3,10 @@
 A simple group is named by looking its order up in a generated table of
 simple-group orders.  Among groups of order at most 10^12 the order
 determines the group except for two classical coincidences: Alt(8) vs
-PSL(3,4) at order 20160 (settled by scanning for an element of order 6,
-which only Alt(8) has), and PSp(2m,q) vs the odd-dimensional orthogonal
-groups for odd q, m >= 3 (reported as unsupported).
+PSL(3,4) at order 20160 (settled by the size of the class of an element of
+order 5), and PSp(2m,q) vs the odd-dimensional orthogonal groups for odd
+q, m >= 3 (reported as unsupported).  An order outside the table is
+reported as unsupported too.
 
 μ values ship in data/mu_table.json so the entries can be diffed against
 the literature; every row carries a formula id and a provenance tag.
@@ -20,9 +21,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-from .bsgs import PermGroup, closure_has_order, normal_closure
+from .bsgs import (
+    PermGroup, class_tree, closure_has_order, conjugator, normal_closure,
+)
 from .errors import UnsupportedCase
-from .perm import element_order
+from .perm import element_order, inverse, power
 
 MAX_TABLE_ORDER = 10 ** 12
 # random elements whose normal closures ``name_simple`` checks, besides
@@ -197,15 +200,31 @@ def _looks_simple_perm(G: PermGroup) -> bool:
     return True
 
 
-def _has_element_of_order(G: PermGroup, k: int) -> bool:
+# An element of order 5 has 1344 conjugates in Alt(8) (a 5-cycle, with
+# centralizer Z5 x Alt(3)) and 4032 in PSL(3,4) (centralizer Z5).
+ALT8_CLASS_OF_5 = 1344
+
+
+def _is_alt8(G: PermGroup) -> bool:
+    """Whether G, simple of order 20160, is Alt(8) rather than PSL(3,4).
+
+    Draws elements of G until one has order divisible by 5, powers it down
+    to order 5 and grows its class under G's generators: the class closes
+    at 1344 elements in Alt(8) and passes 1344 in PSL(3,4).  Only the
+    running time depends on the draws.
+    """
     rng = random.Random(0xD15A)
-    for g in G.generators:
-        if element_order(g) == k:
-            return True
-    for _ in range(512):
-        if element_order(G.random_element(rng)) == k:
-            return True
-    return False
+    while True:
+        g = G.random_element(rng)
+        o = element_order(g)
+        if o % 5 == 0:
+            break
+    conjs = [conjugator(s, inverse(s)) for s in G.generators]
+    tree = class_tree(power(g, o // 5), conjs, ALT8_CLASS_OF_5)
+    if tree is None:
+        return False
+    assert len(tree) == ALT8_CLASS_OF_5, "order-5 class of a group of order 20160"
+    return True
 
 
 def name_simple(G: PermGroup) -> SimpleName:
@@ -215,17 +234,16 @@ def name_simple(G: PermGroup) -> SimpleName:
         raise ValueError("input group is not simple")
     entries = _order_table().get(order)
     if entries is None:
-        raise ValueError(f"order {order} not in the simple-group table")
+        raise UnsupportedCase(f"order {order} not in the simple-group table")
     if any(amb for _, amb in entries):
         raise UnsupportedCase(
             f"order {order} coincides with an odd-dimensional orthogonal group")
     if len(entries) == 1:
         return entries[0][0]
-    # order 20160: Alt(8) has elements of order 6, PSL(3,4) does not
     assert order == 20160
     alt8 = next(nm for nm, _ in entries if nm.family == "Alt")
     psl34 = next(nm for nm, _ in entries if nm.family == "PSL")
-    return alt8 if _has_element_of_order(G, 6) else psl34
+    return alt8 if _is_alt8(G) else psl34
 
 
 @lru_cache(maxsize=1)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 from .bsgs import (
     PermGroup, _smallest_moved_point, build_group, centralizer_of_normal,
-    closure_has_order, induced_action, normal_closure, preimage_of_stabilizer,
+    class_tree, closure_has_order, conjugator, induced_action, normal_closure,
+    preimage_of_stabilizer,
 )
 from .errors import NotFittingFree
 from .perm import (
@@ -41,21 +42,12 @@ def _class_representatives(G: PermGroup, N: PermGroup):
     Conjugate elements share their normal closure, so the minimality sweep
     only needs class representatives.
     """
+    conjs = [conjugator(g, inverse(g)) for g in G.generators]
     covered: set[tuple] = set()
     for y in N.elements(EXHAUSTIVE_MINIMALITY_BOUND):
-        if y.images in covered:
-            continue
-        yield y
-        orbit = {y.images}
-        frontier = [y]
-        while frontier:
-            x = frontier.pop()
-            for g in G.generators:
-                c = conjugate(x, g)
-                if c.images not in orbit:
-                    orbit.add(c.images)
-                    frontier.append(c)
-        covered |= orbit
+        if y.images not in covered:
+            yield y
+            covered.update(class_tree(y, conjs))
 
 
 def _prime_divisors(n: int) -> list[int]:

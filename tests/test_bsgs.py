@@ -302,8 +302,58 @@ def test_centralizer_builds_one_chain(monkeypatch):
     builds = _count_chain_builds(monkeypatch)
     C = centralizer_of_normal(G, H)
     assert C.order() == 360
-    assert len(C.generators) > 2
-    assert len(builds) <= 1  # the result's chain only, not one per element found
+    assert ({g.images for g in C.elements()}
+            == {g.images for g in brute_centralizer(G, H)})
+    # one stabilizer, hence one chain, per generator of H whose class is
+    # nontrivial
+    moved = sum(any(compose(g, h) != compose(h, g) for g in G.generators)
+                for h in H.generators)
+    assert len(builds) <= moved
+
+
+def _centralizer_cases():
+    from tests.groups import a5wrz2, pgammal2, psl2
+    S4 = build_group(4, SYM4)
+    V4 = build_group(4, [P("(1 2)(3 4)", 4), P("(1 3)(2 4)", 4)])
+    a5 = [P("(1 2 3)", 10), P("(3 4 5)", 10)]
+    A5xA5 = build_group(10, a5 + [P("(6 7 8)", 10), P("(8 9 10)", 10)])
+    W = a5wrz2()
+    A7xA7 = build_group(14, [P(c, 14) for c in A7_A7])
+    first_a7 = build_group(14, [P("(1 2 3)", 14), P("(1 2 3 4 5 6 7)", 14)])
+    M = build_group(12, [P(c, 12) for c in M12])
+    return [("S4>V4", S4, V4), ("A5xA5>A5", A5xA5, build_group(10, a5)),
+            ("A5wrZ2>socle", W, build_group(10, W.generators[:4])),
+            ("PGammaL28>PSL28", pgammal2(8), psl2(8)),
+            ("A7xA7>A7", A7xA7, first_a7), ("M12>M12", M, M)]
+
+
+def test_centralizer_matches_sympy_on_relabellings():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+
+    def sympy_group(gens):
+        return combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(g.images)) for g in gens])
+
+    rng = random.Random(5)
+    for label, G, H in _centralizer_cases():
+        assert all(H.member(h) for h in H.generators)
+        for _ in range(2):
+            images = list(range(G.degree))
+            rng.shuffle(images)
+            sigma = Permutation(tuple(images))
+            Gs = [conjugate(g, sigma) for g in G.generators]
+            Hs = [conjugate(h, sigma) for h in H.generators]
+            rng.shuffle(Gs)
+            rng.shuffle(Hs)
+            C = centralizer_of_normal(build_group(G.degree, Gs),
+                                      build_group(G.degree, Hs))
+            expected = sympy_group(Gs).centralizer(sympy_group(Hs))
+            assert C.order() == expected.order(), label
+            assert all(C.member(Permutation(tuple(c.array_form)))
+                       for c in expected.generators), label
+            assert all(expected.contains(
+                combinatorics.Permutation(list(c.images)))
+                for c in C.generators), label
 
 
 M12 = ["(1 2 3 4 5 6 7 8 9 10 11)", "(3 7 11 8)(4 10 5 6)",

@@ -150,6 +150,20 @@ def test_exit_2_with_partial_certificate(capsys):
     assert "hint" in err
 
 
+def test_exit_2_when_the_factor_is_not_in_the_table(tmp_path, capsys):
+    # M11 is simple, but its order is missing from the simple-group table
+    path = tmp_path / "M11.grp"
+    path.write_text("degree 11\ngen (1 2 3 4 5 6 7 8 9 10 11)\n"
+                    "gen (3 7 11 8)(4 10 5 6)\n")
+    code, out, err = run(capsys, "mu", str(path))
+    assert code == 2
+    partial = json.loads(out)
+    assert partial["flags"]["unsupported-case"]
+    assert partial["factor_orders"] == [7920]
+    assert "7920" in partial["records"][0]["error"]
+    assert "7920" in err
+
+
 def test_hinted_graph_extension(capsys):
     code, out, _ = run(capsys, "mu", fx("PSL34_2.grp"),
                        "--hint", fx("PSL34_2.hint.json"))

@@ -1,15 +1,23 @@
+import random
+from pathlib import Path
+
 import pytest
 
 from mindeg.bsgs import build_group
+from mindeg.cli import parse_group_file
 from mindeg.errors import UnsupportedCase
 from mindeg.oracle import mu_oracle
+from mindeg.perm import Permutation, conjugate
 from mindeg.simpleid import (
     MAX_TABLE_ORDER, SimpleName, _order_table, _prime_powers, mu_simple,
     name_simple, simple_order,
 )
 from mindeg.smallgroup import list_elements
+from mindeg.socle import socle_fitting_free
 
 from .groups import P, alt, psl2, psl_on_plane, sym
+
+FIXTURES = Path(__file__).parent.parent / "src" / "mindeg" / "fixtures"
 
 
 def test_prime_powers_match_sympy():
@@ -63,6 +71,31 @@ def test_name_simple_20160_disambiguation():
     assert name_simple(alt(8)) == SimpleName("Alt", (8,))
 
 
+def _relabelled(G, rng):
+    images = list(range(G.degree))
+    rng.shuffle(images)
+    sigma = Permutation(tuple(images))
+    return build_group(G.degree, [conjugate(g, sigma) for g in G.generators])
+
+
+def _psl34_socle_factor():
+    G = parse_group_file(FIXTURES / "PSL34_2.grp").group
+    factors = socle_fitting_free(G).factors
+    assert [F.order() for F in factors] == [20160]
+    return factors[0]
+
+
+@pytest.mark.parametrize("make,expected", [
+    (lambda: alt(8), SimpleName("Alt", (8,))),
+    (_psl34_socle_factor, SimpleName("PSL", (3, 4))),
+], ids=["Alt8", "PSL34_2-socle"])
+def test_name_simple_20160_on_relabellings(make, expected):
+    G = make()
+    rng = random.Random(20160)
+    for _ in range(2):
+        assert name_simple(_relabelled(G, rng)) == expected
+
+
 def test_name_simple_rejects_nonsimple():
     with pytest.raises(ValueError):
         name_simple(sym(4))
@@ -71,7 +104,7 @@ def test_name_simple_rejects_nonsimple():
 
 
 def test_name_simple_order_not_in_table():
-    with pytest.raises(ValueError):
+    with pytest.raises(UnsupportedCase, match="order 7 "):
         # Z7: simple but abelian, so no entry
         name_simple(build_group(7, [P("(1 2 3 4 5 6 7)", 7)]))
 

@@ -252,12 +252,25 @@ def test_socle_splits_a6_x_psl28(seed):
     assert sorted(F.order() for F in dec.factors) == [360, 504]
 
 
-@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("seed", range(20))
 def test_socle_splits_a7_x_a7(seed):
     G = _product_group(A7_A7, 14)
     assert G.order() == 2520 ** 2
     dec = socle_fitting_free(G, seed)
     assert sorted(F.order() for F in dec.factors) == [2520, 2520]
+
+
+def test_mu_a7_x_a7_chain_builds_are_bounded(monkeypatch):
+    # a seed-independent bound on the work of a run: each centralizer
+    # step builds one chain, whatever elements the sweeps draw
+    builds = _count_chain_builds(monkeypatch)
+    counts = []
+    for seed in range(20):
+        G = _product_group(A7_A7, 14)
+        del builds[:]
+        assert mu_fitting_free(G, seed=seed).total == 14
+        counts.append(len(builds))
+    assert max(counts) <= 32, counts
 
 
 @pytest.mark.parametrize("cycles,degree,mu", [(A6_PSL28, 15, 15),

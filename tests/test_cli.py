@@ -192,12 +192,21 @@ def test_same_seed_byte_identical(capsys):
     assert runs[0] == runs[1]
 
 
+# every fixture that mu accepts without a hint, and PSL34_2 with its hint
+PINNED = ["A5", "A5wrZ2", "A5xA6", "A6", "AutA6", "M12", "PGL27",
+          "PGammaL28", "PSL211", "PSL27", "PSL28", "PSL34", "PSL34_2", "S5",
+          "S6"]
+HINTED = {"PSL34_2"}
+
+
 @pytest.mark.parametrize("command", ["mu", "socle"])
-@pytest.mark.parametrize("name", ["A5xA6", "A5wrZ2", "AutA6", "PGammaL28", "M12"])
+@pytest.mark.parametrize("name", PINNED)
 def test_json_output_is_pinned(capsys, name, command):
     # same-seed output stays byte-identical when the engine changes
     with open(PINS, encoding="utf-8") as fh:
         expected = json.load(fh)[name][command]
-    code, out, err = run(capsys, command, fx(name + ".grp"), "--json")
+    hint = (["--hint", fx(name + ".hint.json")]
+            if command == "mu" and name in HINTED else [])
+    code, out, err = run(capsys, command, fx(name + ".grp"), "--json", *hint)
     assert code == 0, err
     assert out == expected

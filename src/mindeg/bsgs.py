@@ -1,17 +1,16 @@
 """Stabilizer-chain engine for permutation groups.
 
-Provides order, membership with word witness, pointwise stabilizers,
-normal closure, centralizer of a normal subgroup, induced actions and
-preimages of point stabilizers under them.
+Provides order, membership with word witness, normal closure,
+centralizer of a normal subgroup, induced actions and preimages of point
+stabilizers under them.
 
 The chain is grown in place by an incremental Schreier-Sims procedure.
 ``PermGroup.extend(g)`` sifts g through the chain; a nontrivial residue
 becomes a strong generator of every level from the first down to the one
 where it dropped out, and only the levels that changed are verified
 again.  Building a chain installs the residue of each generator in the
-same way, starting from the levels of a forced base prefix (used for
-pointwise stabilizers), and then verifies once from the deepest level.
-Further base points are the smallest points moved by a residue.
+same way and then verifies once from the deepest level.  Base points are
+the smallest points moved by a residue.
 
 Each level keeps its transversal as ``point -> (u, u^-1, word)`` with
 u(base) = point; an entry, once found, is never recomputed, and orbits
@@ -31,13 +30,15 @@ the closure whole without checking a single Schreier pair (the known-order
 test of Seress, *Permutation Group Algorithms*, 4.5).  Callers fall back
 to the verified ``normal_closure`` when it gives up.
 
-``centralizer_of_normal`` uses exact orders as well.  C_G(H) is the
-intersection of the stabilizers, under conjugation, of H's generators; it
-is found as a chain of such stabilizers, each from the class of one
-generator h in the current C: the stabilizer of h in C has order exactly
-|C| / |h^C|, and Schreier generators from the class are added to a fresh
-group until that order is reached.  No search is involved and no random
-element is drawn (Seress, ch. 6).
+Stabilizers of group actions use exact orders as well, through one
+routine: the orbit of a point x under C is grown as a Schreier tree, the
+stabilizer of x has order exactly |C| / |x^C|, and Schreier generators
+from the tree are added to a fresh group until that order is reached.  No
+search is involved and no random element is drawn (Seress, ch. 6).
+``centralizer_of_normal`` is a chain of such stabilizers in the
+conjugation action, one per generator of the normal subgroup;
+``preimage_of_stabilizer`` is one, in an action given by the images of
+G's generators.
 """
 
 from __future__ import annotations
@@ -163,14 +164,12 @@ def _smallest_moved_point(g: Permutation) -> int:
 class PermGroup:
     """A permutation group with a lazily built, extensible stabilizer chain."""
 
-    def __init__(self, degree: int, generators: Iterable[Permutation] = (),
-                 forced_base: Sequence[int] = ()):
+    def __init__(self, degree: int, generators: Iterable[Permutation] = ()):
         self.degree = degree
         self.generators = [g for g in generators if not g.is_identity()]
         for g in self.generators:
             if g.degree != degree:
                 raise ValueError("generator degree mismatch")
-        self._forced_base = list(forced_base)
         self._levels: Optional[list[_Level]] = None
         self._order: Optional[int] = None
 
@@ -201,9 +200,7 @@ class PermGroup:
         return g, w, len(levels)
 
     def _build_chain(self) -> None:
-        # Levels for the forced base prefix come first, so that pointwise
-        # stabilizers can be read off even when those points are fixed.
-        levels = [_Level(b, self.degree) for b in self._forced_base]
+        levels: list[_Level] = []
         self._levels = levels
         for k, g in enumerate(self.generators):
             self._install(levels, g, k + 1, 0)
@@ -310,22 +307,6 @@ class PermGroup:
             g = compose(lvl.transversal[rng.choice(lvl.points)][0], g)
         return g
 
-    def pointwise_stabilizer(self, points: Iterable[int]) -> "PermGroup":
-        pts = sorted(set(points))
-        for p in pts:
-            if not 0 <= p < self.degree:
-                raise ValueError("point out of range")
-        rebased = PermGroup(self.degree, self.generators, forced_base=pts)
-        levels = rebased._chain()
-        gens = []
-        seen = set()
-        for lvl in levels[len(pts):]:
-            for g in lvl.gens:
-                if g.images not in seen and all(g.images[p] == p for p in pts):
-                    seen.add(g.images)
-                    gens.append(g)
-        return PermGroup(self.degree, gens)
-
     def is_trivial(self) -> bool:
         return self.order() == 1
 
@@ -427,7 +408,8 @@ def centralizer_of_normal(G: PermGroup, H: PermGroup) -> PermGroup:
     for h in H.generators:
         if C.is_trivial():
             break
-        C = _conjugation_stabilizer(C, h)
+        C = _stabilizer(C, h.images, [conjugator(g, inverse(g))
+                                      for g in C.generators])
     return C
 
 
@@ -438,60 +420,60 @@ def conjugator(g: Permutation, ginv: Permutation) -> Callable:
     return lambda x: itemgetter(*pre(x))(gi)
 
 
-def class_tree(h: Permutation, conjugators: Sequence[Callable],
+def class_tree(x, maps: Sequence[Callable],
                limit: Optional[int] = None) -> Optional[dict]:
-    """The class of h under the given conjugators, as a Schreier tree.
+    """The orbit of the hashable point x under the given maps, as a
+    Schreier tree (a conjugacy class when the maps are conjugators).
 
-    Maps the images of each member to None for h itself, and otherwise to
-    (x, k) where the member is conjugators[k](x); the keys are in
-    breadth-first discovery order.  None once the class has more than
-    ``limit`` members.
+    Maps each member to None for x itself, and otherwise to (y, k) where
+    the member is maps[k](y); the keys are in breadth-first discovery
+    order.  None once the orbit has more than ``limit`` members.
     """
-    tree = {h.images: None}
-    members = [h.images]
-    for x in members:
-        for k, conj in enumerate(conjugators):
-            y = conj(x)
-            if y not in tree:
+    tree = {x: None}
+    members = [x]
+    for y in members:
+        for k, act in enumerate(maps):
+            z = act(y)
+            if z not in tree:
                 if len(members) == limit:
                     return None
-                tree[y] = (x, k)
-                members.append(y)
+                tree[z] = (y, k)
+                members.append(z)
     return tree
 
 
-def _conjugation_stabilizer(C: PermGroup, h: Permutation) -> PermGroup:
-    """{c in C : c^-1 h c = h}, proved whole by its order |C| / |h^C|.
+def _stabilizer(C: PermGroup, x, maps: Sequence[Callable]) -> PermGroup:
+    """{c in C : c fixes x}, proved whole by its order |C| / |x^C|.
 
-    In the class tree of h, the path u_x to a member x, read as a word in
-    C's generators, has h^(u_x) = x.  Schreier generators u_x g u_y^-1,
-    with y = x^g, fix h and generate the stabilizer (Schreier's lemma);
-    they are added to a fresh group until it reaches the known order.
+    maps[k] is the action of C.generators[k] on hashable points.  In the
+    orbit tree of x, the path u_y to a point y, read as a word in C's
+    generators, takes x to y.  Schreier generators u_y g u_z^-1, with
+    z = y^g, fix x and generate the stabilizer (Schreier's lemma); they
+    are added to a fresh group until it reaches the known order.
     """
     gens = C.generators
-    invs = [inverse(g) for g in gens]
-    conjs = [conjugator(g, ginv) for g, ginv in zip(gens, invs)]
-    tree = class_tree(h, conjs)
+    tree = class_tree(x, maps)
     if len(tree) == 1:
         return C
+    invs = [inverse(g) for g in gens]
     target = C.order() // len(tree)
     S = PermGroup(C.degree)
     if S.order() == target:
         return S
     ident = identity(C.degree)
 
-    def path(x, uinv):
-        # u_x, or u_x^-1, from the tree path read back from x to h
+    def path(y, uinv):
+        # u_y, or u_y^-1, from the tree path read back from y to x
         w = ident
-        while tree[x] is not None:
-            x, k = tree[x]
+        while tree[y] is not None:
+            y, k = tree[y]
             w = compose(w, invs[k]) if uinv else compose(gens[k], w)
         return w
 
-    for x in tree:
-        u = path(x, False)
-        for g, conj in zip(gens, conjs):
-            s = compose3(u, g, path(conj(x), True))
+    for y in tree:
+        u = path(y, False)
+        for g, act in zip(gens, maps):
+            s = compose3(u, g, path(act(y), True))
             if S.extend(s) and S.order() == target:
                 return S
     raise AssertionError("Schreier generators fell short of the stabilizer")
@@ -519,24 +501,13 @@ def induced_action(G: PermGroup, objects: Sequence, act: Callable
     return images
 
 
-def _restrict(gens: Iterable[Permutation], degree: int) -> list[Permutation]:
-    return [Permutation(g.images[:degree]) for g in gens]
-
-
 def preimage_of_stabilizer(G: PermGroup, images: Sequence[Permutation],
                            point: int) -> PermGroup:
     """{g in G : the induced image of g fixes point}.
 
     ``images`` holds the image of each generator of G, as returned by
-    ``induced_action``.  G acts on its own domain extended by the objects;
-    the preimage is a pointwise stabilizer there, restricted back.
+    ``induced_action``.
     """
     if len(images) != len(G.generators):
         raise ValueError("one image per generator of G required")
-    n = G.degree
-    m = images[0].degree if images else point + 1  # no images: G trivial
-    E = PermGroup(n + m, [
-        Permutation(g.images + tuple(n + y for y in im.images))
-        for g, im in zip(G.generators, images)])
-    stab = E.pointwise_stabilizer([n + point])
-    return PermGroup(n, _restrict(stab.generators, n))
+    return _stabilizer(G, point, [im.images.__getitem__ for im in images])

@@ -19,7 +19,8 @@ import numpy as np
 
 from .errors import LimitExceededError
 from .smallgroup import (
-    CayleyGroup, _hom_from_gen_images, all_subgroups, from_direct_factors,
+    CayleyGroup, _hom_from_gen_images, _mask_of, all_subgroups,
+    from_direct_factors,
 )
 
 ORACLE_LIMIT = 2000
@@ -32,13 +33,6 @@ class OracleWitness:
     subgroups: list[list[int]]
     total_degree: int
     core_intersection: list[int]
-
-
-def _mask_of_list(members) -> int:
-    mask = 0
-    for x in members:
-        mask |= 1 << int(x)
-    return mask
 
 
 def _list_of_mask(mask: int) -> list[int]:
@@ -65,7 +59,7 @@ def _check_subgroup(C: CayleyGroup, members: list[int]):
 
 def _conjugate_mask(C: CayleyGroup, members: np.ndarray, g: int) -> tuple[int, np.ndarray]:
     conj = C.table[C.table[C.inverse[g], members], g]
-    return _mask_of_list(conj.tolist()), conj
+    return _mask_of(conj.tolist()), conj
 
 
 def core(C: CayleyGroup, H) -> list[int]:
@@ -77,7 +71,7 @@ def core(C: CayleyGroup, H) -> list[int]:
 
 
 def _core_mask(C: CayleyGroup, members: np.ndarray, gens: list[int]) -> int:
-    start = _mask_of_list(members.tolist())
+    start = _mask_of(members.tolist())
     seen = {start: members}
     frontier = [members]
     result = start
@@ -130,7 +124,7 @@ def _abelian_candidates(C: CayleyGroup) -> list[tuple[int, int, list[int]]]:
         kernel = np.nonzero(phi == 0)[0]
         if len(kernel) == C.order:
             continue
-        mask = _mask_of_list(kernel.tolist())
+        mask = _mask_of(kernel.tolist())
         cost = C.order // len(kernel)
         if mask not in out or out[mask][0] > cost:
             out[mask] = (cost, kernel.tolist())
@@ -143,7 +137,7 @@ def _general_candidates(C: CayleyGroup, limit: int) -> list[tuple[int, int, list
     out: dict[int, tuple[int, list[int]]] = {}
     visited: set[int] = set()
     for sub in all_subgroups(C, limit):
-        mask = _mask_of_list(sub)
+        mask = _mask_of(sub)
         if mask in visited or len(sub) == C.order:
             continue
         arr = np.array(sub, dtype=np.int64)

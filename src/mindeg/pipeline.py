@@ -125,6 +125,9 @@ def load_hint(data: dict) -> RecognitionHint:
     _check_membership(family, d, q, images)
     gens = None
     if "generators" in data:
+        if "degree" not in data:
+            raise ValueError("hint has generators but is missing the "
+                             "'degree' field")
         degree = int(data["degree"])
         gens = [Permutation(tuple(img)) for img in data["generators"]]
         if any(g.degree != degree for g in gens):
@@ -211,7 +214,12 @@ def induced_aut_group(G: PermGroup, S1: PermGroup, factors: list[PermGroup],
     the standard copy via Iso o C_g o Iso^{-1}, evaluated through word
     decompositions.
     """
-    NG = normalizer_of_factor(G, S1, factors)
+    # keep only generators that enlarge N_G(S1): each costs a class walk in
+    # the centralizer and, with a hint, a lift; for a one-factor block
+    # N_G(S1) is G with all of its generators
+    NG = PermGroup(G.degree)
+    for g in normalizer_of_factor(G, S1, factors).generators:
+        NG.extend(g)
     CG = centralizer_of_normal(NG, S1)
     order_A = NG.order() // CG.order()
     data = InducedAutData(order=order_A, order_S=S1.order(), S1=S1,
@@ -433,6 +441,11 @@ def mu_fitting_free(G: PermGroup,
     """
     hints = hints or []
     dec = socle_fitting_free(G, seed)
+    for h in hints:
+        if not 0 <= h.factor_index < len(dec.factors):
+            raise ValueError(
+                f"hint factor_index {h.factor_index} names no factor: the "
+                f"socle has {len(dec.factors)} simple factor(s)")
     cert = MuCertificate(
         group_order=G.order(),
         socle_order=dec.socle.order(),

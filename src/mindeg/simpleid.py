@@ -220,7 +220,7 @@ def _is_alt8(G: PermGroup) -> bool:
         if o % 5 == 0:
             break
     conjs = [conjugator(s, inverse(s)) for s in G.generators]
-    tree = class_tree(power(g, o // 5), conjs, ALT8_CLASS_OF_5)
+    tree = class_tree(power(g, o // 5).images, conjs, ALT8_CLASS_OF_5)
     if tree is None:
         return False
     assert len(tree) == ALT8_CLASS_OF_5, "order-5 class of a group of order 20160"

@@ -296,9 +296,10 @@ def from_direct_factors(moduli: Sequence[int]) -> CayleyGroup:
 # Subgroup enumeration
 
 
-def _mask_of(members: np.ndarray) -> int:
+def _mask_of(members: list[int]) -> int:
+    """The bitmask of a list of element indices (Python ints)."""
     mask = 0
-    for x in members.tolist():
+    for x in members:
         mask |= 1 << x
     return mask
 
@@ -323,12 +324,10 @@ def _cyclic_subgroups(C: CayleyGroup) -> tuple[list[int], list[int]]:
         y = g
         while y != 0:
             members.append(y)
-            y = t[y, g]
+            y = int(t[y, g])
         if not _is_prime_power(len(members)):
             continue
-        mask = 0
-        for x in members:
-            mask |= 1 << int(x)
+        mask = _mask_of(members)
         if mask not in cyclic:
             cyclic[mask] = (len(members), g)
     order = sorted(cyclic.items(), key=lambda kv: (kv[1][0], kv[0]))
@@ -393,7 +392,7 @@ def all_subgroups(C: CayleyGroup, limit: int = SUBGROUP_LIMIT) -> list[list[int]
                 jarr, jmask = full_arr, full_mask
             else:
                 jarr = _join(t, arr, gens + [cyc_gens[ci]], divisors)
-                jmask = full_mask if len(jarr) == m else _mask_of(jarr)
+                jmask = full_mask if len(jarr) == m else _mask_of(jarr.tolist())
             prev = found.get(jmask)
             if prev is None:
                 found[jmask] = (jarr, gens + [cyc_gens[ci]], ci)

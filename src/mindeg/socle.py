@@ -1,9 +1,9 @@
 """Socle machinery for Fitting-free permutation groups.
 
-Computes the socle by the centralizer recursion Soc(G) = M × Soc(C_G(M)),
-splits it into non-abelian simple factors, groups the factors into minimal
-normal subgroups (conjugation orbits), and computes factor normalizers as
-point stabilizers of the induced action on factors.
+Computes the socle by the centralizer recursion Soc(G) = N × Soc(C_G(N)),
+splits each minimal normal subgroup N it finds into its non-abelian simple
+factors (one conjugation orbit, so one block), and computes factor
+normalizers as point stabilizers of the induced action on factors.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ import random
 from dataclasses import dataclass
 
 from .bsgs import (
-    PermGroup, _smallest_moved_point, build_group, centralizer_of_normal,
-    class_tree, closure_has_order, conjugator, induced_action, normal_closure,
+    PermGroup, _smallest_moved_point, centralizer_of_normal, class_tree,
+    closure_has_order, conjugator, induced_action, normal_closure,
     preimage_of_stabilizer,
 )
 from .errors import NotFittingFree
@@ -47,7 +47,7 @@ def _class_representatives(G: PermGroup, N: PermGroup):
     for y in N.elements(EXHAUSTIVE_MINIMALITY_BOUND):
         if y.images not in covered:
             yield y
-            covered.update(class_tree(y, conjs))
+            covered.update(class_tree(y.images, conjs))
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -123,10 +123,10 @@ def _is_abelian(H: PermGroup) -> bool:
 def _centralizer_recursion(G: PermGroup, seed: int):
     """Soc(G) = N × Soc(C_G(N)), unrolled.
 
-    Adjoins a minimal normal subgroup of G inside the centralizer of the
-    product so far until that centralizer is trivial.  Returns the minimal
-    normal subgroups found, their product and whether the minimality of
-    any of them was only sampled.  Any abelian one proves G is not
+    Adjoins a minimal normal subgroup N of G inside C, the centralizer of
+    the product so far, and narrows C to C_C(N) until it is trivial.
+    Returns the minimal normal subgroups found and whether the minimality
+    of any of them was only sampled.  Any abelian one proves G is not
     Fitting-free.
     """
     parts: list[PermGroup] = []
@@ -138,33 +138,39 @@ def _centralizer_recursion(G: PermGroup, seed: int):
             raise NotFittingFree("abelian minimal normal subgroup found")
         sampled |= s
         parts.append(N)
-        M = N if len(parts) == 1 else build_group(
-            G.degree, [*M.generators, *N.generators])
-        C = centralizer_of_normal(G, M)
+        C = centralizer_of_normal(C, N)
         if C.is_trivial():
-            return parts, M, sampled
+            return parts, sampled
 
 
 def socle_fitting_free(G: PermGroup,
                        seed: int = DEFAULT_SEED) -> SocleDecomposition:
     """Socle decomposition of G, certifying that G is Fitting-free.
 
-    The socle is split into its simple factors here, once; callers pass
-    ``factors`` on instead of splitting again.
+    Each minimal normal subgroup is split into its simple factors here,
+    once, and its factors form one block; callers pass ``factors`` on
+    instead of splitting again.
     """
     if G.is_trivial():
         raise ValueError("G must be nontrivial")
-    _, M, sampled = _centralizer_recursion(G, seed)
-    factors = simple_factors(M)
-    return SocleDecomposition(
-        socle=M, factors=factors,
-        minimal_normals=minimal_normal_subgroups(G, factors),
-        probabilistic_minimality=sampled)
+    parts, sampled = _centralizer_recursion(G, seed)
+    factors: list[PermGroup] = []
+    blocks: list[list[int]] = []
+    for N in parts:
+        split = simple_factors(N)
+        blocks.append(list(range(len(factors), len(factors) + len(split))))
+        factors += split
+    socle = parts[0] if len(parts) == 1 else PermGroup(
+        G.degree, [g for N in parts for g in N.generators])
+    return SocleDecomposition(socle=socle, factors=factors,
+                              minimal_normals=blocks,
+                              probabilistic_minimality=sampled)
 
 
-def simple_factors(soc: PermGroup) -> list[PermGroup]:
-    """The simple factors of a direct product of non-abelian simple groups."""
-    return _centralizer_recursion(soc, DEFAULT_SEED)[0]
+def simple_factors(N: PermGroup) -> list[PermGroup]:
+    """The simple factors of N, a direct product of non-abelian simple
+    groups such as a minimal normal subgroup."""
+    return _centralizer_recursion(N, DEFAULT_SEED)[0]
 
 
 def _factor_image(g: Permutation, i: int, factors: list[PermGroup]) -> int:
@@ -180,35 +186,6 @@ def _factor_image(g: Permutation, i: int, factors: list[PermGroup]) -> int:
         if all(Si.member(conjugate(s, ginv)) for s in Sj.generators):
             return j
     raise AssertionError("conjugate of a socle factor matches no factor")
-
-
-def minimal_normal_subgroups(G: PermGroup,
-                             factors: list[PermGroup]) -> list[list[int]]:
-    """Orbits of G's conjugation action on the socle factors.
-
-    Each orbit of factor indices spans one minimal normal subgroup of G.
-    """
-    k = len(factors)
-    images = {g: [_factor_image(g, i, factors) for i in range(k)]
-              for g in G.generators}
-    seen = [False] * k
-    orbits: list[list[int]] = []
-    for i in range(k):
-        if seen[i]:
-            continue
-        orbit = [i]
-        seen[i] = True
-        queue = [i]
-        while queue:
-            x = queue.pop()
-            for g in G.generators:
-                y = images[g][x]
-                if not seen[y]:
-                    seen[y] = True
-                    orbit.append(y)
-                    queue.append(y)
-        orbits.append(sorted(orbit))
-    return orbits
 
 
 def normalizer_of_factor(G: PermGroup, S1: PermGroup,

@@ -10,6 +10,7 @@ from mindeg.bsgs import (
 from mindeg.perm import (
     Permutation, compose, conjugate, element_order, identity, parse_permutation,
 )
+from mindeg.socle import socle_fitting_free
 
 from .groups import A6_PSL28, A7_A7
 
@@ -85,16 +86,6 @@ def test_contains_matches_enumeration():
         assert ok == even
         if ok:
             assert evaluate_word(word, H.generators, 4) == g
-
-
-def test_pointwise_stabilizer():
-    S4 = build_group(4, SYM4)
-    assert S4.pointwise_stabilizer({0}).order() == 6
-    assert S4.pointwise_stabilizer({0, 1, 2, 3}).order() == 1
-    A4 = build_group(4, [P("(1 2 3)", 4), P("(2 3 4)", 4)])
-    stab = A4.pointwise_stabilizer({0})
-    assert stab.order() == 3
-    assert all(g.images[0] == 0 for g in stab.generators)
 
 
 def test_normal_closure():
@@ -356,22 +347,75 @@ def test_centralizer_matches_sympy_on_relabellings():
                 for c in C.generators), label
 
 
+def _act_on_sets(g, obj):
+    """g on a point, or on nested frozensets of points."""
+    if isinstance(obj, int):
+        return g.images[obj]
+    return frozenset(_act_on_sets(g, o) for o in obj)
+
+
+def _stabilizer_cases():
+    from tests.groups import a5wrz2, sym
+    pairing = frozenset({frozenset({0, 1}), frozenset({2, 3})})
+    return [("Sym4 on pairings", sym(4), pairing),
+            ("Sym5 on pairs", sym(5), frozenset({0, 1})),
+            ("A5wrZ2 on blocks", a5wrz2(), frozenset(range(5)))]
+
+
+def test_preimage_of_stabilizer_matches_sympy_on_relabellings():
+    # sympy's stabilizer of the point n + i in the group acting on its own
+    # n points and on the objects, restricted back to the n points
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    rng = random.Random(9)
+    for label, G, start in _stabilizer_cases():
+        n = G.degree
+        for _ in range(2):
+            images = list(range(n))
+            rng.shuffle(images)
+            sigma = Permutation(tuple(images))
+            gens = [conjugate(g, sigma) for g in G.generators]
+            rng.shuffle(gens)
+            Gs = build_group(n, gens)
+            objects = [_act_on_sets(sigma, start)]
+            for obj in objects:  # the orbit of the relabelled start object
+                for g in gens:
+                    y = _act_on_sets(g, obj)
+                    if y not in objects:
+                        objects.append(y)
+            assert len(objects) >= 2, label
+            point = rng.randrange(len(objects))
+            actions = induced_action(Gs, objects, _act_on_sets)
+            N = preimage_of_stabilizer(Gs, actions, point)
+            E = combinatorics.PermutationGroup([
+                combinatorics.Permutation(
+                    list(g.images) + [n + y for y in im.images])
+                for g, im in zip(gens, actions)])
+            expected = combinatorics.PermutationGroup([
+                combinatorics.Permutation(s.array_form[:n])
+                for s in E.stabilizer(n + point).generators])
+            assert N.order() == G.order() // len(objects), label
+            assert N.order() == expected.order(), label
+            assert all(N.member(Permutation(tuple(s.array_form)))
+                       for s in expected.generators), label
+            assert all(expected.contains(
+                combinatorics.Permutation(list(s.images)))
+                for s in N.generators), label
+
+
 M12 = ["(1 2 3 4 5 6 7 8 9 10 11)", "(3 7 11 8)(4 10 5 6)",
        "(1 12)(2 11)(3 6)(4 8)(5 9)(7 10)"]
 
 
-@pytest.mark.parametrize("cycles,degree,blocks", [
-    (A7_A7, 14, [range(7), range(7, 14)]),
-    (A6_PSL28, 15, [range(6), range(6, 15)]),
-    (M12, 12, []),
+@pytest.mark.parametrize("cycles,degree", [
+    (A7_A7, 14), (A6_PSL28, 15), (M12, 12),
 ], ids=["A7xA7", "A6xPSL28", "M12"])
-def test_closure_has_order_never_claims_a_proper_closure(cycles, degree,
-                                                         blocks):
+def test_closure_has_order_never_claims_a_proper_closure(cycles, degree):
     G = build_group(degree, [P(c, degree) for c in cycles])
-    # elements of G, and elements inside one direct factor (the pointwise
-    # stabilizer of the other factor's support), whose closures are proper
-    sources = [G] + [G.pointwise_stabilizer(set(range(degree)) - set(b))
-                     for b in blocks]
+    # elements of G, and elements inside one simple factor of a socle with
+    # several factors, whose closures are proper
+    factors = socle_fitting_free(G).factors
+    blocks = factors if len(factors) > 1 else []
+    sources = [G] + blocks
     rng = random.Random(11)
     decided = proper = 0
     for H in sources:

@@ -170,6 +170,24 @@ def test_hinted_graph_extension(capsys):
     assert code == 0 and out.strip() == "mu 42"
 
 
+@pytest.mark.parametrize("change", ["degree", "factor_index"])
+def test_exit_1_on_a_hint_that_names_nothing(tmp_path, capsys, change):
+    with open(fx("PSL34_2.hint.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    if change == "degree":
+        del data["degree"]  # generators without a degree
+    else:
+        data["factor_index"] = 5  # PSL34_2 has one socle factor
+    path = tmp_path / "hint.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "mu", fx("PSL34_2.grp"), "--hint", str(path))
+    assert code == 1 and out == ""
+    if change == "degree":
+        assert "'degree'" in err
+    else:
+        assert "factor_index 5" in err and "1 simple factor" in err
+
+
 # --- output stability ----------------------------------------------------------
 
 

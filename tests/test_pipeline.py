@@ -109,6 +109,10 @@ def test_load_hint_rejects_malformed():
     bad["generator_images"] = [[1, 2, 3]]  # wrong length
     with pytest.raises(ValueError):
         load_hint(bad)
+    bad = dict(base)
+    bad["generators"] = [[1, 0, 2]]  # generators without a degree
+    with pytest.raises(ValueError, match="degree"):
+        load_hint(bad)
 
 
 def test_load_hint_rejects_non_member_image():

@@ -1,4 +1,5 @@
 import json
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -178,9 +179,10 @@ def test_normalizer_of_factor_builds_one_chain(monkeypatch, make, blocks):
         factors = [dec.factors[i] for i in block]
         builds.clear()
         N = normalizer_of_factor(G, factors[0], factors)
-        # the rebased chain of G acting on points and factors, and no chain
-        # for the image of G on the factors alone
-        assert len(builds) == 1
+        # N_G(S) is G itself for a one-factor block, and otherwise the one
+        # fresh group of the stabilizer; no chain for the image of G on the
+        # factors
+        assert len(builds) == (0 if len(block) == 1 else 1)
         assert N.order() == G.order() // len(block)
 
 
@@ -270,7 +272,7 @@ def test_mu_a7_x_a7_chain_builds_are_bounded(monkeypatch):
         del builds[:]
         assert mu_fitting_free(G, seed=seed).total == 14
         counts.append(len(builds))
-    assert max(counts) <= 32, counts
+    assert max(counts) <= 24, counts
 
 
 @pytest.mark.parametrize("cycles,degree,mu", [(A6_PSL28, 15, 15),
@@ -284,21 +286,39 @@ def test_cli_mu_of_product(tmp_path, capsys, cycles, degree, mu):
     assert json.loads(capsys.readouterr().out)["total"] == mu
 
 
-@pytest.mark.parametrize("make", [a5xa6, a5wrz2], ids=["A5xA6", "A5wrZ2"])
-def test_mu_splits_the_socle_once(monkeypatch, make):
+@pytest.mark.parametrize("make,parts", [(a5xa6, 2), (a5wrz2, 1)],
+                         ids=["A5xA6", "A5wrZ2"])
+def test_mu_splits_the_socle_once(monkeypatch, make, parts):
     calls = []
-    original = mindeg.socle.simple_factors
+    decs = []
+    split = mindeg.socle.simple_factors
+    decompose = mindeg.socle.socle_fitting_free
 
-    def counted(soc):
-        calls.append(soc)
-        return original(soc)
+    def counted(N):
+        assert not decs, "simple_factors ran after socle_fitting_free"
+        calls.append(N)
+        return split(N)
 
-    # patch every module that could hold the name, as a tracer would
+    def recorded(G, seed):
+        decs.append(decompose(G, seed))
+        return decs[-1]
+
+    # patch every module that could hold the names, as a tracer would
     monkeypatch.setattr(mindeg.socle, "simple_factors", counted)
     monkeypatch.setattr(mindeg.pipeline, "simple_factors", counted,
                         raising=False)
-    mu_fitting_free(make())
-    assert len(calls) == 1
+    monkeypatch.setattr(mindeg.pipeline, "socle_fitting_free", recorded)
+    G = make()
+    mu_fitting_free(G)
+    # once per minimal normal subgroup, on that subgroup
+    (dec,) = decs
+    assert len(calls) == len(dec.minimal_normals) == parts
+    for N, block in zip(calls, dec.minimal_normals):
+        factors = [dec.factors[i] for i in block]
+        assert N.order() == prod(F.order() for F in factors)
+        assert all(N.member(s) for F in factors for s in F.generators)
+        assert all(N.member(conjugate(n, g))
+                   for g in G.generators for n in N.generators)
 
 
 def test_sampled_sweep_rarely_builds_a_verified_closure(monkeypatch):

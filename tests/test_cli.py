@@ -5,6 +5,8 @@ import pytest
 
 from mindeg.cli import parse_group_file, run_cli
 
+from .groups import A6_PSL28, A7_A7
+
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir,
                         "src", "mindeg", "fixtures")
 
@@ -226,5 +228,27 @@ def test_json_output_is_pinned(capsys, name, command):
     hint = (["--hint", fx(name + ".hint.json")]
             if command == "mu" and name in HINTED else [])
     code, out, err = run(capsys, command, fx(name + ".grp"), "--json", *hint)
+    assert code == 0, err
+    assert out == expected
+
+
+# literal products whose socle splits only by the prime-order sweep
+PRODUCTS = {"A6xPSL28": (A6_PSL28, 15), "A7xA7": (A7_A7, 14)}
+
+
+@pytest.mark.parametrize("seed", [None, 3])
+@pytest.mark.parametrize("command", ["mu", "socle"])
+@pytest.mark.parametrize("name", sorted(PRODUCTS))
+def test_product_json_output_is_pinned(tmp_path, capsys, name, command,
+                                       seed):
+    cycles, degree = PRODUCTS[name]
+    path = tmp_path / f"{name}.grp"
+    path.write_text(f"degree {degree}\n" + "".join(f"gen {c}\n"
+                                                  for c in cycles))
+    key, extra = (name, []) if seed is None else \
+        (f"{name} --seed {seed}", ["--seed", str(seed)])
+    with open(PINS, encoding="utf-8") as fh:
+        expected = json.load(fh)[key][command]
+    code, out, err = run(capsys, command, str(path), "--json", *extra)
     assert code == 0, err
     assert out == expected

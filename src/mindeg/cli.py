@@ -22,7 +22,7 @@ from .perm import parse_permutation
 from .pipeline import load_hint_file, mu_fitting_free, mu_small_quotient
 from .simpleid import name_simple
 from .smallgroup import QuotientGroup, list_elements
-from .socle import DEFAULT_SEED, socle_fitting_free
+from .socle import DEFAULT_SEED, minimal_normal_under, socle_fitting_free
 
 
 @dataclass
@@ -124,7 +124,13 @@ def _cmd_min_normal(gf: GroupFile, args) -> int:
 
 
 def _cmd_recognize(gf: GroupFile, args) -> int:
-    name = name_simple(gf.group)
+    G = gf.group
+    if G.is_trivial():
+        raise ValueError("input group is not simple")
+    N, _, simple = minimal_normal_under(G, G, args.seed)
+    if N.order() != G.order() or not simple:
+        raise ValueError("input group is not simple")
+    name = name_simple(G)
     _emit({"name": str(name), "family": name.family,
            "params": list(name.params)}, str(name), args.json)
     return 0

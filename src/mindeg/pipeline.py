@@ -204,21 +204,23 @@ def _spot_check_hint(gens: list[Permutation], hint_group: PermGroup,
             raise ValueError("hint homomorphism spot-check failed")
 
 
-def induced_aut_group(G: PermGroup, S1: PermGroup, factors: list[PermGroup],
+def induced_aut_group(G: PermGroup, factors: list[PermGroup], index: int,
                       hint: Optional[RecognitionHint] = None) -> InducedAutData:
-    """A = N_G(S1)/C_G(S1) with its generator conjugation automorphisms.
+    """A = N_G(S1)/C_G(S1) with its generator conjugation automorphisms,
+    for S1 = factors[index].
 
-    ``factors`` are the simple factors of the minimal normal subgroup that
-    contains S1, as split by ``socle_fitting_free``.  With a hint, each
+    ``factors`` are the simple factors of one minimal normal subgroup, as
+    split by ``socle_fitting_free``.  With a hint, each
     conjugation automorphism C_g is transported to a matrix automorphism of
     the standard copy via Iso o C_g o Iso^{-1}, evaluated through word
     decompositions.
     """
+    S1 = factors[index]
     # keep only generators that enlarge N_G(S1): each costs a class walk in
     # the centralizer and, with a hint, a lift; for a one-factor block
     # N_G(S1) is G with all of its generators
     NG = PermGroup(G.degree)
-    for g in normalizer_of_factor(G, S1, factors).generators:
+    for g in normalizer_of_factor(G, factors, index).generators:
         NG.extend(g)
     CG = centralizer_of_normal(NG, S1)
     order_A = NG.order() // CG.order()
@@ -460,17 +462,16 @@ def mu_fitting_free(G: PermGroup,
         hint = next((h for h in hints if h.factor_index in orbit), None)
         # the hinted factor serves as S1 (conjugation transports the hint
         # across the orbit)
-        s1_index = hint.factor_index if hint is not None else orbit[0]
-        S1 = dec.factors[s1_index]
+        k = orbit.index(hint.factor_index) if hint is not None else 0
+        factors = [dec.factors[i] for i in orbit]
         record = MinimalNormalRecord(length=len(orbit), factor_name=None,
                                      order_A=None, outer_index=None,
                                      rule=None, mu=None)
         cert.records.append(record)
         try:
-            name = name_simple(S1)
+            name = name_simple(factors[k])
             record.factor_name = str(name)
-            data = induced_aut_group(G, S1, [dec.factors[i] for i in orbit],
-                                     hint)
+            data = induced_aut_group(G, factors, k, hint)
             if hint is not None:
                 cert.flags["hint-used"] = True
             record.order_A = data.order

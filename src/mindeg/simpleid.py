@@ -6,7 +6,9 @@ determines the group except for two classical coincidences: Alt(8) vs
 PSL(3,4) at order 20160 (settled by the size of the class of an element of
 order 5), and PSp(2m,q) vs the odd-dimensional orthogonal groups for odd
 q, m >= 3 (reported as unsupported).  An order outside the table is
-reported as unsupported too.
+reported as unsupported too.  Simplicity is not decided here: callers name
+only groups that the socle sweep (``socle.minimal_normal_under``) found
+simple.
 
 μ values ship in data/mu_table.json so the entries can be diffed against
 the literature; every row carries a formula id and a provenance tag.
@@ -21,16 +23,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
-from .bsgs import (
-    PermGroup, class_tree, closure_has_order, conjugator, normal_closure,
-)
+from .bsgs import PermGroup, class_tree, conjugator
 from .errors import UnsupportedCase
 from .perm import element_order, inverse, power
 
 MAX_TABLE_ORDER = 10 ** 12
-# random elements whose normal closures ``name_simple`` checks, besides
-# the generators
-SIMPLICITY_SAMPLES = 16
 
 # canonical aliases: the Alt form wins; PSL(2,7) wins over PSL(3,2);
 # PSp(4,3) wins over PSU(4,2)
@@ -184,22 +181,6 @@ def _self_check(table):
             f"unexpected order collision at {o}: {names}")
 
 
-def _looks_simple_perm(G: PermGroup) -> bool:
-    if G.order() == 1:
-        return False
-    rng = random.Random(0x5EED)
-    closure_rng = random.Random(0x5EED + 1)
-    seeds = list(G.generators)
-    for _ in range(SIMPLICITY_SAMPLES):
-        seeds.append(G.random_element(rng))
-    for x in seeds:
-        if x.is_identity() or closure_has_order(G, x, G.order(), closure_rng):
-            continue
-        if normal_closure(G, [x]).order() != G.order():
-            return False
-    return True
-
-
 # An element of order 5 has 1344 conjugates in Alt(8) (a 5-cycle, with
 # centralizer Z5 x Alt(3)) and 4032 in PSL(3,4) (centralizer Z5).
 ALT8_CLASS_OF_5 = 1344
@@ -228,10 +209,8 @@ def _is_alt8(G: PermGroup) -> bool:
 
 
 def name_simple(G: PermGroup) -> SimpleName:
-    """Canonical name of a simple permutation group."""
+    """Canonical name of a permutation group found simple by the caller."""
     order = G.order()
-    if not _looks_simple_perm(G):
-        raise ValueError("input group is not simple")
     entries = _order_table().get(order)
     if entries is None:
         raise UnsupportedCase(f"order {order} not in the simple-group table")

@@ -156,30 +156,6 @@ class QuotientGroup:
         return self.G.order() // self.K.order()
 
 
-def _double_bytes(gen_bytes: list[bytes], bound: int) -> list[bytes]:
-    """Wolf doubling: T_{i+1} = T_i ∪ {xy : x, y in T_i}, via byte tables."""
-    n = len(gen_bytes[0]) if gen_bytes else 1
-    ident = bytes(range(n))
-    current: dict[bytes, None] = {ident: None}
-    for g in gen_bytes:
-        current[g] = None
-    while True:
-        items = list(current)
-        pad = {x: x + bytes(range(len(x), 256)) for x in items}
-        new = dict(current)
-        for x in items:
-            for y in items:
-                p = x.translate(pad[y])
-                if p not in new:
-                    new[p] = None
-                    if len(new) > bound:
-                        raise LimitExceededError(
-                            f"element count exceeds bound {bound}")
-        if len(new) == len(current):
-            return sorted(current)
-        current = new
-
-
 def list_elements(X, bound: int, coset_key: Optional[Callable] = None) -> CayleyGroup:
     """Materialize a PermGroup or small QuotientGroup as a CayleyGroup."""
     if isinstance(X, PermGroup):
@@ -194,9 +170,7 @@ def _list_perm_group(G: PermGroup, bound: int) -> CayleyGroup:
         raise LimitExceededError(f"group order {G.order()} exceeds bound {bound}")
     if G.degree > 256:
         raise LimitExceededError("degree above 256 not supported for listing")
-    gen_bytes = [bytes(g.images) for g in G.generators]
-    els = _double_bytes(gen_bytes, bound)
-    assert len(els) == G.order()
+    els = sorted(bytes(g.images) for g in G.elements())
     # identity must sit at index 0
     ident = bytes(range(G.degree))
     els.remove(ident)

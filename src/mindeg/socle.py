@@ -1,9 +1,10 @@
 """Socle machinery for Fitting-free permutation groups.
 
 Computes the socle by the centralizer recursion Soc(G) = N × Soc(C_G(N)),
-splits each minimal normal subgroup N it finds into its non-abelian simple
-factors (one conjugation orbit, so one block), and computes factor
-normalizers as point stabilizers of the induced action on factors.
+and computes factor normalizers as point stabilizers of the induced
+action on factors.  The sweep that proves a minimal normal subgroup N
+minimal also decides whether N is simple; an N that is not is split into
+its non-abelian simple factors (one conjugation orbit, so one block).
 """
 
 from __future__ import annotations
@@ -77,7 +78,8 @@ def _prime_order_samples(N: PermGroup, rng: random.Random):
 
 
 def minimal_normal_under(G: PermGroup, C: PermGroup,
-                         seed: int = DEFAULT_SEED) -> tuple[PermGroup, bool]:
+                         seed: int = DEFAULT_SEED
+                         ) -> tuple[PermGroup, bool, bool]:
     """A minimal normal subgroup N of G inside the normal subgroup C.
 
     Starts from the normal closure of the nontrivial generator of C with
@@ -86,11 +88,18 @@ def minimal_normal_under(G: PermGroup, C: PermGroup,
     element of the candidate is a proper nontrivial normal subgroup, it
     replaces the candidate.  Minimality is certified exhaustively for
     candidates of order at most 10^4, otherwise by random sampling.
-    Returns N and whether its minimality was only sampled.
+    Returns N, whether its minimality was only sampled, and whether the
+    sweep found N simple (proved exactly when minimality is).
 
-    Most closures are all of N; ``closure_has_order`` proves that without
-    a verified chain, and draws from its own generator so that the sweep's
-    draws, and with them N, do not depend on how often it is called.
+    ncl_N(y) lies in ncl_G(y), so each swept y is closed under N first: a
+    closure that is all of N proves both that y does not split N under G
+    and that it does not split N itself, and one sweep proves N minimal
+    normal and simple.  At the first y whose N-closure is proper but whose
+    G-closure is N, N is not simple, and later elements are closed under
+    G only.  Most closures are whole; ``closure_has_order`` proves that
+    without a verified chain, and draws from its own generator so that the
+    sweep's draws, and with them N, do not depend on how often it is
+    called.
     """
     if C.is_trivial():
         raise ValueError("C must be nontrivial")
@@ -101,18 +110,25 @@ def minimal_normal_under(G: PermGroup, C: PermGroup,
     N = normal_closure(G, [start])
     while True:
         sampled = N.order() > EXHAUSTIVE_MINIMALITY_BOUND
+        simple = True
         sweep = (_prime_order_samples(N, rng) if sampled
                  else _class_representatives(G, N))
         for y in sweep:
-            if y.is_identity() or closure_has_order(G, y, N.order(),
-                                                    closure_rng):
+            if y.is_identity():
+                continue
+            if simple:
+                if (closure_has_order(N, y, N.order(), closure_rng)
+                        or normal_closure(N, [y]).order() == N.order()):
+                    continue
+                simple = False
+            if closure_has_order(G, y, N.order(), closure_rng):
                 continue
             M = normal_closure(G, [y])
             if 1 < M.order() < N.order():
                 N = M
                 break
         else:
-            return N, sampled
+            return N, sampled, simple
 
 
 def _is_abelian(H: PermGroup) -> bool:
@@ -125,19 +141,22 @@ def _centralizer_recursion(G: PermGroup, seed: int):
 
     Adjoins a minimal normal subgroup N of G inside C, the centralizer of
     the product so far, and narrows C to C_C(N) until it is trivial.
-    Returns the minimal normal subgroups found and whether the minimality
-    of any of them was only sampled.  Any abelian one proves G is not
-    Fitting-free.
+    Returns the minimal normal subgroups found, each with whether the sweep
+    found it simple, and whether the minimality of any of them was only
+    sampled.  Any abelian one proves G is not Fitting-free.
     """
-    parts: list[PermGroup] = []
+    parts: list[tuple[PermGroup, bool]] = []
     sampled = False
     C = G
     while True:
-        N, s = minimal_normal_under(G, C, seed)
+        N, s, simple = minimal_normal_under(G, C, seed)
         if _is_abelian(N):
             raise NotFittingFree("abelian minimal normal subgroup found")
         sampled |= s
-        parts.append(N)
+        parts.append((N, simple))
+        # N = C proved simple and non-abelian: C_C(N) = Z(N) = 1
+        if simple and not s and N.order() == C.order():
+            return parts, sampled
         C = centralizer_of_normal(C, N)
         if C.is_trivial():
             return parts, sampled
@@ -147,21 +166,22 @@ def socle_fitting_free(G: PermGroup,
                        seed: int = DEFAULT_SEED) -> SocleDecomposition:
     """Socle decomposition of G, certifying that G is Fitting-free.
 
-    Each minimal normal subgroup is split into its simple factors here,
-    once, and its factors form one block; callers pass ``factors`` on
-    instead of splitting again.
+    Each minimal normal subgroup that the sweep found simple is its own
+    factor; any other is split into its simple factors here, once.  The
+    factors of one minimal normal subgroup form one block; callers pass
+    ``factors`` on instead of splitting again.
     """
     if G.is_trivial():
         raise ValueError("G must be nontrivial")
     parts, sampled = _centralizer_recursion(G, seed)
     factors: list[PermGroup] = []
     blocks: list[list[int]] = []
-    for N in parts:
-        split = simple_factors(N)
+    for N, simple in parts:
+        split = [N] if simple else simple_factors(N)
         blocks.append(list(range(len(factors), len(factors) + len(split))))
         factors += split
-    socle = parts[0] if len(parts) == 1 else PermGroup(
-        G.degree, [g for N in parts for g in N.generators])
+    socle = parts[0][0] if len(parts) == 1 else PermGroup(
+        G.degree, [g for N, _ in parts for g in N.generators])
     return SocleDecomposition(socle=socle, factors=factors,
                               minimal_normals=blocks,
                               probabilistic_minimality=sampled)
@@ -170,7 +190,7 @@ def socle_fitting_free(G: PermGroup,
 def simple_factors(N: PermGroup) -> list[PermGroup]:
     """The simple factors of N, a direct product of non-abelian simple
     groups such as a minimal normal subgroup."""
-    return _centralizer_recursion(N, DEFAULT_SEED)[0]
+    return [F for F, _ in _centralizer_recursion(N, DEFAULT_SEED)[0]]
 
 
 def _factor_image(g: Permutation, i: int, factors: list[PermGroup]) -> int:
@@ -188,14 +208,10 @@ def _factor_image(g: Permutation, i: int, factors: list[PermGroup]) -> int:
     raise AssertionError("conjugate of a socle factor matches no factor")
 
 
-def normalizer_of_factor(G: PermGroup, S1: PermGroup,
-                         factors: list[PermGroup]) -> PermGroup:
-    """N_G(S1): point stabilizer in the induced action of G on the factors."""
-    target = next((i for i, S in enumerate(factors)
-                   if S.order() == S1.order()
-                   and all(S.member(s) for s in S1.generators)), None)
-    if target is None:
-        raise ValueError("S1 is not one of the factors")
+def normalizer_of_factor(G: PermGroup, factors: list[PermGroup],
+                         index: int) -> PermGroup:
+    """N_G(factors[index]): a point stabilizer in the induced action of G
+    on the factors of one block."""
     images = induced_action(G, list(range(len(factors))),
                             lambda g, i: _factor_image(g, i, factors))
-    return preimage_of_stabilizer(G, images, target)
+    return preimage_of_stabilizer(G, images, index)

@@ -1,11 +1,14 @@
 import json
 import os
+import random
 
 import pytest
 
+from mindeg.bsgs import build_group
 from mindeg.cli import parse_group_file, run_cli
+from mindeg.perm import Permutation, conjugate
 
-from .groups import A6_PSL28, A7_A7
+from .groups import A6_PSL28, A7_A7, P
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir,
                         "src", "mindeg", "fixtures")
@@ -79,6 +82,46 @@ def test_recognize(capsys):
     data = json.loads(out)
     assert data["name"] == "PSL(2,7)"
     assert data["family"] == "PSL" and data["params"] == [2, 7]
+    for name, expected in (("M12", "M12"), ("PSL34", "PSL(3,4)")):
+        code, out, err = run(capsys, "recognize", fx(name + ".grp"))
+        assert code == 0, err
+        assert out.strip() == expected
+
+
+def test_recognize_rejects_nonsimple(tmp_path, capsys):
+    for name in ("S4", "S5", "D8", "Z6"):
+        code, out, err = run(capsys, "recognize", fx(name + ".grp"))
+        assert code == 1 and out == ""
+        assert "input group is not simple" in err
+    # Z7 is simple, but abelian: no table entry for its order
+    path = tmp_path / "Z7.grp"
+    path.write_text("degree 7\ngen (1 2 3 4 5 6 7)\n")
+    code, out, err = run(capsys, "recognize", str(path))
+    assert code == 1 and out == ""
+    assert "order 7 " in err
+
+
+def test_recognize_rejects_a6_x_psl28_on_random_generators(tmp_path,
+                                                          capsys):
+    # |A6 x PSL(2,8)| = |Alt(9)|.  A random element of the product rarely
+    # has a trivial component, so the normal closures of random generators
+    # and of uniform elements are almost always whole; the sweep's
+    # prime-order powers split it.
+    G = build_group(15, [P(c, 15) for c in A6_PSL28])
+    rng = random.Random(7)
+    for i in range(10):
+        gens = []
+        while build_group(15, gens).order() != G.order():
+            gens = [G.random_element(rng) for _ in range(2)]
+        images = list(range(15))
+        rng.shuffle(images)
+        sigma = Permutation(tuple(images))
+        path = tmp_path / f"G{i}.grp"
+        path.write_text("degree 15\n" + "".join(
+            f"gen {conjugate(g, sigma)}\n" for g in gens))
+        code, out, err = run(capsys, "recognize", str(path))
+        assert code == 1 and out == "", out
+        assert "input group is not simple" in err
 
 
 def test_socle_and_min_normal(capsys):

@@ -159,11 +159,12 @@ def test_induced_aut_group_orders():
                            (a5wrz2, 60)):
         G = make()
         dec = socle_fitting_free(G)
-        orbit = dec.minimal_normals[0]
-        data = induced_aut_group(G, dec.factors[orbit[0]],
-                                 [dec.factors[i] for i in orbit])
-        assert data.order == expected
-        assert data.order % data.order_S == 0
+        factors = [dec.factors[i] for i in dec.minimal_normals[0]]
+        for k, S in enumerate(factors):
+            data = induced_aut_group(G, factors, k)
+            assert data.S1 is S
+            assert data.order == expected
+            assert data.order % data.order_S == 0
 
 
 # --- dispatch table ------------------------------------------------------------

@@ -15,7 +15,7 @@ from mindeg.simpleid import (
 from mindeg.smallgroup import list_elements
 from mindeg.socle import socle_fitting_free
 
-from .groups import P, alt, psl2, psl_on_plane, sym
+from .groups import P, alt, psl2, psl_on_plane
 
 FIXTURES = Path(__file__).parent.parent / "src" / "mindeg" / "fixtures"
 
@@ -94,13 +94,6 @@ def test_name_simple_20160_on_relabellings(make, expected):
     rng = random.Random(20160)
     for _ in range(2):
         assert name_simple(_relabelled(G, rng)) == expected
-
-
-def test_name_simple_rejects_nonsimple():
-    with pytest.raises(ValueError):
-        name_simple(sym(4))
-    with pytest.raises(ValueError):
-        name_simple(sym(5))
 
 
 def test_name_simple_order_not_in_table():

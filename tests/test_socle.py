@@ -63,27 +63,30 @@ def brute_socle(G):
 
 
 def test_minimal_normal_under_sym5():
-    N, sampled = minimal_normal_under(sym(5), sym(5))
+    N, sampled, simple = minimal_normal_under(sym(5), sym(5))
     assert N.order() == 60
     assert not sampled
+    assert simple
 
 
 def test_minimal_normal_under_wreath_socle_is_minimal():
     G = a5wrz2()
     soc = build_group(10, list(G.generators)[:4])
     assert soc.order() == 3600
-    N, _ = minimal_normal_under(G, soc)
+    N, _, simple = minimal_normal_under(G, soc)
     # the swap fuses the two Alt(5) blocks into one minimal normal subgroup
     assert N.order() == 3600
+    assert not simple
 
 
 def test_minimal_normal_under_deterministic_choice():
     G = a5xa6()
-    N, _ = minimal_normal_under(G, G)
+    N, _, simple = minimal_normal_under(G, G)
     # both factors are minimal normal; the seed with the smallest moved
     # point lives in the Alt(5) block
     assert N.order() == 60
-    again, _ = minimal_normal_under(G, G)
+    assert simple
+    again, _, _ = minimal_normal_under(G, G)
     assert sorted(g.images for g in again.generators) == \
         sorted(g.images for g in N.generators)
 
@@ -150,18 +153,20 @@ def test_simple_factors_disjoint_product():
 def test_normalizer_of_factor():
     G = a5wrz2()
     dec = socle_fitting_free(G)
-    N = normalizer_of_factor(G, dec.factors[0], dec.factors)
+    N = normalizer_of_factor(G, dec.factors, 0)
     assert N.order() == 3600
+    assert all(dec.factors[0].member(conjugate(s, g))
+               for g in N.generators for s in dec.factors[0].generators)
 
     H = a5xa6()
     dech = socle_fitting_free(H)
-    S5 = next(F for F in dech.factors if F.order() == 60)
-    assert normalizer_of_factor(H, S5, dech.factors).order() == H.order()
+    for block in dech.minimal_normals:
+        factors = [dech.factors[i] for i in block]
+        assert normalizer_of_factor(H, factors, 0).order() == H.order()
 
     A5 = alt(5)
     deca = socle_fitting_free(A5)
-    assert normalizer_of_factor(A5, deca.factors[0],
-                                deca.factors).order() == 60
+    assert normalizer_of_factor(A5, deca.factors, 0).order() == 60
 
 
 @pytest.mark.parametrize("make,blocks", [
@@ -178,7 +183,7 @@ def test_normalizer_of_factor_builds_one_chain(monkeypatch, make, blocks):
     for block in blocks:
         factors = [dec.factors[i] for i in block]
         builds.clear()
-        N = normalizer_of_factor(G, factors[0], factors)
+        N = normalizer_of_factor(G, factors, 0)
         # N_G(S) is G itself for a one-factor block, and otherwise the one
         # fresh group of the stabilizer; no chain for the image of G on the
         # factors
@@ -286,7 +291,7 @@ def test_cli_mu_of_product(tmp_path, capsys, cycles, degree, mu):
     assert json.loads(capsys.readouterr().out)["total"] == mu
 
 
-@pytest.mark.parametrize("make,parts", [(a5xa6, 2), (a5wrz2, 1)],
+@pytest.mark.parametrize("make,parts", [(a5xa6, 0), (a5wrz2, 1)],
                          ids=["A5xA6", "A5wrZ2"])
 def test_mu_splits_the_socle_once(monkeypatch, make, parts):
     calls = []
@@ -310,10 +315,12 @@ def test_mu_splits_the_socle_once(monkeypatch, make, parts):
     monkeypatch.setattr(mindeg.pipeline, "socle_fitting_free", recorded)
     G = make()
     mu_fitting_free(G)
-    # once per minimal normal subgroup, on that subgroup
+    # once per minimal normal subgroup of more than one factor, on that
+    # subgroup; the sweep proves the others simple
     (dec,) = decs
-    assert len(calls) == len(dec.minimal_normals) == parts
-    for N, block in zip(calls, dec.minimal_normals):
+    split_blocks = [b for b in dec.minimal_normals if len(b) > 1]
+    assert len(calls) == len(split_blocks) == parts
+    for N, block in zip(calls, split_blocks):
         factors = [dec.factors[i] for i in block]
         assert N.order() == prod(F.order() for F in factors)
         assert all(N.member(s) for F in factors for s in F.generators)
@@ -322,10 +329,10 @@ def test_mu_splits_the_socle_once(monkeypatch, make, parts):
 
 
 def test_sampled_sweep_rarely_builds_a_verified_closure(monkeypatch):
-    # |Soc| = 20160 > 10^4, so both sweeps (in G and in the socle) sample
-    # 256 elements each; a closure that is all of the candidate is proved
-    # so by closure_has_order, and normal_closure runs only when it gives
-    # up (and for each sweep's starting candidate).
+    # |Soc| = 20160 > 10^4, so the sweep samples 256 elements; a closure
+    # that is all of the candidate is proved so by closure_has_order, and
+    # normal_closure runs only when it gives up (and for the sweep's
+    # starting candidate).
     from mindeg.cli import parse_group_file
     G = parse_group_file(str(FIXTURES / "PSL34.grp")).group
     calls = []
@@ -339,4 +346,29 @@ def test_sampled_sweep_rarely_builds_a_verified_closure(monkeypatch):
     dec = socle_fitting_free(G)
     assert [F.order() for F in dec.factors] == [20160]
     assert dec.probabilistic_minimality
-    assert len(calls) <= 8  # 514 when every sample built a verified closure
+    assert len(calls) <= 8  # 257 when every sample built a verified closure
+
+
+@pytest.mark.parametrize("name", ["PSL34", "M12"])
+def test_sweep_proves_simplicity_when_closures_give_up(monkeypatch, name):
+    # with every known-order test giving up, the verified N-closures alone
+    # prove the socle simple: the same socle, and no second split
+    from mindeg.cli import parse_group_file
+    path = str(FIXTURES / f"{name}.grp")
+    expected = socle_fitting_free(parse_group_file(path).group)
+    calls = []
+    split = mindeg.socle.simple_factors
+
+    def counted(N):
+        calls.append(N)
+        return split(N)
+
+    monkeypatch.setattr(mindeg.socle, "closure_has_order",
+                        lambda *args: False)
+    monkeypatch.setattr(mindeg.socle, "simple_factors", counted)
+    dec = socle_fitting_free(parse_group_file(path).group)
+    assert len(dec.factors) == 1
+    assert [g.images for g in dec.socle.generators] == \
+        [g.images for g in expected.socle.generators]
+    assert dec.probabilistic_minimality == expected.probabilistic_minimality
+    assert calls == []

@@ -275,6 +275,21 @@ def test_json_output_is_pinned(capsys, name, command):
     assert out == expected
 
 
+# witness element indices pin the element numbering and the candidate choice
+ORACLE_PINNED = [("mu-oracle", name)
+                 for name in ("A5", "S5", "PSL27", "Z6", "S4modV4")]
+ORACLE_PINNED.append(("mu-quotient", "S4modV4"))
+
+
+@pytest.mark.parametrize("command,name", ORACLE_PINNED)
+def test_oracle_json_output_is_pinned(capsys, command, name):
+    with open(PINS, encoding="utf-8") as fh:
+        expected = json.load(fh)[name][command]
+    code, out, err = run(capsys, command, fx(name + ".grp"), "--json")
+    assert code == 0, err
+    assert out == expected
+
+
 # literal products whose socle splits only by the prime-order sweep
 PRODUCTS = {"A6xPSL28": (A6_PSL28, 15), "A7xA7": (A7_A7, 14)}
 

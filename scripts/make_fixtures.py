@@ -55,7 +55,7 @@ def psl2_11_on_11_points():
     from mindeg.perm import compose, element_order
     # a deterministic search: pick an involution and an order-3 element
     # whose product has order 5; they generate an Alt(5)
-    els = list(G.elements(700))
+    els = list(G.elements())
     invs = sorted((g for g in els if element_order(g) == 2),
                   key=lambda g: g.images)
     thirds = sorted((g for g in els if element_order(g) == 3),
@@ -68,7 +68,7 @@ def psl2_11_on_11_points():
                 H = cand
                 break
     assert H is not None
-    members = {g.images for g in H.elements(100)}
+    members = {g.images for g in H.elements()}
     # right cosets Hg, keyed by their lexicographically least element
     cosets = {}
     for g in els:

@@ -56,10 +56,8 @@ def center_scalars(family: str, d: int, field) -> list[int]:
     if family == "SL":
         return [c for c in field.elements()
                 if c and field.pow(c, d) == 1]
-    if family == "Sp":
+    if family in ("Sp", "OmegaPlus"):
         # Z(Sp(4, 2^e)) is trivial: c^2 = 1 forces c = 1 in characteristic 2
-        return [c for c in field.elements() if c and field.mul(c, c) == 1]
-    if family == "OmegaPlus":
         return [c for c in field.elements() if c and field.mul(c, c) == 1]
     raise ValueError(f"unknown family {family!r}")
 

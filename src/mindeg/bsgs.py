@@ -49,7 +49,6 @@ from math import prod
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .errors import ResourceBudgetError
 from .perm import Permutation, compose, compose3, conjugate, identity, inverse
 
 # ---------------------------------------------------------------------------
@@ -292,11 +291,9 @@ class PermGroup:
         # g * prod(inverses) = id, so g = (that product) inverted
         return True, flatten_word(_winv(w))
 
-    def elements(self, limit: Optional[int] = None) -> Iterator[Permutation]:
+    def elements(self) -> Iterator[Permutation]:
         """Iterate over all group elements via the chain."""
         levels = self._chain()
-        if limit is not None and self.order() > limit:
-            raise ResourceBudgetError(f"group order {self.order()} exceeds limit {limit}")
         # an element is u_{k-1} * ... * u_0 (deepest transversal applied first)
         yield from _enumerate(levels, identity(self.degree), len(levels) - 1)
 

@@ -5,10 +5,6 @@ class MindegError(Exception):
     """Base class for library errors."""
 
 
-class ResourceBudgetError(MindegError):
-    """A configured search/node budget was exceeded."""
-
-
 class LimitExceededError(MindegError):
     """An order/size limit was exceeded."""
 

@@ -5,10 +5,16 @@ code are the polynomial coefficients, constant term first.  The modulus is
 the lexicographically least irreducible monic polynomial of degree e
 (coefficients compared from the highest degree down), so element codes are
 reproducible across systems that adopt the same convention.
+
+One Gauss-Jordan routine, ``_eliminate``, serves inverses, determinants
+and nullspaces; only nullspaces over prime fields take a numpy
+elimination, which is much faster on the dense systems of the orthogonal
+groups.  ``prime_power`` is the package's one prime-power test.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -17,22 +23,23 @@ import numpy as np
 MAX_FIELD_SIZE = 1 << 16
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
+def prime_power(n: int):
+    """(p, e) with n = p^e for a prime p, or None (also for n < 2)."""
+    if n < 2:
+        return None
+    p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return (p, e) if n == 1 else None
 
 
 class Field:
     """Arithmetic in F_{p^e} via exp/log tables over a fixed modulus."""
 
     def __init__(self, p: int, e: int):
-        if not _is_prime(p):
+        if prime_power(p) != (p, 1):
             raise ValueError(f"{p} is not prime")
         if e < 1 or p ** e > MAX_FIELD_SIZE:
             raise ValueError("field size out of range")
@@ -243,11 +250,15 @@ def scalar_multiply(c: int, a: FFMatrix) -> FFMatrix:
 
 
 def _eliminate(field: Field, rows: list[list[int]]):
-    """In-place reduced row echelon form; returns (pivot columns, swap count)."""
+    """In-place reduced row echelon form.
+
+    Returns the pivot columns and the signed product of the pivots, which
+    is the determinant when the rows form a nonsingular square matrix.
+    """
     F = field
     n, m = len(rows), len(rows[0])
     pivots = []
-    sign_swaps = 0
+    det = 1
     r = 0
     for c in range(m):
         pr = next((i for i in range(r, n) if rows[i][c]), None)
@@ -255,7 +266,8 @@ def _eliminate(field: Field, rows: list[list[int]]):
             continue
         if pr != r:
             rows[r], rows[pr] = rows[pr], rows[r]
-            sign_swaps += 1
+            det = F.neg(det)
+        det = F.mul(det, rows[r][c])
         iv = F.inv(rows[r][c])
         rows[r] = [F.mul(iv, x) for x in rows[r]]
         for i in range(n):
@@ -266,31 +278,14 @@ def _eliminate(field: Field, rows: list[list[int]]):
         r += 1
         if r == n:
             break
-    return pivots, sign_swaps
+    return pivots, det
 
 
 def determinant(a: FFMatrix) -> int:
     if a.nrows != a.ncols:
         raise ValueError("determinant needs a square matrix")
-    F = a.field
-    rows = [list(r) for r in a.rows]
-    n = len(rows)
-    det = 1
-    for c in range(n):
-        pr = next((i for i in range(c, n) if rows[i][c]), None)
-        if pr is None:
-            return 0
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            det = F.neg(det)
-        piv = rows[c][c]
-        det = F.mul(det, piv)
-        iv = F.inv(piv)
-        for i in range(c + 1, n):
-            if rows[i][c]:
-                f = F.mul(rows[i][c], iv)
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[c])]
-    return det
+    pivots, det = _eliminate(a.field, [list(r) for r in a.rows])
+    return det if len(pivots) == a.nrows else 0
 
 
 def invert(a: FFMatrix) -> FFMatrix:
@@ -313,10 +308,10 @@ def nullspace(a: FFMatrix) -> list[list[int]]:
         return _nullspace_prime(a)
     rows = [list(r) for r in a.rows]
     pivots, _ = _eliminate(F, rows)
-    return _nullspace_from_rref(F.p, F, rows, pivots, a.ncols)
+    return _nullspace_from_rref(F, rows, pivots, a.ncols)
 
 
-def _nullspace_from_rref(p, field, rows, pivots, m):
+def _nullspace_from_rref(field, rows, pivots, m):
     pivot_set = set(pivots)
     free = [c for c in range(m) if c not in pivot_set]
     basis = []
@@ -324,8 +319,7 @@ def _nullspace_from_rref(p, field, rows, pivots, m):
         v = [0] * m
         v[fc] = 1
         for r, pc in enumerate(pivots):
-            coeff = rows[r][fc] if r < len(rows) else 0
-            v[pc] = field.neg(coeff)
+            v[pc] = field.neg(rows[r][fc])
         basis.append(v)
     return basis
 
@@ -353,14 +347,7 @@ def _nullspace_prime(a: FFMatrix) -> list[list[int]]:
         r += 1
         if r == n:
             break
-    rows = A[:r].tolist()
-
-    class _P:
-        @staticmethod
-        def neg(x):
-            return (-x) % p
-
-    return _nullspace_from_rref(p, _P, rows, pivots, m)
+    return _nullspace_from_rref(a.field, A[:r].tolist(), pivots, m)
 
 
 # ---------------------------------------------------------------------------
@@ -449,16 +436,10 @@ def standard_generators(family: str, d: int, q: int) -> tuple[Field, list[FFMatr
 
 
 def _field_of_order(q: int) -> Field:
-    p = next((d for d in range(2, q + 1) if q % d == 0), None)
-    if p is not None:
-        e = 0
-        t = q
-        while t % p == 0:
-            t //= p
-            e += 1
-        if t == 1:
-            return make_field(p, e)
-    raise ValueError(f"{q} is not a prime power")
+    pe = prime_power(q)
+    if pe is None:
+        raise ValueError(f"{q} is not a prime power")
+    return make_field(*pe)
 
 
 def form_matrix(family: str, d: int, q: int) -> FFMatrix:
@@ -513,30 +494,16 @@ def commutation_space(gens: list[FFMatrix], images: list[FFMatrix]) -> list[FFMa
         if m.field != field or m.nrows != n or m.ncols != n:
             raise ValueError("all matrices must be square of equal size")
 
-    if field.e == 1:
-        p = field.p
-        eye = np.eye(n, dtype=np.int64)
-        blocks = []
-        for U, Up in zip(gens, images):
-            Ua = np.array(U.rows, dtype=np.int64)
-            Va = np.array(Up.rows, dtype=np.int64)
-            # row (r,c), unknown (r',k): delta_{r,r'} U[k,c] - delta_{c,c'} V[r,k]
-            c1 = np.einsum("rp,ck->rcpk", eye, Ua.T)
-            c2 = np.einsum("rk,cp->rckp", Va, eye)
-            blocks.append(((c1 - c2) % p).reshape(n * n, n * n))
-        big = matrix(field, np.concatenate(blocks).tolist())
-        basis = nullspace(big)
-    else:
-        rows = []
-        for U, Up in zip(gens, images):
-            for r in range(n):
-                for c in range(n):
-                    row = [0] * (n * n)
-                    for k in range(n):
-                        row[r * n + k] = field.add(row[r * n + k], U.rows[k][c])
-                        row[k * n + c] = field.sub(row[k * n + c], Up.rows[r][k])
-                    rows.append(row)
-        basis = nullspace(matrix(field, rows))
+    rows = []
+    for U, Up in zip(gens, images):
+        for r in range(n):
+            for c in range(n):
+                row = [0] * (n * n)
+                for k in range(n):
+                    row[r * n + k] = field.add(row[r * n + k], U.rows[k][c])
+                    row[k * n + c] = field.sub(row[k * n + c], Up.rows[r][k])
+                rows.append(row)
+    basis = nullspace(matrix(field, rows))
     return [matrix(field, [v[i * n:(i + 1) * n] for i in range(n)]) for v in basis]
 
 

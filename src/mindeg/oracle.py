@@ -13,7 +13,9 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
+from operator import and_
 
 import numpy as np
 
@@ -57,11 +59,6 @@ def _check_subgroup(C: CayleyGroup, members: list[int]):
                 raise ValueError("element set is not closed under the product")
 
 
-def _conjugate_mask(C: CayleyGroup, members: np.ndarray, g: int) -> tuple[int, np.ndarray]:
-    conj = C.table[C.table[C.inverse[g], members], g]
-    return _mask_of(conj.tolist()), conj
-
-
 def core(C: CayleyGroup, H) -> list[int]:
     """The largest normal subgroup of C inside the subgroup H."""
     members = sorted(int(x) for x in H)
@@ -70,22 +67,26 @@ def core(C: CayleyGroup, H) -> list[int]:
                                     C.generating_set()))
 
 
-def _core_mask(C: CayleyGroup, members: np.ndarray, gens: list[int]) -> int:
-    start = _mask_of(members.tolist())
-    seen = {start: members}
+def _conjugates(C: CayleyGroup, members: np.ndarray,
+                gens: list[int]) -> dict[int, np.ndarray]:
+    """The conjugacy class of a subgroup, element arrays keyed by mask."""
+    seen = {_mask_of(members.tolist()): members}
     frontier = [members]
-    result = start
     while frontier:
         new = []
         for arr in frontier:
             for g in gens:
-                m, conj = _conjugate_mask(C, arr, g)
+                conj = C.table[C.table[C.inverse[g], arr], g]
+                m = _mask_of(conj.tolist())
                 if m not in seen:
                     seen[m] = conj
                     new.append(conj)
-                    result &= m
         frontier = new
-    return result
+    return seen
+
+
+def _core_mask(C: CayleyGroup, members: np.ndarray, gens: list[int]) -> int:
+    return reduce(and_, _conjugates(C, members, gens))
 
 
 def is_faithful_collection(C: CayleyGroup, Hs) -> bool:
@@ -140,23 +141,10 @@ def _general_candidates(C: CayleyGroup, limit: int) -> list[tuple[int, int, list
         mask = _mask_of(sub)
         if mask in visited or len(sub) == C.order:
             continue
-        arr = np.array(sub, dtype=np.int64)
-        # close the conjugacy class of this subgroup; its core is the meet
-        seen = {mask: arr}
-        frontier = [arr]
-        while frontier:
-            new = []
-            for a in frontier:
-                for g in gens:
-                    m, conj = _conjugate_mask(C, a, g)
-                    if m not in seen:
-                        seen[m] = conj
-                        new.append(conj)
-            frontier = new
+        # the core of a subgroup is the meet of its conjugacy class
+        seen = _conjugates(C, np.array(sub, dtype=np.int64), gens)
         visited |= seen.keys()
-        coremask = (1 << C.order) - 1
-        for m in seen:
-            coremask &= m
+        coremask = reduce(and_, seen)
         cost = C.order // len(sub)
         if coremask not in out or out[coremask][0] > cost:
             out[coremask] = (cost, sub)

@@ -13,14 +13,12 @@ as recognition hints (JSON) and are transported to matrix automorphisms.
 from __future__ import annotations
 
 import json
-import random
 from dataclasses import dataclass, field
 from itertools import product as iproduct
 from typing import Optional
 
 from .autlift import (
-    MatrixAut, ProjectiveAut, classify_aut, lift_omega_aut, lift_psl_aut,
-    subgroup_in_gamma,
+    MatrixAut, ProjectiveAut, lift_omega_aut, lift_psl_aut, subgroup_in_gamma,
 )
 from .bsgs import PermGroup, build_group, centralizer_of_normal, evaluate_word
 from .errors import HintRequired, LimitExceededError, UnsupportedCase
@@ -28,15 +26,13 @@ from .fflinalg import (
     FFMatrix, determinant, form_matrix, identity_matrix, invert, matrix,
     multiply, preserves_form, standard_generators,
 )
-from .oracle import mu_oracle
+from .oracle import ORACLE_LIMIT, mu_oracle
 from .perm import Permutation, conjugate
 from .simpleid import SimpleName, mu_simple, name_simple
 from .smallgroup import QuotientGroup, isomorphism_search, list_elements
 from .socle import DEFAULT_SEED, normalizer_of_factor, socle_fitting_free
 
-SMALL_GROUP_LIMIT = 2000
 FIELD_CONVENTION = "lex-least-irreducible"
-HINT_SPOT_CHECKS = 8  # random words checked per hint
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +88,7 @@ class RecognitionHint:
     """An isomorphism from a socle factor to its standard matrix copy.
 
     generators are permutations generating the factor; generator_images are
-    matrix representatives (modulo the center) of their images.  When the
-    generators field is absent from a hint file the images are matched
-    positionally to the computed factor generators.
+    matrix representatives (modulo the center) of their images.
     """
 
     factor_index: int
@@ -102,13 +96,13 @@ class RecognitionHint:
     d: int
     q: int
     generator_images: list[FFMatrix]
-    generators: Optional[list[Permutation]] = None
+    generators: list[Permutation]
 
 
 def load_hint(data: dict) -> RecognitionHint:
     """Parse and statically validate a hint dictionary (see hint JSON docs)."""
     for key in ("factor_index", "family", "d", "q", "field_convention",
-                "generator_images"):
+                "generator_images", "generators", "degree"):
         if key not in data:
             raise ValueError(f"hint is missing the {key!r} field")
     if data["field_convention"] != FIELD_CONVENTION:
@@ -123,15 +117,13 @@ def load_hint(data: dict) -> RecognitionHint:
         rows = [list(flat[r * d:(r + 1) * d]) for r in range(d)]
         images.append(matrix(fld, rows))
     _check_membership(family, d, q, images)
-    gens = None
-    if "generators" in data:
-        if "degree" not in data:
-            raise ValueError("hint has generators but is missing the "
-                             "'degree' field")
-        degree = int(data["degree"])
-        gens = [Permutation(tuple(img)) for img in data["generators"]]
-        if any(g.degree != degree for g in gens):
-            raise ValueError("hint generator degree mismatch")
+    degree = int(data["degree"])
+    gens = [Permutation(tuple(img)) for img in data["generators"]]
+    if any(g.degree != degree for g in gens):
+        raise ValueError("hint generator degree mismatch")
+    # PermGroup drops identity generators, which would shift hint words
+    if any(g.is_identity() for g in gens):
+        raise ValueError("hint generator is the identity")
     return RecognitionHint(factor_index=int(data["factor_index"]),
                            family=family, d=d, q=q,
                            generator_images=images, generators=gens)
@@ -185,25 +177,6 @@ def _word_eval_matrix(word, mats: list[FFMatrix]) -> FFMatrix:
     return g
 
 
-def _spot_check_hint(gens: list[Permutation], hint_group: PermGroup,
-                     Gstd: PermGroup, pi_mats: list[Permutation]) -> None:
-    """Homomorphism spot-check: pi(matrix word) must match the perm word."""
-    if Gstd.order() != hint_group.order():
-        raise ValueError("hint images do not generate the standard copy "
-                         "(order mismatch)")
-    rng = random.Random(0x41D7)
-    for _ in range(HINT_SPOT_CHECKS):
-        word = [rng.randrange(1, len(gens) + 1) for _ in range(6)]
-        g = evaluate_word(word, gens, hint_group.degree)
-        ok, word2 = hint_group.contains(g)
-        if not ok:
-            raise ValueError("hint generators do not generate the factor")
-        lhs = evaluate_word(word, pi_mats, Gstd.degree)
-        rhs = evaluate_word(word2, pi_mats, Gstd.degree)
-        if lhs != rhs:
-            raise ValueError("hint homomorphism spot-check failed")
-
-
 def induced_aut_group(G: PermGroup, factors: list[PermGroup], index: int,
                       hint: Optional[RecognitionHint] = None) -> InducedAutData:
     """A = N_G(S1)/C_G(S1) with its generator conjugation automorphisms,
@@ -229,8 +202,7 @@ def induced_aut_group(G: PermGroup, factors: list[PermGroup], index: int,
     if hint is None:
         return data
 
-    hint_gens = hint.generators if hint.generators is not None \
-        else list(S1.generators)
+    hint_gens = hint.generators
     if len(hint_gens) != len(hint.generator_images):
         raise ValueError("hint image count does not match generator count")
     for g in hint_gens:
@@ -244,7 +216,18 @@ def induced_aut_group(G: PermGroup, factors: list[PermGroup], index: int,
     mats = hint.generator_images
     pi_mats = [pi(M) for M in mats]
     Gstd = build_group(pi_mats[0].degree, pi_mats)
-    _spot_check_hint(hint_gens, hint_group, Gstd, pi_mats)
+    if Gstd.order() != hint_group.order():
+        raise ValueError("hint images do not generate the standard copy "
+                         "(order mismatch)")
+    # both projections of the diagonal group D = <h_i + pi(M_i)> are onto;
+    # equal orders make them injective, so h_i -> pi(M_i) is an isomorphism
+    n = S1.degree
+    D = build_group(n + Gstd.degree, [
+        Permutation(h.images + tuple(n + x for x in m.images))
+        for h, m in zip(hint_gens, pi_mats)])
+    if D.order() != hint_group.order():
+        raise ValueError("hint images do not define an isomorphism from "
+                         "the factor")
 
     # preimages of the standard generators: decompose pi(U) in the copy
     # generated by the hint images, replay the word over the hint perms
@@ -285,7 +268,7 @@ def _materialize_quotient(data: InducedAutData):
         return tuple(conjugate(s, g).images for s in gens)
 
     Q = QuotientGroup(data.normalizer, data.centralizer)
-    return list_elements(Q, bound=SMALL_GROUP_LIMIT, coset_key=key)
+    return list_elements(Q, bound=ORACLE_LIMIT, coset_key=key)
 
 
 def _embeds_in_sym6(data: InducedAutData) -> bool:
@@ -302,25 +285,18 @@ def _embeds_in_sym6(data: InducedAutData) -> bool:
     A = _materialize_quotient(data)
     s6_perm = build_group(6, [Permutation((1, 0, 2, 3, 4, 5)),
                               Permutation((1, 2, 3, 4, 5, 0))])
-    S6 = list_elements(s6_perm, bound=SMALL_GROUP_LIMIT)
+    S6 = list_elements(s6_perm, bound=ORACLE_LIMIT)
     return isomorphism_search(A, S6) is not None
 
 
-def _graph_part_present(data: InducedAutData) -> bool:
+def _graph_part_present(data: InducedAutData, condition: str) -> bool:
+    """Whether some generator automorphism has a graph part (for OmegaPlus:
+    fails the orthogonal form test)."""
     if data.matrix_auts is None:
         raise HintRequired(
-            "deciding the graph-automorphism condition needs a recognition "
+            f"deciding the {condition} condition needs a recognition "
             "hint for this factor")
     return not subgroup_in_gamma(data.matrix_auts)
-
-
-def _outside_plus_type_group(data: InducedAutData) -> bool:
-    """Whether some generator fails the orthogonal form test (OmegaPlus)."""
-    if data.matrix_auts is None:
-        raise HintRequired(
-            "deciding the orthogonal form condition needs a recognition "
-            "hint for this factor")
-    return any(not classify_aut(a).in_gamma for a in data.matrix_auts)
 
 
 def dispatch_table(name: SimpleName, data: InducedAutData,
@@ -365,16 +341,16 @@ def dispatch_table(name: SimpleName, data: InducedAutData,
         return 3 * mu_simple(name), "row 10"
     if (f == "PSL" and par[0] >= 3 and par not in ((3, 2), (4, 2))
             and idx > 1):
-        if _graph_part_present(data):
+        if _graph_part_present(data, "graph-automorphism"):
             return 2 * mu_simple(name), "row 11"
         return mu_simple(name), "default (A inside PGammaL)"
     if f == "PSp" and par[0] == 4 and par[1] % 2 == 0 and idx > 1:
-        if _graph_part_present(data):
+        if _graph_part_present(data, "graph-automorphism"):
             return 2 * mu_simple(name), "row 12"
         return mu_simple(name), "default (A inside PGammaSp)"
     if f == "POmegaPlus" and par[1] == 3 and par[0] > 8 and idx % 3 != 0 \
             and idx > 1:
-        if _outside_plus_type_group(data):
+        if _graph_part_present(data, "orthogonal form"):
             d = par[0] // 2
             return (3 ** d - 1) * (3 ** (d - 1) + 1) // 2, "row 13"
         return mu_simple(name), "default (A inside PO+)"
@@ -492,7 +468,7 @@ def mu_fitting_free(G: PermGroup,
     return cert
 
 
-def mu_small_quotient(Q: QuotientGroup, bound: int = SMALL_GROUP_LIMIT) -> int:
+def mu_small_quotient(Q: QuotientGroup, bound: int = ORACLE_LIMIT) -> int:
     """mu(G/K) by materializing the quotient and running the oracle."""
     if Q.index() > bound:
         raise LimitExceededError(

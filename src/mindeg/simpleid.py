@@ -21,10 +21,12 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count
 from pathlib import Path
 
 from .bsgs import PermGroup, class_tree, conjugator
 from .errors import UnsupportedCase
+from .fflinalg import prime_power
 from .perm import element_order, inverse, power
 
 MAX_TABLE_ORDER = 10 ** 12
@@ -53,15 +55,11 @@ class SimpleName:
 
 
 def _prime_powers():
-    q = 2
-    while True:
-        t = q
-        p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-        while t % p == 0:
-            t //= p
-        if t == 1:
-            yield q, p
-        q += 1
+    """(q, p) for every prime power q = p^e, in increasing order."""
+    for q in count(2):
+        pe = prime_power(q)
+        if pe is not None:
+            yield q, pe[0]
 
 
 def simple_order(name: SimpleName) -> int:
@@ -258,14 +256,9 @@ def _entry_matches(entry: dict, name: SimpleName) -> bool:
         n, q = par
         if n != entry.get("n", n):
             return False
-        p = next(d for d in range(2, q + 1) if q % d == 0)
+        p, e = prime_power(q)
         if "p" in entry and p != entry["p"]:
             return False
-        e = 0
-        t = q
-        while t % p == 0:
-            t //= p
-            e += 1
         return e >= entry.get("e_min", 1)
     if f == "POmegaPlus":
         n, q = par

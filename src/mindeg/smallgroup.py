@@ -2,7 +2,9 @@
 
 Covers element listing for permutation groups and small quotients G/K,
 brute-force subgroup enumeration, and isomorphism search by
-generator-image enumeration.
+generator-image enumeration.  Every subgroup closure, from greedy
+generating sets to subgroup joins, is the right-multiplication closure
+``_join``.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 
 from .bsgs import PermGroup
 from .errors import LimitExceededError
+from .fflinalg import prime_power
 from .perm import Permutation, compose, conjugate, inverse
 
 SUBGROUP_LIMIT = 2000
@@ -100,34 +103,17 @@ class CayleyGroup:
     def generating_set(self) -> list[int]:
         """Greedy generating set of at most ceil(log2 m) elements."""
         gens: list[int] = []
+        members = np.zeros(1, dtype=np.int64)
         current = np.zeros(self.order, dtype=bool)
         current[0] = True
         for x in range(1, self.order):
             if not current[x]:
                 gens.append(x)
-                members = self._close(np.nonzero(current)[0], gens)
-                current[:] = False
+                members = _join(self.table, members, gens)
                 current[members] = True
-                if current.all():
+                if len(members) == self.order:
                     break
         return gens
-
-    def _close(self, seed: np.ndarray, gens: Sequence[int]) -> np.ndarray:
-        """Closure of a subgroup's element set under extra generators."""
-        t = self.table
-        seen = np.zeros(self.order, dtype=bool)
-        seen[seed] = True
-        frontier = seed
-        while len(frontier):
-            new = []
-            for g in gens:
-                prods = t[frontier, g]
-                fresh = prods[~seen[prods]]
-                if len(fresh):
-                    seen[fresh] = True
-                    new.append(np.unique(fresh))
-            frontier = np.unique(np.concatenate(new)) if new else np.empty(0, dtype=np.int64)
-        return np.nonzero(seen)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +264,6 @@ def _mask_of(members: list[int]) -> int:
     return mask
 
 
-def _is_prime_power(n: int) -> bool:
-    p = next(d for d in range(2, n + 1) if n % d == 0)
-    while n % p == 0:
-        n //= p
-    return n == 1
-
-
 def _cyclic_subgroups(C: CayleyGroup) -> tuple[list[int], list[int]]:
     """Cyclic subgroups of prime-power order as (masks, generators).
 
@@ -299,7 +278,7 @@ def _cyclic_subgroups(C: CayleyGroup) -> tuple[list[int], list[int]]:
         while y != 0:
             members.append(y)
             y = int(t[y, g])
-        if not _is_prime_power(len(members)):
+        if prime_power(len(members)) is None:
             continue
         mask = _mask_of(members)
         if mask not in cyclic:

@@ -45,7 +45,7 @@ def _class_representatives(G: PermGroup, N: PermGroup):
     """
     conjs = [conjugator(g, inverse(g)) for g in G.generators]
     covered: set[tuple] = set()
-    for y in N.elements(EXHAUSTIVE_MINIMALITY_BOUND):
+    for y in N.elements():
         if y.images not in covered:
             yield y
             covered.update(class_tree(y.images, conjs))

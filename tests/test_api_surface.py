@@ -1,7 +1,8 @@
 """Every definition and import in ``src/mindeg`` is used by the program.
 
-A function or class that only tests call is API the program does not
-need; it is deleted together with its tests instead of kept alive by them.
+A function, class or module constant that only tests read is API the
+program does not need; it is deleted together with its tests instead of
+kept alive by them.
 """
 
 import ast
@@ -17,16 +18,27 @@ ALLOWED_UNUSED = {"oracle.core"}
 
 
 def _used_names(tree):
-    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return ({n.id for n in ast.walk(tree)
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
             | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+
+
+def _definitions(tree):
+    """Module-level functions, classes and assigned constants."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            yield from (t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                            ast.Name):
+            yield node.target.id
 
 
 def test_every_definition_is_used_in_src():
     used = set().union(*map(_used_names, TREES.values()))
-    unused = [f"{mod}.{node.name}" for mod, tree in TREES.items()
-              for node in tree.body
-              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-              and node.name not in used]
+    unused = [f"{mod}.{name}" for mod, tree in TREES.items()
+              for name in _definitions(tree) if name not in used]
     assert sorted(set(unused) - ALLOWED_UNUSED) == []
 
 

@@ -215,6 +215,20 @@ def test_hinted_graph_extension(capsys):
     assert code == 0 and out.strip() == "mu 42"
 
 
+def test_exit_1_on_a_hint_whose_images_are_swapped(tmp_path, capsys):
+    # the swapped images still generate the standard copy, but the map
+    # from the hint generators is not a homomorphism
+    with open(fx("PSL34_2.hint.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    images = data["generator_images"]
+    images[0], images[1] = images[1], images[0]
+    path = tmp_path / "hint.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "mu", fx("PSL34_2.grp"), "--hint", str(path))
+    assert code == 1 and out == ""
+    assert "hint images do not define an isomorphism from the factor" in err
+
+
 @pytest.mark.parametrize("change", ["degree", "factor_index"])
 def test_exit_1_on_a_hint_that_names_nothing(tmp_path, capsys, change):
     with open(fx("PSL34_2.hint.json"), encoding="utf-8") as fh:

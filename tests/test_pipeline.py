@@ -95,23 +95,28 @@ def test_certificate_deterministic_for_fixed_seed():
 def test_load_hint_rejects_malformed():
     base = {"factor_index": 0, "family": "SL", "d": 3, "q": 4,
             "field_convention": "lex-least-irreducible",
-            "generator_images": []}
-    for key in ("family", "field_convention", "generator_images"):
+            "generator_images": [], "generators": [[1, 0, 2]], "degree": 3}
+    for key in ("family", "field_convention", "generator_images",
+                "generators"):
         bad = dict(base)
         del bad[key]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=key):
             load_hint(bad)
     bad = dict(base)
     bad["field_convention"] = "other"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="field convention"):
         load_hint(bad)
     bad = dict(base)
     bad["generator_images"] = [[1, 2, 3]]  # wrong length
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="wrong length"):
         load_hint(bad)
     bad = dict(base)
-    bad["generators"] = [[1, 0, 2]]  # generators without a degree
+    del bad["degree"]  # generators without a degree
     with pytest.raises(ValueError, match="degree"):
+        load_hint(bad)
+    bad = dict(base)
+    bad["generators"] = [[0, 1, 2]]
+    with pytest.raises(ValueError, match="identity"):
         load_hint(bad)
 
 
@@ -120,8 +125,9 @@ def test_load_hint_rejects_non_member_image():
     flat = [2, 0, 0, 0, 1, 0, 0, 0, 1]
     data = {"factor_index": 0, "family": "SL", "d": 3, "q": 4,
             "field_convention": "lex-least-irreducible",
-            "generator_images": [flat]}
-    with pytest.raises(ValueError):
+            "generator_images": [flat], "generators": [[1, 0, 2]],
+            "degree": 3}
+    with pytest.raises(ValueError, match="determinant"):
         load_hint(data)
 
 

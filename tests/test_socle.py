@@ -35,7 +35,7 @@ def brute_socle(G):
         return False
 
     covered = set()
-    for y in G.elements(10 ** 4):
+    for y in G.elements():
         if y.is_identity() or y.images in covered:
             continue
         # conjugate elements share their normal closure

@@ -291,6 +291,19 @@ class PermGroup:
         # g * prod(inverses) = id, so g = (that product) inverted
         return True, flatten_word(_winv(w))
 
+    def coset_rep(self, g: Permutation) -> Permutation:
+        """The canonical element of the coset {compose(k, g) : k in self}.
+
+        Level by level, the coset element sending the base point to the
+        least image is kept; the rest of the coset differs from it by the
+        level's stabilizer (Seress, *Permutation Group Algorithms*, 2003).
+        """
+        for lvl in self._chain():
+            y = min(lvl.transversal, key=g.images.__getitem__)
+            if y != lvl.base:
+                g = compose(lvl.transversal[y][0], g)
+        return g
+
     def elements(self) -> Iterator[Permutation]:
         """Iterate over all group elements via the chain."""
         levels = self._chain()

@@ -19,7 +19,7 @@ from .bsgs import PermGroup, build_group
 from .errors import HintRequired, MindegError, UnsupportedCase
 from .oracle import ORACLE_LIMIT, mu_oracle
 from .perm import parse_permutation
-from .pipeline import load_hint_file, mu_fitting_free, mu_small_quotient
+from .pipeline import load_hint_file, mu_fitting_free
 from .simpleid import name_simple
 from .smallgroup import QuotientGroup, list_elements
 from .socle import DEFAULT_SEED, minimal_normal_under, socle_fitting_free
@@ -167,7 +167,8 @@ def _cmd_mu_oracle(gf: GroupFile, args) -> int:
 
 
 def _cmd_mu_quotient(gf: GroupFile, args) -> int:
-    mu = mu_small_quotient(gf.quotient(), bound=args.limit)
+    C = list_elements(gf.quotient(), bound=args.limit)
+    mu, _ = mu_oracle(C, limit=args.limit)
     _emit({"mu": mu}, f"mu {mu}", args.json)
     return 0
 
@@ -207,10 +208,7 @@ def run_cli(argv: Optional[list[str]] = None) -> int:
     try:
         gf = parse_group_file(args.groupfile)
         return _COMMANDS[args.command](gf, args)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MindegError as exc:
+    except (OSError, ValueError, MindegError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

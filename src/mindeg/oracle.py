@@ -132,12 +132,12 @@ def _abelian_candidates(C: CayleyGroup) -> list[tuple[int, int, list[int]]]:
     return [(cost, mask, sub) for mask, (cost, sub) in out.items()]
 
 
-def _general_candidates(C: CayleyGroup, limit: int) -> list[tuple[int, int, list[int]]]:
+def _general_candidates(C: CayleyGroup) -> list[tuple[int, int, list[int]]]:
     """One (cost, core mask, representative subgroup) per conjugacy class."""
     gens = C.generating_set()
     out: dict[int, tuple[int, list[int]]] = {}
     visited: set[int] = set()
-    for sub in all_subgroups(C, limit):
+    for sub in all_subgroups(C):
         mask = _mask_of(sub)
         if mask in visited or len(sub) == C.order:
             continue
@@ -173,7 +173,7 @@ def mu_oracle(C: CayleyGroup, limit: int = ORACLE_LIMIT) -> tuple[int, OracleWit
     if (C.table == C.table.T).all():
         cands = _abelian_candidates(C)
     else:
-        cands = _general_candidates(C, limit)
+        cands = _general_candidates(C)
     cands = _prune_dominated(cands)
 
     full = (1 << C.order) - 1

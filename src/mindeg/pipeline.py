@@ -21,12 +21,12 @@ from .autlift import (
     MatrixAut, ProjectiveAut, lift_omega_aut, lift_psl_aut, subgroup_in_gamma,
 )
 from .bsgs import PermGroup, build_group, centralizer_of_normal, evaluate_word
-from .errors import HintRequired, LimitExceededError, UnsupportedCase
+from .errors import HintRequired, UnsupportedCase
 from .fflinalg import (
     FFMatrix, determinant, form_matrix, identity_matrix, invert, matrix,
     multiply, preserves_form, standard_generators,
 )
-from .oracle import ORACLE_LIMIT, mu_oracle
+from .oracle import ORACLE_LIMIT
 from .perm import Permutation, conjugate
 from .simpleid import SimpleName, mu_simple, name_simple
 from .smallgroup import QuotientGroup, isomorphism_search, list_elements
@@ -260,17 +260,6 @@ def induced_aut_group(G: PermGroup, factors: list[PermGroup], index: int,
 # Dispatch table
 
 
-def _materialize_quotient(data: InducedAutData):
-    """A as a Cayley table, via cosets keyed by conjugation on the factor."""
-    gens = list(data.S1.generators)
-
-    def key(g):
-        return tuple(conjugate(s, g).images for s in gens)
-
-    Q = QuotientGroup(data.normalizer, data.centralizer)
-    return list_elements(Q, bound=ORACLE_LIMIT, coset_key=key)
-
-
 def _embeds_in_sym6(data: InducedAutData) -> bool:
     """Whether A embeds into Sym(6) (decides the Alt(6) table row).
 
@@ -282,7 +271,8 @@ def _embeds_in_sym6(data: InducedAutData) -> bool:
         return False
     if data.order == 360:  # A is Alt(6) itself
         return True
-    A = _materialize_quotient(data)
+    A = list_elements(QuotientGroup(data.normalizer, data.centralizer),
+                      bound=ORACLE_LIMIT)
     s6_perm = build_group(6, [Permutation((1, 0, 2, 3, 4, 5)),
                               Permutation((1, 2, 3, 4, 5, 0))])
     S6 = list_elements(s6_perm, bound=ORACLE_LIMIT)
@@ -299,8 +289,7 @@ def _graph_part_present(data: InducedAutData, condition: str) -> bool:
     return not subgroup_in_gamma(data.matrix_auts)
 
 
-def dispatch_table(name: SimpleName, data: InducedAutData,
-                   hint: Optional[RecognitionHint] = None):
+def dispatch_table(name: SimpleName, data: InducedAutData):
     """(mu(G,N), rule tag) for the almost-simple group A over the factor S.
 
     Rows are tried in the table order; when no exceptional row applies the
@@ -452,7 +441,7 @@ def mu_fitting_free(G: PermGroup,
                 cert.flags["hint-used"] = True
             record.order_A = data.order
             record.outer_index = data.outer_index
-            mu, rule = dispatch_table(name, data, hint)
+            mu, rule = dispatch_table(name, data)
             record.mu = mu
             record.rule = rule
             total += len(orbit) * mu
@@ -466,13 +455,3 @@ def mu_fitting_free(G: PermGroup,
         raise failure
     cert.total = total
     return cert
-
-
-def mu_small_quotient(Q: QuotientGroup, bound: int = ORACLE_LIMIT) -> int:
-    """mu(G/K) by materializing the quotient and running the oracle."""
-    if Q.index() > bound:
-        raise LimitExceededError(
-            f"quotient order {Q.index()} exceeds bound {bound}")
-    C = list_elements(Q, bound=bound)
-    mu, _ = mu_oracle(C, limit=bound)
-    return mu

@@ -55,11 +55,10 @@ class SimpleName:
 
 
 def _prime_powers():
-    """(q, p) for every prime power q = p^e, in increasing order."""
+    """Every prime power q = p^e, in increasing order."""
     for q in count(2):
-        pe = prime_power(q)
-        if pe is not None:
-            yield q, pe[0]
+        if prime_power(q) is not None:
+            yield q
 
 
 def simple_order(name: SimpleName) -> int:
@@ -130,10 +129,10 @@ def _order_table() -> dict[int, list[tuple[SimpleName, bool]]]:
 
     def sweep(make, q_start=2, skip=()):
         any_fit = False
-        for q, p in _prime_powers():
+        for q in _prime_powers():
             if q < q_start:
                 continue
-            name, ambiguous = make(q, p)
+            name, ambiguous = make(q)
             if name.params in skip:
                 continue
             if simple_order(name) > MAX_TABLE_ORDER:
@@ -143,25 +142,25 @@ def _order_table() -> dict[int, list[tuple[SimpleName, bool]]]:
         return any_fit
 
     d = 2
-    while sweep(lambda q, p, d=d: (SimpleName("PSL", (d, q)), False),
+    while sweep(lambda q, d=d: (SimpleName("PSL", (d, q)), False),
                 q_start=4 if d == 2 else 2):
         d += 1
     m = 2
-    while sweep(lambda q, p, m=m: (SimpleName("PSp", (2 * m, q)),
-                                   q % 2 == 1 and m >= 3),
+    while sweep(lambda q, m=m: (SimpleName("PSp", (2 * m, q)),
+                                q % 2 == 1 and m >= 3),
                 skip={(4, 2)}):
         m += 1
     for fam in ("POmegaPlus", "POmegaMinus"):
         d = 4
-        while sweep(lambda q, p, d=d, fam=fam: (SimpleName(fam, (2 * d, q)), False)):
+        while sweep(lambda q, d=d, fam=fam: (SimpleName(fam, (2 * d, q)), False)):
             d += 1
     d = 3
-    while sweep(lambda q, p, d=d: (SimpleName("PSU", (d, q)), False),
+    while sweep(lambda q, d=d: (SimpleName("PSU", (d, q)), False),
                 skip={(3, 2)}):
         d += 1
-    sweep(lambda q, p: (SimpleName("ExcLie", ("G2", q)), False), q_start=3)
-    sweep(lambda q, p: (SimpleName("ExcLie", ("F4", q)), False))
-    sweep(lambda q, p: (SimpleName("ExcLie", ("E6", q)), False))
+    sweep(lambda q: (SimpleName("ExcLie", ("G2", q)), False), q_start=3)
+    sweep(lambda q: (SimpleName("ExcLie", ("F4", q)), False))
+    sweep(lambda q: (SimpleName("ExcLie", ("E6", q)), False))
     for tag in ("M12", "ON"):
         _emit(table, SimpleName("Sporadic", (tag,)))
 

@@ -194,16 +194,16 @@ def simple_factors(N: PermGroup) -> list[PermGroup]:
 
 
 def _factor_image(g: Permutation, i: int, factors: list[PermGroup]) -> int:
-    """Index j with factors[i]^g = factors[j], by membership both ways."""
+    """Index j with factors[i]^g = factors[j].
+
+    S_i^g lies in S_j when every conjugated generator does, and equal
+    orders then make the two equal.
+    """
     Si = factors[i]
     conj_gens = [conjugate(s, g) for s in Si.generators]
-    ginv = inverse(g)
     for j, Sj in enumerate(factors):
-        if Sj.order() != Si.order():
-            continue
-        if not all(Sj.member(c) for c in conj_gens):
-            continue
-        if all(Si.member(conjugate(s, ginv)) for s in Sj.generators):
+        if (Sj.order() == Si.order()
+                and all(Sj.member(c) for c in conj_gens)):
             return j
     raise AssertionError("conjugate of a socle factor matches no factor")
 

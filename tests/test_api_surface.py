@@ -1,4 +1,5 @@
-"""Every definition and import in ``src/mindeg`` is used by the program.
+"""Every definition, import and parameter in ``src/mindeg`` is used by the
+program.
 
 A function, class or module constant that only tests read is API the
 program does not need; it is deleted together with its tests instead of
@@ -53,3 +54,29 @@ def test_every_import_is_used_in_its_module():
                 unused += [f"{mod}: {a.name}" for a in node.names
                            if (a.asname or a.name).split(".")[0] not in used]
     assert unused == []
+
+
+def _parameters(node):
+    a = node.args
+    params = a.posonlyargs + a.args + a.kwonlyargs + [
+        p for p in (a.vararg, a.kwarg) if p is not None]
+    return [p.arg for p in params]
+
+
+def test_every_parameter_is_read():
+    """A parameter that the body never reads is an unused knob; ``self``
+    and names starting with ``_`` are exempt."""
+    unread = []
+    for mod, tree in TREES.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                continue
+            body = node.body if isinstance(node.body, list) else [node.body]
+            loaded = {n.id for stmt in body for n in ast.walk(stmt)
+                      if isinstance(n, ast.Name)
+                      and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", f"<lambda:{node.lineno}>")
+            unread += [f"{mod}.{name}({p})" for p in _parameters(node)
+                       if p != "self" and not p.startswith("_")
+                       and p not in loaded]
+    assert unread == []

@@ -8,11 +8,12 @@ from mindeg.bsgs import (
     evaluate_word, induced_action, normal_closure, preimage_of_stabilizer,
 )
 from mindeg.perm import (
-    Permutation, compose, conjugate, element_order, identity, parse_permutation,
+    Permutation, compose, conjugate, element_order, identity, inverse,
+    parse_permutation,
 )
 from mindeg.socle import socle_fitting_free
 
-from .groups import A6_PSL28, A7_A7
+from .groups import A6_PSL28, A7_A7, a5wrz2, sym
 
 
 def P(text, n):
@@ -229,6 +230,26 @@ def test_extend_grows_the_group_in_place():
     assert G.member(P("(1 2 3 4)", 5))
 
 
+@pytest.mark.parametrize("make", ["S4/V4", "A5wrZ2/A5xA5"])
+def test_coset_rep_is_canonical(make):
+    if make == "S4/V4":
+        G = sym(4)
+        K = build_group(4, [P("(1 2)(3 4)", 4), P("(1 3)(2 4)", 4)])
+        xs = list(G.elements())
+    else:
+        G = a5wrz2()
+        K = build_group(10, G.generators[:4])
+        rng = random.Random(7)
+        xs = [G.random_element(rng) for _ in range(30)]
+        xs += [compose(x, K.random_element(rng)) for x in xs]
+    reps = [K.coset_rep(x) for x in xs]
+    for x, r in zip(xs, reps):
+        assert K.member(compose(inverse(x), r))
+    for x, rx in zip(xs, reps):
+        for y, ry in zip(xs, reps):
+            assert (rx == ry) == K.member(compose(inverse(x), y))
+
+
 def _relabelled_generating_set(rng, degree, gens):
     """A random generating set of <gens>: each generator replaced by a power
     coprime to its order, the points relabelled, the order shuffled."""
@@ -355,7 +376,6 @@ def _act_on_sets(g, obj):
 
 
 def _stabilizer_cases():
-    from tests.groups import a5wrz2, sym
     pairing = frozenset({frozenset({0, 1}), frozenset({2, 3})})
     return [("Sym4 on pairings", sym(4), pairing),
             ("Sym5 on pairs", sym(5), frozenset({0, 1})),

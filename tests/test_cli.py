@@ -6,7 +6,9 @@ import pytest
 
 from mindeg.bsgs import build_group
 from mindeg.cli import parse_group_file, run_cli
+from mindeg.oracle import ORACLE_LIMIT, is_faithful_collection
 from mindeg.perm import Permutation, conjugate
+from mindeg.smallgroup import list_elements
 
 from .groups import A6_PSL28, A7_A7, P
 
@@ -166,6 +168,22 @@ def test_mu_oracle_abelian_example(capsys):
 def test_mu_quotient(capsys):
     code, out, _ = run(capsys, "mu-quotient", fx("S4modV4.grp"))
     assert code == 0 and out.strip() == "mu 3"
+
+
+def test_mu_quotient_of_s5_x_a5_by_a5(tmp_path, capsys):
+    # S5 on 1..5 times A5 on 6..10, over the A5 factor: the quotient is S5
+    path = tmp_path / "S5xA5modA5.grp"
+    path.write_text("degree 10\ngen (1 2)\ngen (1 2 3 4 5)\ngen (6 7 8)\n"
+                    "gen (8 9 10)\nkernel\ngen (6 7 8)\ngen (8 9 10)\n")
+    code, out, _ = run(capsys, "mu-quotient", str(path))
+    assert code == 0 and out.strip() == "mu 5"
+    code, out, _ = run(capsys, "mu-oracle", str(path), "--json")
+    assert code == 0
+    result = json.loads(out)
+    assert result["mu"] == 5
+    C = list_elements(parse_group_file(str(path)).quotient(),
+                      bound=ORACLE_LIMIT)
+    assert is_faithful_collection(C, result["witness"]["subgroups"])
 
 
 # --- exit codes ----------------------------------------------------------------

@@ -5,10 +5,10 @@ import pytest
 
 from mindeg.bsgs import build_group
 from mindeg.errors import HintRequired, LimitExceededError, UnsupportedCase
-from mindeg.oracle import mu_oracle
+from mindeg.oracle import ORACLE_LIMIT, mu_oracle
 from mindeg.pipeline import (
     InducedAutData, dispatch_table, induced_aut_group, load_hint,
-    load_hint_file, mu_fitting_free, mu_small_quotient,
+    load_hint_file, mu_fitting_free,
 )
 from mindeg.simpleid import SimpleName, mu_simple
 from mindeg.smallgroup import QuotientGroup, list_elements
@@ -257,18 +257,22 @@ def test_dispatch_exceptional_lie_rows_unsupported():
 # --- small quotients -----------------------------------------------------------
 
 
+def _mu_quotient(Q, bound=ORACLE_LIMIT):
+    return mu_oracle(list_elements(Q, bound=bound), limit=bound)[0]
+
+
 def test_mu_small_quotient_examples():
     S4 = sym(4)
     V4 = build_group(4, [P("(1 2)(3 4)", 4), P("(1 3)(2 4)", 4)])
-    assert mu_small_quotient(QuotientGroup(S4, V4)) == 3
-    assert mu_small_quotient(QuotientGroup(S4, S4)) == 0
+    assert _mu_quotient(QuotientGroup(S4, V4)) == 3
+    assert _mu_quotient(QuotientGroup(S4, S4)) == 0
     S5 = sym(5)
     triv = build_group(5, [])
-    assert mu_small_quotient(QuotientGroup(S5, triv)) == 5
+    assert _mu_quotient(QuotientGroup(S5, triv)) == 5
 
 
 def test_mu_small_quotient_respects_bound():
     S5 = sym(5)
     triv = build_group(5, [])
     with pytest.raises(LimitExceededError):
-        mu_small_quotient(QuotientGroup(S5, triv), bound=60)
+        _mu_quotient(QuotientGroup(S5, triv), bound=60)

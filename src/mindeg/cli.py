@@ -173,6 +173,10 @@ def _cmd_mu_quotient(gf: GroupFile, args) -> int:
     return 0
 
 
+# the commands that read a kernel block as G/K; the others work on G
+# alone, so they reject a kernel file rather than silently ignore K
+_QUOTIENT_COMMANDS = {"order", "mu-oracle", "mu-quotient"}
+
 _COMMANDS = {
     "order": _cmd_order,
     "socle": _cmd_socle,
@@ -207,6 +211,9 @@ def run_cli(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         gf = parse_group_file(args.groupfile)
+        if gf.kernel is not None and args.command not in _QUOTIENT_COMMANDS:
+            raise ValueError(f"{args.command} does not support a kernel "
+                             "block; use mu-oracle or mu-quotient for G/K")
         return _COMMANDS[args.command](gf, args)
     except (OSError, ValueError, MindegError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -148,6 +148,10 @@ class Field:
         return self._code([(-a) % self.p for a in self._digits(x)])
 
     def sub(self, x: int, y: int) -> int:
+        if self.e == 1:
+            return (x - y) % self.p
+        if self.p == 2:
+            return x ^ y
         return self.add(x, self.neg(y))
 
     def mul(self, x: int, y: int) -> int:

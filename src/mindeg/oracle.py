@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import LimitExceededError
 from .smallgroup import (
-    CayleyGroup, _hom_from_gen_images, _mask_of, all_subgroups,
+    CayleyGroup, _conjugates, _hom_from_gen_images, _mask_of, all_subgroups,
     from_direct_factors,
 )
 
@@ -65,24 +65,6 @@ def core(C: CayleyGroup, H) -> list[int]:
     _check_subgroup(C, members)
     return _list_of_mask(_core_mask(C, np.array(members, dtype=np.int64),
                                     C.generating_set()))
-
-
-def _conjugates(C: CayleyGroup, members: np.ndarray,
-                gens: list[int]) -> dict[int, np.ndarray]:
-    """The conjugacy class of a subgroup, element arrays keyed by mask."""
-    seen = {_mask_of(members.tolist()): members}
-    frontier = [members]
-    while frontier:
-        new = []
-        for arr in frontier:
-            for g in gens:
-                conj = C.table[C.table[C.inverse[g], arr], g]
-                m = _mask_of(conj.tolist())
-                if m not in seen:
-                    seen[m] = conj
-                    new.append(conj)
-        frontier = new
-    return seen
 
 
 def _core_mask(C: CayleyGroup, members: np.ndarray, gens: list[int]) -> int:

@@ -4,14 +4,18 @@ Covers element listing for permutation groups and small quotients G/K,
 brute-force subgroup enumeration, and isomorphism search by
 generator-image enumeration.  Every subgroup closure, from greedy
 generating sets to subgroup joins, is the right-multiplication closure
-``_join``.  A table is checked for associativity by one exact test,
+``_join``, and every conjugacy class of subgroups is closed by
+``_conjugates``.  Subgroups are enumerated one conjugacy class at a time
+(Neubüser 1960; Holt, Eick and O'Brien, Handbook of Computational Group
+Theory, 2005, §10.1): only one representative per class is joined with
+the prime-power cyclic subgroups, and each new join brings its whole
+class.  A table is checked for associativity by one exact test,
 Light's test over a generating set, and the cosets of a quotient are
 keyed by their canonical representatives ``PermGroup.coset_rep``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence
@@ -70,7 +74,7 @@ class CayleyGroup:
             for x in range(m):
                 k, y = 1, x
                 while y != 0:
-                    y = t[y, x]
+                    y = t.item(y, x)
                     k += 1
                 orders[x] = k
             self._orders = orders
@@ -101,7 +105,7 @@ class CayleyGroup:
         for x in range(1, self.order):
             if not current[x]:
                 gens.append(x)
-                members = _join(self.table, members, gens)
+                members = _join(self.table, members, x)
                 current[members] = True
                 if len(members) == self.order:
                     break
@@ -238,7 +242,7 @@ def _cyclic_subgroups(C: CayleyGroup) -> tuple[list[int], list[int]]:
         y = g
         while y != 0:
             members.append(y)
-            y = int(t[y, g])
+            y = t.item(y, g)
         if prime_power(len(members)) is None:
             continue
         mask = _mask_of(members)
@@ -248,83 +252,71 @@ def _cyclic_subgroups(C: CayleyGroup) -> tuple[list[int], list[int]]:
     return [mask for mask, _ in order], [gen for _, (_, gen) in order]
 
 
+def _conjugates(C: CayleyGroup, members: np.ndarray,
+                gens: list[int]) -> dict[int, np.ndarray]:
+    """The conjugacy class of a subgroup, element arrays keyed by mask."""
+    seen = {_mask_of(members.tolist()): members}
+    frontier = [members]
+    while frontier:
+        new = []
+        for arr in frontier:
+            for g in gens:
+                conj = C.table[C.table[C.inverse[g], arr], g]
+                m = _mask_of(conj.tolist())
+                if m not in seen:
+                    seen[m] = conj
+                    new.append(conj)
+        frontier = new
+    return seen
+
+
 def all_subgroups(C: CayleyGroup) -> list[list[int]]:
     """Every subgroup of C, each as a sorted element-index list.
 
-    Seeds with the cyclic subgroups and closes under joins <H, c> with
-    cyclic subgroups c, restricted to ascending chains: each record keeps
-    the smallest cyclic index r that finished some chain reaching it, and
-    only joins with index above r are attempted.  Building any subgroup K
-    by adjoining its cyclic subgroups in index order shows each of its
-    chain prefixes is reached with a small enough r, so the enumeration
-    is complete; the ascending rule prunes permuted join orders.
+    Sorted by (size, elements).  Joins only from one representative per
+    conjugacy class: each representative H0 is joined with every
+    prime-power cyclic subgroup c not inside it, and a join not met
+    before has its whole class recorded and becomes a representative.
+    This is complete: every K != 1 is <H, c> for some H < K and some
+    prime-power cyclic c (drop one generator from an irredundant
+    generating set of prime-power elements), and if H = H0^g then
+    <H0, c^(g^-1)> = K^(g^-1) is a join that is tried; induct on |K|.
     """
     t = C.table
     m = C.order
     cyc_masks, cyc_gens = _cyclic_subgroups(C)
-    cyc_sizes = [bin(mask).count("1") for mask in cyc_masks]
     divisors = [d for d in range(1, m + 1) if m % d == 0]
+    gens = C.generating_set()
     full_mask = (1 << m) - 1
-    full_arr = np.arange(m, dtype=np.int64)
-
-    def forced_full(h_size: int, lower: int) -> bool:
-        """True when no proper subgroup order fits: multiple of h_size, >= lower."""
-        return not any(d >= lower and d % h_size == 0 for d in divisors[:-1])
-
-    trivial_mask = 1
-    # record: mask -> (elements array, generator list, resume index)
-    found: dict[int, tuple[np.ndarray, list[int], int]] = {
-        trivial_mask: (np.zeros(1, dtype=np.int64), [], -1)}
-    # joins with index >= done_from[mask] have already been attempted
-    done_from: dict[int, int] = {}
-    work: list[int] = [trivial_mask]
-    for ci, mask in enumerate(cyc_masks):
-        arr = np.nonzero([(mask >> x) & 1 for x in range(m)])[0]
-        found[mask] = (arr, [cyc_gens[ci]], ci)
-        work.append(mask)
-
-    ncyc = len(cyc_masks)
+    trivial = np.zeros(1, dtype=np.int64)
+    found: dict[int, np.ndarray] = {1: trivial}
+    # class representatives still to join: (elements, mask)
+    work: list[tuple[np.ndarray, int]] = [(trivial, 1)]
     while work:
-        mask = work.pop()
+        arr, mask = work.pop()
         if mask == full_mask:
             continue
-        arr, gens, resume = found[mask]
-        stop = done_from.get(mask, ncyc)
-        if resume + 1 >= stop:
-            continue
-        done_from[mask] = resume + 1
-        h = len(arr)
-        for ci in range(resume + 1, stop):
-            cm = cyc_masks[ci]
+        for cm, g in zip(cyc_masks, cyc_gens):
             if cm & mask == cm:
                 continue
-            lcm = h * cyc_sizes[ci] // math.gcd(h, cyc_sizes[ci])
-            lower = h * cyc_sizes[ci] // bin(cm & mask).count("1")
-            if forced_full(lcm, lower):
-                jarr, jmask = full_arr, full_mask
-            else:
-                jarr = _join(t, arr, gens + [cyc_gens[ci]], divisors)
-                jmask = full_mask if len(jarr) == m else _mask_of(jarr.tolist())
-            prev = found.get(jmask)
-            if prev is None:
-                found[jmask] = (jarr, gens + [cyc_gens[ci]], ci)
-                work.append(jmask)
-            elif prev[2] > ci:
-                # reached by a chain ending earlier: more joins now allowed
-                found[jmask] = (prev[0], prev[1], ci)
-                work.append(jmask)
-
-    subs = sorted(found.values(), key=lambda v: (len(v[0]), v[0].tolist()))
-    return [arr.tolist() for arr, _, _ in subs]
+            jarr = _join(t, arr, g, divisors)
+            jmask = full_mask if len(jarr) == m else _mask_of(jarr.tolist())
+            if jmask not in found:
+                found.update(_conjugates(C, jarr, gens))
+                work.append((jarr, jmask))
+    return sorted((np.sort(arr).tolist() for arr in found.values()),
+                  key=lambda s: (len(s), s))
 
 
-def _join(t: np.ndarray, subgroup: np.ndarray, gens: list[int],
+def _join(t: np.ndarray, subgroup: np.ndarray, g: int,
           divisors: Optional[list[int]] = None) -> np.ndarray:
-    """Elements of <subgroup, gens> (gens must include generators of subgroup).
+    """Elements of <H, g>, for the element array of a subgroup H.
 
-    Right-multiplication closure of the subgroup's element set.  With the
-    group-order divisor list supplied, stops early once the element count
-    rules out every proper subgroup order (the join must be the whole group).
+    Right-multiplication closure by g, a left coset xH at a time: a set
+    that holds H and is closed under right multiplication by g and by H
+    holds <H, g>.  With the group-order divisor list supplied, stops early
+    once the element count rules out every proper subgroup order (the
+    join must be the whole group).
     """
     m = t.shape[0]
     h = len(subgroup)
@@ -336,23 +328,22 @@ def _join(t: np.ndarray, subgroup: np.ndarray, gens: list[int],
     seen[subgroup] = True
     count = h
     frontier = subgroup
-    while len(frontier):
-        new = []
-        for g in gens:
-            # table columns are permutations and seen filters across
-            # generators, so fresh entries are distinct without sorting
-            prods = t[frontier, g]
-            fresh = prods[~seen[prods]]
-            if len(fresh):
-                seen[fresh] = True
-                count += len(fresh)
-                new.append(fresh)
-        if not new:
-            break
+    while True:
+        # the table column of g is a permutation, so prods are distinct
+        prods = t[frontier, g]
+        fresh = prods[~seen[prods]]
+        if not len(fresh):
+            return np.nonzero(seen)[0]
+        if count + len(fresh) > cutoff:  # before forming the cosets
+            return np.arange(m, dtype=np.int64)
+        new = np.zeros(m, dtype=bool)
+        new[t[fresh[:, None], subgroup]] = True  # the cosets zH of fresh z
+        new &= ~seen
+        seen |= new
+        frontier = np.nonzero(new)[0]
+        count += len(frontier)
         if count > cutoff:
             return np.arange(m, dtype=np.int64)
-        frontier = np.concatenate(new) if len(new) > 1 else new[0]
-    return np.nonzero(seen)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -367,23 +358,23 @@ def _hom_from_gen_images(Csrc: CayleyGroup, Cdst: CayleyGroup,
     verifies the homomorphism property on the whole group.
     """
     ts, td = Csrc.table, Cdst.table
-    phi = np.full(Csrc.order, -1, dtype=np.int64)
+    phi = [-1] * Csrc.order
     phi[0] = 0
     queue = [0]
     while queue:
         x = queue.pop()
         fx = phi[x]
         for g, fg in zip(gens, images):
-            y = int(ts[x, g])
-            fy = int(td[fx, fg])
+            y = ts.item(x, g)
+            fy = td.item(fx, fg)
             if phi[y] < 0:
                 phi[y] = fy
                 queue.append(y)
             elif phi[y] != fy:
                 return None
-    if (phi < 0).any():
+    if -1 in phi:
         return None  # gens do not generate the source
-    return phi
+    return np.array(phi, dtype=np.int64)
 
 
 def _candidate_images(Csrc: CayleyGroup, Cdst: CayleyGroup, g: int) -> list[int]:

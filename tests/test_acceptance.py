@@ -90,7 +90,7 @@ def test_criterion_3_classical_degree_table():
 
 
 @pytest.mark.parametrize("name", ["A5", "S5", "A6", "S6", "PSL27", "PGL27",
-                                  "PSL28", "PGammaL28", "PSL211"])
+                                  "PSL28", "PGammaL28", "PSL211", "AutA6"])
 def test_criterion_4_pipeline_matches_oracle(name):
     G = load_fixture(f"{name}.grp")
     cert = mu_fitting_free(G)

@@ -170,11 +170,16 @@ def test_mu_quotient(capsys):
     assert code == 0 and out.strip() == "mu 3"
 
 
-def test_mu_quotient_of_s5_x_a5_by_a5(tmp_path, capsys):
+def s5_x_a5_mod_a5(tmp_path):
     # S5 on 1..5 times A5 on 6..10, over the A5 factor: the quotient is S5
     path = tmp_path / "S5xA5modA5.grp"
     path.write_text("degree 10\ngen (1 2)\ngen (1 2 3 4 5)\ngen (6 7 8)\n"
                     "gen (8 9 10)\nkernel\ngen (6 7 8)\ngen (8 9 10)\n")
+    return path
+
+
+def test_mu_quotient_of_s5_x_a5_by_a5(tmp_path, capsys):
+    path = s5_x_a5_mod_a5(tmp_path)
     code, out, _ = run(capsys, "mu-quotient", str(path))
     assert code == 0 and out.strip() == "mu 5"
     code, out, _ = run(capsys, "mu-oracle", str(path), "--json")
@@ -184,6 +189,16 @@ def test_mu_quotient_of_s5_x_a5_by_a5(tmp_path, capsys):
     C = list_elements(parse_group_file(str(path)).quotient(),
                       bound=ORACLE_LIMIT)
     assert is_faithful_collection(C, result["witness"]["subgroups"])
+
+
+@pytest.mark.parametrize("command", ["mu", "socle", "min-normal",
+                                     "recognize"])
+def test_commands_on_g_reject_a_kernel_file(tmp_path, capsys, command):
+    # these commands work on G, not G/K: mu would print 10 for a quotient
+    # whose mu is 5, so a kernel block is an input error
+    code, out, err = run(capsys, command, str(s5_x_a5_mod_a5(tmp_path)))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {command} ") and "kernel" in err
 
 
 # --- exit codes ----------------------------------------------------------------

@@ -37,6 +37,18 @@ def test_field_axioms_small():
                     assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
 
 
+@pytest.mark.parametrize("p,e", [(2, 1), (7, 1), (2, 3), (3, 2), (5, 2)])
+def test_sub_inverts_add(p, e):
+    # prime fields, characteristic 2 and odd prime powers each take their
+    # own branch of Field.sub
+    F = make_field(p, e)
+    els = list(F.elements())
+    for a in els:
+        for b in els:
+            assert F.add(F.sub(a, b), b) == a
+            assert F.sub(a, b) == F.add(a, F.neg(b))
+
+
 def test_frobenius():
     F4 = make_field(2, 2)
     for x in F4.elements():

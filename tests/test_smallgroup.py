@@ -5,9 +5,11 @@ from mindeg.bsgs import build_group
 from mindeg.errors import LimitExceededError
 from mindeg.perm import parse_permutation
 from mindeg.smallgroup import (
-    CayleyGroup, QuotientGroup, all_subgroups, from_direct_factors,
-    isomorphism_search, list_elements,
+    CayleyGroup, QuotientGroup, _conjugates, _mask_of, all_subgroups,
+    from_direct_factors, isomorphism_search, list_elements,
 )
+
+from .test_pipeline import load_fixture
 
 
 def P(text, n):
@@ -149,6 +151,28 @@ def test_subgroups_match_bruteforce(make):
     C = make()
     subs = {tuple(s) for s in all_subgroups(C)}
     assert subs == brute_subgroups(C)
+
+
+# Groups with perfect subgroups (A5 in S5, A6 and PSL(2,11); PSL(2,7) in
+# itself and in PGL(2,7)).  Cyclic extension alone, adjoining to H an
+# element that normalizes it, never reaches a perfect subgroup; the join
+# <H, c> here needs no such c.  Counts of subgroups and of conjugacy
+# classes are the literature values.
+@pytest.mark.parametrize("name,n_subgroups,n_classes", [
+    ("S5", 156, 19), ("PSL27", 179, 15), ("A6", 501, 22), ("PGL27", 413, 23),
+    ("PSL211", 620, 16)])
+def test_subgroup_and_class_counts(name, n_subgroups, n_classes):
+    C = list_elements(load_fixture(f"{name}.grp"), bound=2000)
+    subs = all_subgroups(C)
+    assert len(subs) == n_subgroups
+    assert subs == sorted(subs, key=lambda s: (len(s), s))
+    gens = C.generating_set()
+    classes: list[set[int]] = []
+    for s in subs:
+        if not any(_mask_of(s) in cls for cls in classes):
+            classes.append(set(_conjugates(C, np.array(s), gens)))
+    assert len(classes) == n_classes
+    assert sum(len(cls) for cls in classes) == n_subgroups
 
 
 def test_subgroups_are_closed_and_lagrange():

@@ -168,12 +168,13 @@ class InducedAutData:
         return self.order // self.order_S
 
 
-def _word_eval_matrix(word, mats: list[FFMatrix]) -> FFMatrix:
+def _word_eval_matrix(word, mats: list[FFMatrix],
+                      inverses: list[FFMatrix]) -> FFMatrix:
+    """The product of a word over ``mats``; letter -i reads inverses[i-1]."""
     fld = mats[0].field
     g = identity_matrix(fld, mats[0].nrows)
     for s in word:
-        h = mats[abs(s) - 1]
-        g = multiply(g, h if s > 0 else invert(h))
+        g = multiply(g, mats[s - 1] if s > 0 else inverses[-s - 1])
     return g
 
 
@@ -237,6 +238,7 @@ def induced_aut_group(G: PermGroup, factors: list[PermGroup], index: int,
         assert ok, "standard generator missing from the hinted copy"
         preimages.append(evaluate_word(word, hint_gens, S1.degree))
 
+    inverses = [invert(M) for M in mats]
     matrix_auts = []
     for g in NG.generators:
         reps = []
@@ -244,7 +246,7 @@ def induced_aut_group(G: PermGroup, factors: list[PermGroup], index: int,
             c = conjugate(s, g)
             ok, word = hint_group.contains(c)
             assert ok, "conjugate left the factor"
-            reps.append(_word_eval_matrix(word, mats))
+            reps.append(_word_eval_matrix(word, mats, inverses))
         lam = ProjectiveAut(hint.family, hint.d, hint.q, tuple(reps))
         if hint.family == "SL":
             matrix_auts.append(lift_psl_aut(lam))

@@ -2,16 +2,24 @@
 
 Covers element listing for permutation groups and small quotients G/K,
 brute-force subgroup enumeration, and isomorphism search by
-generator-image enumeration.  Every subgroup closure, from greedy
-generating sets to subgroup joins, is the right-multiplication closure
-``_join``, and every conjugacy class of subgroups is closed by
-``_conjugates``.  Subgroups are enumerated one conjugacy class at a time
-(Neubüser 1960; Holt, Eick and O'Brien, Handbook of Computational Group
-Theory, 2005, §10.1): only one representative per class is joined with
-the prime-power cyclic subgroups, and each new join brings its whole
-class.  A table is checked for associativity by one exact test,
-Light's test over a generating set, and the cosets of a quotient are
-keyed by their canonical representatives ``PermGroup.coset_rep``.
+generator-image enumeration.  A table is built from its generator
+columns, walking the Cayley graph (Holt, Eick and O'Brien, Handbook of
+Computational Group Theory, 2005): only the products x·g of each element
+x with each generator g are formed from permutations or cosets, and
+every other column is one gather along a spanning tree from the
+identity.  The cosets of a quotient are keyed by their canonical
+representatives ``PermGroup.coset_rep``, and every table is checked by
+one exact associativity test, Light's test over a generating set.
+
+Every subgroup closure, from greedy generating sets to subgroup joins,
+is the right-multiplication closure ``_join``, and every conjugacy class
+of subgroups is closed by ``_conjugates``.  Subgroups are enumerated one
+conjugacy class at a time (Neubüser 1960; Handbook, §10.1): only one
+representative per class is joined with the prime-power cyclic
+subgroups, and each new join brings its whole class.  The isomorphism
+search drops a generator image as soon as the order of its product with
+an earlier image differs from the order of the same product in the
+source.
 """
 
 from __future__ import annotations
@@ -137,7 +145,14 @@ class QuotientGroup:
 
 
 def list_elements(X, bound: int) -> CayleyGroup:
-    """Materialize a PermGroup or small QuotientGroup as a CayleyGroup."""
+    """Materialize a PermGroup or small QuotientGroup as a CayleyGroup.
+
+    A permutation group lists the identity first and then its other
+    elements sorted by image bytes; a quotient lists the identity coset,
+    the generators' cosets, then products of earlier representatives.
+    Only the generator columns x·g are formed from permutations; the
+    rest of the table comes from them (``_table_from_columns``).
+    """
     if isinstance(X, PermGroup):
         return _list_perm_group(X, bound)
     if isinstance(X, QuotientGroup):
@@ -145,24 +160,61 @@ def list_elements(X, bound: int) -> CayleyGroup:
     raise TypeError("expected PermGroup or QuotientGroup")
 
 
+def _table_from_columns(cols: np.ndarray) -> np.ndarray:
+    """The Cayley table of a group from its generator columns.
+
+    ``cols[x, k]`` is the index of x·g_k for generators g_k of the group,
+    and index 0 is the identity.  A spanning tree of the Cayley graph
+    from the identity reaches each z as y·g_k, and then column z of the
+    table is column y followed by right multiplication by g_k:
+    ``table[:, z] = cols[table[:, y], k]``, one gather per column.
+    """
+    m = cols.shape[0]
+    right = np.ascontiguousarray(cols.T, dtype=np.int32)  # right[k][x] = x·g_k
+    by_col = np.empty((m, m), dtype=np.int32)  # by_col[z] = table[:, z]
+    by_col[0] = np.arange(m, dtype=np.int32)
+    reached = [True] + [False] * (m - 1)
+    queue = [0]
+    nbrs = cols.tolist()
+    for y in queue:
+        for k, z in enumerate(nbrs[y]):
+            if not reached[z]:
+                reached[z] = True
+                by_col[z] = right[k][by_col[y]]
+                queue.append(z)
+    return np.ascontiguousarray(by_col.T)
+
+
 def _list_perm_group(G: PermGroup, bound: int) -> CayleyGroup:
     if G.order() > bound:
         raise LimitExceededError(f"group order {G.order()} exceeds bound {bound}")
     if G.degree > 256:
         raise LimitExceededError("degree above 256 not supported for listing")
-    els = sorted(bytes(g.images) for g in G.elements())
-    # identity must sit at index 0
+    # close the identity under right multiplication by each generator
     ident = bytes(range(G.degree))
-    els.remove(ident)
-    els.insert(0, ident)
-    index = {b: i for i, b in enumerate(els)}
-    m = len(els)
-    table = np.empty((m, m), dtype=np.int32)
-    pads = [y + bytes(range(len(y), 256)) for y in els]
-    for i, x in enumerate(els):
-        table[i] = [index[x.translate(p)] for p in pads]
+    pads = [bytes(g.images) + bytes(range(G.degree, 256))
+            for g in G.generators]
+    found = {ident: 0}
+    queue = [ident]
+    prods = []
+    for x in queue:
+        row = []
+        for p in pads:
+            y = x.translate(p)
+            j = found.get(y)
+            if j is None:
+                j = found[y] = len(queue)
+                queue.append(y)
+            row.append(j)
+        prods.append(row)
+    # the identity first, then the rest by image bytes
+    els = [ident] + sorted(queue[1:])
+    order = np.array([found[b] for b in els], dtype=np.int64)
+    pos = np.empty(len(els), dtype=np.int32)
+    pos[order] = np.arange(len(els), dtype=np.int32)
+    cols = pos[np.array(prods, dtype=np.int64).reshape(len(els), len(pads))]
     perms = [Permutation(tuple(b)) for b in els]
-    return CayleyGroup(table, elements=perms)
+    return CayleyGroup(_table_from_columns(cols[order]), elements=perms)
 
 
 def _list_quotient(Q: QuotientGroup, bound: int) -> CayleyGroup:
@@ -171,27 +223,45 @@ def _list_quotient(Q: QuotientGroup, bound: int) -> CayleyGroup:
         raise LimitExceededError(f"quotient order {n} exceeds bound {bound}")
     if Q.K.is_trivial():
         return _list_perm_group(Q.G, bound)
-    K = Q.K
-    reps = [identity(Q.G.degree)]
-    index = {K.coset_rep(reps[0]).images: 0}
+    # the cosets in breadth-first order, keyed by their canonical elements
+    K, gens = Q.K, Q.G.generators
+    bfs = [identity(Q.G.degree)]
+    index = {K.coset_rep(bfs[0]).images: 0}
+    cols = []
+    for x in bfs:
+        row = []
+        for g in gens:
+            y = compose(x, g)
+            key = K.coset_rep(y).images
+            j = index.get(key)
+            if j is None:
+                j = index[key] = len(bfs)
+                bfs.append(y)
+            row.append(j)
+        cols.append(row)
+    t = _table_from_columns(np.array(cols, dtype=np.int64).reshape(n, len(gens)))
+    # representatives in listing order: the identity, the generators, then
+    # products of earlier representatives until every coset has one
+    reps = [bfs[0]]
+    order = [0]
+    pos = [-1] * n
+    pos[0] = 0
 
-    def add(x):
-        key = K.coset_rep(x).images
-        if key not in index:
-            index[key] = len(reps)
-            reps.append(x)
+    def add(c, x, y):
+        if pos[c] < 0:
+            pos[c] = len(order)
+            order.append(c)
+            reps.append(compose(x, y))
 
-    for g in Q.G.generators:
-        add(g)
-    # products of representatives until every coset has one
-    while len(reps) < n:
-        for x, y in product(list(reps), repeat=2):
-            add(compose(x, y))
-            if len(reps) == n:
+    for k, g in enumerate(gens):
+        add(cols[0][k], reps[0], g)
+    while len(order) < n:
+        for a, b in product(range(len(order)), repeat=2):
+            add(t.item(order[a], order[b]), reps[a], reps[b])
+            if len(order) == n:
                 break
-    table = np.empty((n, n), dtype=np.int32)
-    for i, x in enumerate(reps):
-        table[i] = [index[K.coset_rep(compose(x, y)).images] for y in reps]
+    o = np.array(order, dtype=np.int64)
+    table = np.array(pos, dtype=np.int32)[t[np.ix_(o, o)]]
     return CayleyGroup(table, elements=reps)
 
 
@@ -386,15 +456,27 @@ def _candidate_images(Csrc: CayleyGroup, Cdst: CayleyGroup, g: int) -> list[int]
 
 
 def isomorphism_search(C1: CayleyGroup, C2: CayleyGroup) -> Optional[list[int]]:
-    """An explicit isomorphism C1 -> C2, or None."""
+    """An explicit isomorphism C1 -> C2, or None.
+
+    Tries generator images in candidate order.  An isomorphism preserves
+    the order of each product g_j·g_i of generators, so an image x for g_i
+    is skipped as soon as o(x_j·x) differs from o(g_j·g_i) for an earlier
+    image x_j; only dead branches are cut, and the first isomorphism found
+    is the one the unpruned search finds.
+    """
     if C1.order != C2.order:
         return None
-    if sorted(C1.element_orders().tolist()) != sorted(C2.element_orders().tolist()):
+    o1, o2 = C1.element_orders(), C2.element_orders()
+    if sorted(o1.tolist()) != sorted(o2.tolist()):
         return None
     gens = C1.generating_set()
     if not gens:  # trivial group
         return [0]
     cands = [_candidate_images(C1, C2, g) for g in gens]
+    t1, t2 = C1.table, C2.table
+    # want[i][j] = o(g_j·g_i) for j < i
+    want = [[o1[t1.item(gj, gi)] for gj in gens[:i]]
+            for i, gi in enumerate(gens)]
 
     def rec(i, chosen):
         if i == len(gens):
@@ -403,6 +485,8 @@ def isomorphism_search(C1: CayleyGroup, C2: CayleyGroup) -> Optional[list[int]]:
                 return phi
             return None
         for x in cands[i]:
+            if any(o2[t2.item(xj, x)] != w for xj, w in zip(chosen, want[i])):
+                continue
             phi = rec(i + 1, chosen + [x])
             if phi is not None:
                 return phi

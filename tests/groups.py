@@ -108,11 +108,30 @@ def pgl2(q):
 
 
 def pgammal2(q):
-    """PΓL(2,q): PSL(2,q) with the Frobenius field action on the line."""
+    """PΣL(2,q): PSL(2,q) with the Frobenius field action on the line.
+
+    This is PΓL(2,q) only for even q, where PGL(2,q) = PSL(2,q); for odd q
+    the diagonal automorphisms of PGL(2,q) are missing.
+    """
     from mindeg.fflinalg import frobenius
     F, moebius, t, s, m, _ = _line_maps(q)
     fr = moebius(lambda x: frobenius(F, x, 1) if x != q else q)
     return build_group(q + 1, [t, s, m, fr])
+
+
+def m10():
+    """M10 on the projective line of F9: PSL(2,9) and x -> w*x^3, w primitive.
+
+    The third index-2 overgroup of PSL(2,9) = Alt(6) in its automorphism
+    group, besides PGL(2,9) and PΣL(2,9) = Sym(6).
+    """
+    from mindeg.fflinalg import frobenius
+    F, moebius, t, s, m, full_m = _line_maps(9)
+    w = full_m.images[1]  # full_m is x -> w*x
+    fw = moebius(lambda x: F.mul(w, frobenius(F, x, 1)) if x != 9 else 9)
+    G = build_group(10, [t, s, m, fw])
+    assert G.order() == 720
+    return G
 
 
 def _mult_order(F, x):

@@ -150,6 +150,20 @@ def test_mu_text_and_json(capsys):
     assert cert["records"][0]["rule"] == "row 2"
 
 
+def test_mu_s6_x_a5_lists_a_quotient_for_the_alt6_row(tmp_path, capsys):
+    # C_G(S1) = A5 for the Alt(6) factor, so A = N_G(S1)/C_G(S1) is listed
+    # as a quotient of a group on 11 points before the search against Sym(6)
+    path = tmp_path / "S6xA5.grp"
+    path.write_text("degree 11\ngen (1 2)\ngen (1 2 3 4 5 6)\n"
+                    "gen (7 8 9)\ngen (9 10 11)\n")
+    code, out, _ = run(capsys, "mu", str(path), "--json")
+    assert code == 0
+    cert = json.loads(out)
+    assert cert["total"] == 11
+    assert sorted(r["rule"] for r in cert["records"]) == [
+        "default", "default (A embeds in Sym(6))"]
+
+
 def test_mu_oracle_matches_mu(capsys):
     for name in ("A5.grp", "PSL27.grp"):
         code, out, _ = run(capsys, "mu", fx(name))

@@ -14,7 +14,7 @@ from mindeg.simpleid import SimpleName, mu_simple
 from mindeg.smallgroup import QuotientGroup, list_elements
 from mindeg.socle import socle_fitting_free
 
-from .groups import P, a5wrz2, a5xa6, alt, pgammal2, pgl2, psl2, sym
+from .groups import P, a5wrz2, a5xa6, alt, m10, pgammal2, pgl2, psl2, sym
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir,
                         "src", "mindeg", "fixtures")
@@ -56,6 +56,23 @@ def test_mu_matches_oracle(make):
     C = list_elements(G, bound=2000)
     mu, _ = mu_oracle(C)
     assert cert.total == mu
+
+
+@pytest.mark.parametrize("make,expected,rule", [
+    (lambda: pgl2(9), 10, "row 1"),
+    (m10, 10, "row 1"),
+    (lambda: pgammal2(9), 6, "default (A embeds in Sym(6))"),
+], ids=["PGL29", "M10", "PSigmaL29"])
+def test_alt6_row_on_the_index_2_overgroups(make, expected, rule):
+    # the three subgroups of index 2 in Aut(Alt(6)), each on 10 points: only
+    # PSigmaL(2,9) = Sym(6) embeds in Sym(6)
+    G = make()
+    assert G.degree == 10 and G.order() == 720
+    cert = mu_fitting_free(G)
+    assert cert.total == expected
+    assert [r.rule for r in cert.records] == [rule]
+    mu, _ = mu_oracle(list_elements(G, bound=ORACLE_LIMIT))
+    assert mu == expected
 
 
 def test_mu_never_exceeds_degree():

@@ -2,13 +2,17 @@ import numpy as np
 import pytest
 
 from mindeg.bsgs import build_group
+from mindeg.cli import parse_group_file
 from mindeg.errors import LimitExceededError
-from mindeg.perm import parse_permutation
+from mindeg.oracle import ORACLE_LIMIT
+from mindeg.perm import compose, parse_permutation
 from mindeg.smallgroup import (
     CayleyGroup, QuotientGroup, _conjugates, _mask_of, all_subgroups,
     from_direct_factors, isomorphism_search, list_elements,
 )
 
+from .groups import pgammal2, sym
+from .test_cli import fx, s5_x_a5_mod_a5
 from .test_pipeline import load_fixture
 
 
@@ -37,6 +41,36 @@ def test_list_elements_sym3():
     for i in range(6):
         for j in range(6):
             assert C.elements[C.table[i, j]] == compose(C.elements[i], C.elements[j])
+
+
+def _listing_target(name, tmp_path):
+    if name == "trivial":
+        return build_group(3, [])
+    path = s5_x_a5_mod_a5(tmp_path) if name == "S5xA5modA5" else fx(name)
+    gf = parse_group_file(str(path))
+    return gf.group if gf.kernel is None else gf.quotient()
+
+
+@pytest.mark.parametrize("name", ["A5.grp", "PSL27.grp", "S6.grp", "trivial",
+                                  "S4modV4.grp", "S5xA5modA5"])
+def test_list_elements_matches_the_definition(name, tmp_path):
+    # table[i, j] is the index of x_i x_j (of its coset, for a quotient),
+    # checked pair by pair from the listed elements
+    X = _listing_target(name, tmp_path)
+    C = list_elements(X, bound=ORACLE_LIMIT)
+    if isinstance(X, QuotientGroup):
+        def key(g):
+            return X.K.coset_rep(g).images
+        assert C.order == X.index()
+    else:
+        def key(g):
+            return g.images
+        assert C.order == X.order()
+    index = {key(x): i for i, x in enumerate(C.elements)}
+    assert len(index) == C.order and C.elements[0].is_identity()
+    table = C.table.tolist()
+    for i, x in enumerate(C.elements):
+        assert [index[key(compose(x, y))] for y in C.elements] == table[i]
 
 
 def test_list_elements_bound_exceeded():
@@ -198,6 +232,15 @@ def test_iso_search_positive_and_symmetric():
         for j in range(6):
             assert phi[A.table[i, j]] == B.table[phi[i], phi[j]]
     assert isomorphism_search(B, A) is not None
+
+
+def test_iso_search_psigmal29_to_s6_respects_every_product():
+    A = list_elements(pgammal2(9), bound=ORACLE_LIMIT)
+    S6 = list_elements(sym(6), bound=ORACLE_LIMIT)
+    phi = np.array(isomorphism_search(A, S6))
+    assert sorted(phi.tolist()) == list(range(720))
+    # phi(x_i x_j) = phi(x_i) phi(x_j) on all 720^2 pairs
+    assert (phi[A.table] == S6.table[phi[:, None], phi[None, :]]).all()
 
 
 def test_trivial_group_edge_cases():

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .bsgs import PermGroup, build_group
@@ -155,10 +155,7 @@ def _cmd_mu_oracle(gf: GroupFile, args) -> int:
     target = gf.quotient() if gf.kernel is not None else gf.group
     C = list_elements(target, bound=args.limit)
     mu, wit = mu_oracle(C, limit=args.limit)
-    payload = {"mu": mu,
-               "witness": {"subgroups": wit.subgroups,
-                           "total_degree": wit.total_degree,
-                           "core_intersection": wit.core_intersection}}
+    payload = {"mu": mu, "witness": asdict(wit)}
     lines = [f"mu {mu}"]
     for H in wit.subgroups:
         lines.append("witness subgroup " + ",".join(map(str, H)))

@@ -305,14 +305,14 @@ def invert(a: FFMatrix) -> FFMatrix:
     return matrix(F, [row[n:] for row in aug])
 
 
-def nullspace(a: FFMatrix) -> list[list[int]]:
-    """Deterministic basis of the right nullspace {v : a·v = 0}."""
-    F = a.field
-    if F.e == 1:
-        return _nullspace_prime(a)
-    rows = [list(r) for r in a.rows]
-    pivots, _ = _eliminate(F, rows)
-    return _nullspace_from_rref(F, rows, pivots, a.ncols)
+def nullspace(field: Field, rows, ncols: int) -> list[list[int]]:
+    """Deterministic basis of the right nullspace {v : a·v = 0} of the
+    matrix a with these rows of field codes (nonempty, not re-validated)."""
+    if field.e == 1:
+        return _nullspace_prime(field, rows, ncols)
+    rows = [list(r) for r in rows]
+    pivots, _ = _eliminate(field, rows)
+    return _nullspace_from_rref(field, rows, pivots, ncols)
 
 
 def _nullspace_from_rref(field, rows, pivots, m):
@@ -328,10 +328,10 @@ def _nullspace_from_rref(field, rows, pivots, m):
     return basis
 
 
-def _nullspace_prime(a: FFMatrix) -> list[list[int]]:
-    p = a.field.p
-    A = np.array(a.rows, dtype=np.int64) % p
-    n, m = A.shape
+def _nullspace_prime(field: Field, rows, m: int) -> list[list[int]]:
+    p = field.p
+    A = np.array(rows, dtype=np.int64) % p
+    n = len(A)
     inv_table = [0] + [pow(x, p - 2, p) for x in range(1, p)]
     pivots = []
     r = 0
@@ -351,7 +351,7 @@ def _nullspace_prime(a: FFMatrix) -> list[list[int]]:
         r += 1
         if r == n:
             break
-    return _nullspace_from_rref(a.field, A[:r].tolist(), pivots, m)
+    return _nullspace_from_rref(field, A[:r].tolist(), pivots, m)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +507,7 @@ def commutation_space(gens: list[FFMatrix], images: list[FFMatrix]) -> list[FFMa
                     row[r * n + k] = field.add(row[r * n + k], U.rows[k][c])
                     row[k * n + c] = field.sub(row[k * n + c], Up.rows[r][k])
                 rows.append(row)
-    basis = nullspace(matrix(field, rows))
+    basis = nullspace(field, rows, n * n)
     return [matrix(field, [v[i * n:(i + 1) * n] for i in range(n)]) for v in basis]
 
 

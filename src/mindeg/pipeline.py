@@ -13,7 +13,7 @@ as recognition hints (JSON) and are transported to matrix automorphisms.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import product as iproduct
 from typing import Optional
 
@@ -368,11 +368,6 @@ class MinimalNormalRecord:
     mu: Optional[int]
     error: Optional[str] = None
 
-    def to_dict(self) -> dict:
-        return {"length": self.length, "factor_name": self.factor_name,
-                "order_A": self.order_A, "outer_index": self.outer_index,
-                "rule": self.rule, "mu": self.mu, "error": self.error}
-
 
 @dataclass
 class MuCertificate:
@@ -385,15 +380,7 @@ class MuCertificate:
     flags: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "group_order": self.group_order,
-            "socle_order": self.socle_order,
-            "factor_orders": self.factor_orders,
-            "minimal_normal_blocks": self.minimal_normal_blocks,
-            "records": [r.to_dict() for r in self.records],
-            "total": self.total,
-            "flags": self.flags,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

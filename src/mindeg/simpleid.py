@@ -10,19 +10,16 @@ reported as unsupported too.  Simplicity is not decided here: callers name
 only groups that the socle sweep (``socle.minimal_normal_under``) found
 simple.
 
-μ values ship in data/mu_table.json so the entries can be diffed against
-the literature; every row carries a formula id and a provenance tag.
+``mu_simple`` gives μ(S) with one case per family, each citing its source.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
-from pathlib import Path
 
 from .bsgs import PermGroup, class_tree, conjugator
 from .errors import UnsupportedCase
@@ -110,19 +107,19 @@ def simple_order(name: SimpleName) -> int:
     raise ValueError(f"unknown family {f!r}")
 
 
-def _emit(table, name: SimpleName, ambiguous: bool = False):
+def _emit(table, name: SimpleName):
     if (name.family, name.params) in _ALIASED_OUT:
         return False
     o = simple_order(name)
     if o > MAX_TABLE_ORDER:
         return False
-    table.setdefault(o, []).append((name, ambiguous))
+    table.setdefault(o, []).append(name)
     return True
 
 
 @lru_cache(maxsize=1)
-def _order_table() -> dict[int, list[tuple[SimpleName, bool]]]:
-    table: dict[int, list[tuple[SimpleName, bool]]] = {}
+def _order_table() -> dict[int, list[SimpleName]]:
+    table: dict[int, list[SimpleName]] = {}
     n = 5
     while _emit(table, SimpleName("Alt", (n,))):
         n += 1
@@ -132,35 +129,32 @@ def _order_table() -> dict[int, list[tuple[SimpleName, bool]]]:
         for q in _prime_powers():
             if q < q_start:
                 continue
-            name, ambiguous = make(q)
+            name = make(q)
             if name.params in skip:
                 continue
             if simple_order(name) > MAX_TABLE_ORDER:
                 break
-            _emit(table, name, ambiguous)
+            _emit(table, name)
             any_fit = True
         return any_fit
 
     d = 2
-    while sweep(lambda q, d=d: (SimpleName("PSL", (d, q)), False),
+    while sweep(lambda q, d=d: SimpleName("PSL", (d, q)),
                 q_start=4 if d == 2 else 2):
         d += 1
     m = 2
-    while sweep(lambda q, m=m: (SimpleName("PSp", (2 * m, q)),
-                                q % 2 == 1 and m >= 3),
-                skip={(4, 2)}):
+    while sweep(lambda q, m=m: SimpleName("PSp", (2 * m, q)), skip={(4, 2)}):
         m += 1
     for fam in ("POmegaPlus", "POmegaMinus"):
         d = 4
-        while sweep(lambda q, d=d, fam=fam: (SimpleName(fam, (2 * d, q)), False)):
+        while sweep(lambda q, d=d, fam=fam: SimpleName(fam, (2 * d, q))):
             d += 1
     d = 3
-    while sweep(lambda q, d=d: (SimpleName("PSU", (d, q)), False),
-                skip={(3, 2)}):
+    while sweep(lambda q, d=d: SimpleName("PSU", (d, q)), skip={(3, 2)}):
         d += 1
-    sweep(lambda q: (SimpleName("ExcLie", ("G2", q)), False), q_start=3)
-    sweep(lambda q: (SimpleName("ExcLie", ("F4", q)), False))
-    sweep(lambda q: (SimpleName("ExcLie", ("E6", q)), False))
+    sweep(lambda q: SimpleName("ExcLie", ("G2", q)), q_start=3)
+    sweep(lambda q: SimpleName("ExcLie", ("F4", q)))
+    sweep(lambda q: SimpleName("ExcLie", ("E6", q)))
     for tag in ("M12", "ON"):
         _emit(table, SimpleName("Sporadic", (tag,)))
 
@@ -173,7 +167,7 @@ def _self_check(table):
     for o, entries in table.items():
         if len(entries) == 1:
             continue
-        names = sorted(str(name) for name, _ in entries)
+        names = sorted(str(name) for name in entries)
         assert o == 20160 and names == ["Alt(8)", "PSL(3,4)"], (
             f"unexpected order collision at {o}: {names}")
 
@@ -211,94 +205,56 @@ def name_simple(G: PermGroup) -> SimpleName:
     entries = _order_table().get(order)
     if entries is None:
         raise UnsupportedCase(f"order {order} not in the simple-group table")
-    if any(amb for _, amb in entries):
+    # |PSp(2m,q)| = |Ω(2m+1,q)| for odd q; the table lists only PSp
+    if any(nm.family == "PSp" and nm.params[0] >= 6 and nm.params[1] % 2
+           for nm in entries):
         raise UnsupportedCase(
             f"order {order} coincides with an odd-dimensional orthogonal group")
     if len(entries) == 1:
-        return entries[0][0]
+        return entries[0]
     assert order == 20160
-    alt8 = next(nm for nm, _ in entries if nm.family == "Alt")
-    psl34 = next(nm for nm, _ in entries if nm.family == "PSL")
+    alt8 = next(nm for nm in entries if nm.family == "Alt")
+    psl34 = next(nm for nm in entries if nm.family == "PSL")
     return alt8 if _is_alt8(G) else psl34
 
 
-@lru_cache(maxsize=1)
-def _mu_table() -> list[dict]:
-    path = Path(__file__).parent / "data" / "mu_table.json"
-    entries = json.loads(path.read_text())
-    for entry in entries:
-        assert entry["formula"] in ("n", "psl2_exceptional", "q_plus_1",
-                                    "projective_points", "const",
-                                    "omega_plus_q3", "omega8_large_q")
-    return entries
-
-
-def _entry_matches(entry: dict, name: SimpleName) -> bool:
-    if entry["family"] != name.family:
-        return False
-    f, par = name.family, name.params
-    if f == "Alt":
-        n = par[0]
-        return n >= entry.get("n_min", 5)
-    if f == "PSL":
-        d, q = par
-        if "d" in entry and d != entry["d"]:
-            return False
-        if d < entry.get("d_min", 2):
-            return False
-        if "q_in" in entry and q not in entry["q_in"]:
-            return False
-        if q < entry.get("q_min", 2):
-            return False
-        return True
-    if f == "PSp":
-        n, q = par
-        if n != entry.get("n", n):
-            return False
-        p, e = prime_power(q)
-        if "p" in entry and p != entry["p"]:
-            return False
-        return e >= entry.get("e_min", 1)
-    if f == "POmegaPlus":
-        n, q = par
-        if "n" in entry and n != entry["n"]:
-            return False
-        if n < entry.get("n_min", 8):
-            return False
-        if "q" in entry and q != entry["q"]:
-            return False
-        return q >= entry.get("q_min", 2)
-    if f == "PSU":
-        d, q = par
-        return d == entry.get("d") and q == entry.get("q")
-    if f == "Sporadic":
-        return par[0] == entry.get("tag")
-    if f == "ExcLie":
-        return par[0] == entry.get("type") and par[1] == entry.get("q")
-    return False
+# μ(S) of single groups: M12, ON and G2(3) from the ATLAS (Conway et al.
+# 1985), Ω+(8,2) and PSU(3,5) from the classical degree table
+_MU_CONSTANT = {
+    SimpleName("POmegaPlus", (8, 2)): 120,
+    SimpleName("PSU", (3, 5)): 50,
+    SimpleName("Sporadic", ("M12",)): 12,
+    SimpleName("Sporadic", ("ON",)): 122760,
+    SimpleName("ExcLie", ("G2", 3)): 351,
+}
 
 
 def mu_simple(name: SimpleName) -> int:
-    """μ(S): the minimal faithful permutation degree of the named group."""
-    for entry in _mu_table():
-        if not _entry_matches(entry, name):
-            continue
-        formula = entry["formula"]
-        if formula == "n":
-            return name.params[0]
-        if formula == "psl2_exceptional":
-            return entry["values"][str(name.params[1])]
-        if formula == "q_plus_1":
-            return name.params[1] + 1
-        if formula == "projective_points":
-            d, q = name.params
+    """μ(S): the minimal faithful permutation degree of the named group.
+
+    The families follow the classical degree table; Alt(n) is its natural
+    action.
+    """
+    f, par = name.family, name.params
+    if name in _MU_CONSTANT:
+        return _MU_CONSTANT[name]
+    if f == "Alt" and par[0] >= 5:
+        return par[0]
+    if f == "PSL":
+        d, q = par
+        if d == 2 and q >= 4:
+            # the exceptional degrees are also checked against the oracle
+            return {5: 5, 7: 7, 9: 6, 11: 11}.get(q, q + 1)
+        if d >= 3:
             return (q ** d - 1) // (q - 1)
-        if formula == "omega_plus_q3":
-            d = name.params[0] // 2
+    if f == "PSp" and par[0] == 4 and par[1] % 2 == 0 and par[1] >= 4:
+        q = par[1]
+        return (q ** 4 - 1) // (q - 1)
+    if f == "POmegaPlus":
+        n, q = par
+        d = n // 2
+        if q == 3 and n >= 8:
             return 3 ** (d - 1) * (3 ** d - 1) // 2
-        if formula == "omega8_large_q":
-            q = name.params[1]
+        if n == 8 and q >= 4:
             return (q ** 4 - 1) * (q ** 3 + 1) // (q - 1)
-        if formula == "const":
-            return entry["value"]
     raise UnsupportedCase(f"no verified minimal degree for {name}")

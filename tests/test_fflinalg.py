@@ -84,9 +84,9 @@ def test_determinant_multiplicative():
 
 def test_nullspace_examples():
     F3 = make_field(3, 1)
-    assert nullspace(identity_matrix(F3, 3)) == []
-    assert len(nullspace(matrix(F3, [[0, 0], [0, 0]]))) == 2
-    basis = nullspace(matrix(F3, [[1, 1], [2, 2]]))
+    assert nullspace(F3, identity_matrix(F3, 3).rows, 3) == []
+    assert len(nullspace(F3, [[0, 0], [0, 0]], 2)) == 2
+    basis = nullspace(F3, [[1, 1], [2, 2]], 2)
     assert len(basis) == 1
     v = basis[0]
     assert v != [0, 0] and (v[0] + v[1]) % 3 == 0
@@ -95,7 +95,7 @@ def test_nullspace_examples():
 def test_nullspace_nonprime_field():
     F4 = make_field(2, 2)
     A = matrix(F4, [[1, 2, 3], [0, 0, 0]])
-    basis = nullspace(A)
+    basis = nullspace(F4, A.rows, A.ncols)
     assert len(basis) == 2
     for v in basis:
         for row in A.rows:

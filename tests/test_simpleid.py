@@ -1,5 +1,8 @@
+import math
 import random
+import re
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -45,11 +48,18 @@ def test_order_table_self_check_passes():
     assert simple_order(SimpleName("POmegaPlus", (8, 2))) == 174182400
 
 
-def test_order_table_flags_symplectic_ambiguity():
-    entries = _order_table()[simple_order(SimpleName("PSp", (6, 3)))]
-    assert all(amb for _, amb in entries)
-    entries44 = _order_table()[simple_order(SimpleName("PSp", (4, 4)))]
-    assert all(not amb for _, amb in entries44)
+def _of_order(name):
+    """A stand-in group that only reports the order of the named group."""
+    return SimpleNamespace(order=lambda: simple_order(name))
+
+
+def test_name_simple_refuses_symplectic_orthogonal_coincidence():
+    # |PSp(6,3)| = |Ω(7,3)|, and only PSp(6,3) is in the table
+    with pytest.raises(UnsupportedCase,
+                       match="coincides with an odd-dimensional orthogonal"):
+        name_simple(_of_order(SimpleName("PSp", (6, 3))))
+    psp44 = SimpleName("PSp", (4, 4))
+    assert name_simple(_of_order(psp44)) == psp44
 
 
 def test_name_simple_alt5():
@@ -123,6 +133,10 @@ def test_mu_simple_values():
         SimpleName("Sporadic", ("M12",)): 12,
         SimpleName("Sporadic", ("ON",)): 122760,
         SimpleName("ExcLie", ("G2", 3)): 351,
+        SimpleName("POmegaPlus", (10, 3)): 9801,
+        SimpleName("POmegaPlus", (8, 5)): 19656,
+        SimpleName("PSL", (5, 2)): 31,
+        SimpleName("PSL", (2, 4)): 5,
     }
     for name, expected in cases.items():
         assert mu_simple(name) == expected, name
@@ -132,9 +146,57 @@ def test_mu_simple_unsupported():
     for name in (SimpleName("POmegaMinus", (8, 2)),
                  SimpleName("PSU", (3, 3)),
                  SimpleName("PSp", (6, 3)),
-                 SimpleName("ExcLie", ("F4", 2))):
-        with pytest.raises(UnsupportedCase):
+                 SimpleName("ExcLie", ("F4", 2)),
+                 SimpleName("PSp", (4, 2)),
+                 SimpleName("PSL", (2, 3)),
+                 SimpleName("ExcLie", ("G2", 4)),
+                 SimpleName("ExcLie", ("E6", 2))):
+        message = f"no verified minimal degree for {name}"
+        with pytest.raises(UnsupportedCase, match=f"^{re.escape(message)}$"):
             mu_simple(name)
+
+
+def _primes_up_to(n):
+    sieve = bytearray([1]) * (n + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p in range(n + 1) if sieve[p]]
+
+
+def _supported_mu():
+    out = {}
+    for entries in _order_table().values():
+        for name in entries:
+            try:
+                out[name] = mu_simple(name)
+            except UnsupportedCase:
+                pass
+    return out
+
+
+def test_mu_simple_order_divides_mu_factorial():
+    """S ≤ Sym(μ) for every supported name, so |S| divides μ!: each prime
+    of |S| is at most μ, and v_p(|S|) ≤ Σ_k ⌊μ/p^k⌋ (Legendre)."""
+    mus = _supported_mu()
+    assert len(mus) > 1500
+    primes = _primes_up_to(max(mus.values()))
+    for name, mu in mus.items():
+        n = simple_order(name)
+        for p in primes:
+            if p > mu or n == 1:
+                break
+            v = 0
+            while n % p == 0:
+                n //= p
+                v += 1
+            legendre, pk = 0, p
+            while pk <= mu:
+                legendre += mu // pk
+                pk *= p
+            assert v <= legendre, (name, mu, p)
+        assert n == 1, (name, mu, n)
 
 
 def test_mu_simple_below_group_order():

@@ -12,9 +12,15 @@ again.  Building a chain installs the residue of each generator in the
 same way and then verifies once from the deepest level.  Base points are
 the smallest points moved by a residue.
 
-Each level keeps its transversal as ``point -> (u, u^-1, word)`` with
-u(base) = point; an entry, once found, is never recomputed, and orbits
-only grow, breadth-first in generator order.  Each level also records
+Each level keeps its orbit as a Schreier tree ``point -> (parent,
+generator index)`` (Seress, *Permutation Group Algorithms*, 2003, 4.1),
+grown breadth-first in generator order; orbits only grow.  The coset
+representative u with u(base) = point, its inverse and its word are
+computed from the parent's the first time they are read, and kept.
+Adding a strong generator forms no products, and a sift forms only the
+u^-1 of the points it meets, so an unverified chain that is only sifted
+into computes few of them.  Verification, enumeration, coset
+representatives and random elements fill a whole level first.  Each level also records
 the Schreier pairs (orbit point, strong generator) it has checked, so a
 pair is sifted once however often the level is revisited.  Verification
 walks the levels bottom-up; when a Schreier generator leaves a
@@ -52,11 +58,13 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from .perm import Permutation, compose, compose3, conjugate, identity, inverse
 
 # ---------------------------------------------------------------------------
-# Words over signed generator indices.
+# Words over generator indices.
 #
-# Witnesses are built as products of sifted transversal elements; to keep
-# chain construction cheap they are stored as shared expression DAGs and
-# flattened to signed 1-based generator indices only on demand.
+# A word is a node of a shared expression DAG (directed acyclic graph): a
+# 1-based generator index, W_EMPTY, ("*", a, b) for the product a then b,
+# or ("~", a) for the inverse of a.  Witnesses are built as products of the
+# words of sifted transversal elements, so one chain's words share their
+# nodes; ``evaluate_word`` computes each shared node once.
 
 W_EMPTY = ("1",)
 
@@ -75,40 +83,54 @@ def _winv(a):
     return ("~", a)
 
 
-def flatten_word(w) -> list[int]:
-    """Expand a word DAG to a flat list of signed 1-based generator indices."""
-    out: list[int] = []
+def evaluate_word(w, images: Sequence, inverses: Sequence, mul: Callable,
+                  one, memo: Optional[dict] = None):
+    """The value of the word DAG w when index k reads images[k - 1].
+
+    Works over any images with an associative product ``mul`` and identity
+    ``one``: permutations, or matrices.  Inversions are pushed down to the
+    letters, which read ``inverses``, so no product is ever inverted.  Each
+    node is evaluated once per orientation; pass the same ``memo`` to share
+    that work between words over the same images.  The memo is keyed by
+    ``id(node)`` and holds the node as well, so no id is reused while the
+    memo lives.  The walk uses an explicit stack, so deep DAGs are fine.
+    """
+    if memo is None:
+        memo = {}
+
+    def known(node, inv):
+        if isinstance(node, int):
+            return inverses[node - 1] if inv else images[node - 1]
+        if node is W_EMPTY:
+            return one
+        hit = memo.get((id(node), inv))
+        return None if hit is None else hit[1]
+
     stack = [(w, False)]
     while stack:
-        node, inv = stack.pop()
-        if isinstance(node, int):
-            out.append(-node if inv else node)
-        elif node[0] == "1":
-            pass
-        elif node[0] == "~":
-            stack.append((node[1], not inv))
-        else:  # ("*", a, b): a then b; inverted: b^-1 then a^-1
-            if inv:
-                stack.append((node[1], True))
-                stack.append((node[2], True))
-            else:
-                stack.append((node[2], False))
-                stack.append((node[1], False))
-    return out
-
-
-def evaluate_word(word: Sequence[int], gens: Sequence[Permutation], degree: int) -> Permutation:
-    """Evaluate a flat signed-index word left to right."""
-    g = identity(degree)
-    for idx in word:
-        h = gens[abs(idx) - 1]
-        g = compose(g, h if idx > 0 else inverse(h))
-    return g
+        node, inv = stack[-1]
+        if known(node, inv) is not None:
+            stack.pop()
+            continue
+        if node[0] == "~":
+            parts = [(node[1], not inv)]
+        elif inv:  # (a b)^-1 = b^-1 a^-1
+            parts = [(node[2], True), (node[1], True)]
+        else:
+            parts = [(node[1], False), (node[2], False)]
+        values = [known(*p) for p in parts]
+        if None in values:
+            stack.extend(p for p, v in zip(parts, values) if v is None)
+            continue
+        stack.pop()
+        memo[id(node), inv] = (node, values[0] if len(values) == 1
+                               else mul(*values))
+    return known(w, False)
 
 
 class _Level:
-    __slots__ = ("base", "gens", "inverses", "words", "transversal", "points",
-                 "checked")
+    __slots__ = ("base", "gens", "inverses", "words", "tree", "reps",
+                 "rep_invs", "rep_words", "points", "checked")
 
     def __init__(self, base: int, degree: int):
         ident = identity(degree)
@@ -116,44 +138,84 @@ class _Level:
         self.gens: list[Permutation] = []
         self.inverses: list[Permutation] = []
         self.words: list = []
-        # orbit point -> (u, u^-1, word) with u in the level group and
-        # u(base) = point, in discovery order
-        self.transversal = {base: (ident, ident, W_EMPTY)}
-        # the orbit in sorted order, refreshed whenever it grows
+        # the Schreier tree: orbit point -> (parent, generator index k), in
+        # breadth-first discovery order; u(point) = u(parent) * gens[k]
+        self.tree: dict = {base: None}
+        # per point: u with u(base) = point, u^-1 and the word of u; fill()
+        # forms u and u^-1 of every point, sifts form u^-1 and the word of
+        # the points they meet
+        self.reps = {base: ident}
+        self.rep_invs = {base: ident}
+        self.rep_words = {base: W_EMPTY}
+        # the orbit in sorted order, refreshed by fill()
         self.points = [base]
         # Schreier pairs (point, generator index) known to give an element
         # of the next level's group
         self.checked: set[tuple[int, int]] = set()
 
     def add_gen(self, g: Permutation, ginv: Permutation, w) -> None:
-        """Append a strong generator and grow the orbit breadth-first."""
+        """Append a strong generator and grow the tree breadth-first."""
         self.gens.append(g)
         self.inverses.append(ginv)
         self.words.append(w)
-        trans = self.transversal
+        tree = self.tree
         queue = deque()
-        for x in list(trans):  # old points under the new generator
+        k = len(self.gens) - 1
+        for x in list(tree):  # old points under the new generator
             y = g.images[x]
-            if y not in trans:
-                u, uinv, wx = trans[x]
-                trans[y] = (compose(u, g), compose(ginv, uinv), _wmul(wx, w))
+            if y not in tree:
+                tree[y] = (x, k)
                 queue.append(y)
         while queue:
             x = queue.popleft()
-            u, uinv, wx = trans[x]
-            for h, hinv, wh in zip(self.gens, self.inverses, self.words):
+            for k, h in enumerate(self.gens):
                 y = h.images[x]
-                if y not in trans:
-                    trans[y] = (compose(u, h), compose(hinv, uinv),
-                                _wmul(wx, wh))
+                if y not in tree:
+                    tree[y] = (x, k)
                     queue.append(y)
-        if len(trans) != len(self.points):
-            self.points = sorted(trans)
+
+    def _walk(self, cache: dict, x, step: Callable):
+        """cache[x], extended from the nearest cached ancestor of x by
+        step(value at parent, generator index)."""
+        path = []
+        while x not in cache:
+            path.append(x)
+            x = self.tree[x][0]
+        value = cache[x]
+        for y in reversed(path):
+            value = cache[y] = step(value, self.tree[y][1])
+        return value
+
+    def rep_inv(self, x) -> Permutation:
+        """u(x)^-1, where u(x) sends the base to x."""
+        return self._walk(self.rep_invs, x,
+                          lambda u, k: compose(self.inverses[k], u))
+
+    def rep_word(self, x):
+        """The word of u(x)."""
+        return self._walk(self.rep_words, x,
+                          lambda w, k: _wmul(w, self.words[k]))
+
+    def fill(self) -> None:
+        """Sort the orbit into ``points`` and compute u and u^-1 of every
+        orbit point, parents first."""
+        tree, reps, invs = self.tree, self.reps, self.rep_invs
+        if len(self.points) != len(tree):
+            self.points = sorted(tree)
+        if len(reps) == len(invs) == len(tree):
+            return
+        for y, edge in tree.items():
+            if edge is not None:
+                x, k = edge
+                if y not in reps:
+                    reps[y] = compose(reps[x], self.gens[k])
+                if y not in invs:
+                    invs[y] = compose(self.inverses[k], invs[x])
 
 
 def _chain_order(levels) -> int:
     """Product of the orbit lengths; the order once the chain is verified."""
-    return prod(len(lvl.transversal) for lvl in levels)
+    return prod(len(lvl.tree) for lvl in levels)
 
 
 def _smallest_moved_point(g: Permutation) -> int:
@@ -179,23 +241,27 @@ class PermGroup:
             self._build_chain()
         return self._levels
 
-    def _sift(self, levels, g, w, start=0):
+    def _sift(self, levels, g, w=None, start=0):
         """Sift g (with word w) through levels[start:].
 
         Returns (residue, word, level-index). The index is the first level
-        whose transversal cannot absorb the residue, or len(levels).
+        whose orbit cannot absorb the residue, or len(levels).  Only the
+        u^-1 of the points met are computed, and the word only when w is
+        not None.
         """
         for i in range(start, len(levels)):
             lvl = levels[i]
             x = g.images[lvl.base]
             if x == lvl.base:
                 continue
-            entry = lvl.transversal.get(x)
-            if entry is None:
-                return g, w, i
-            _, uinv, uw = entry
+            uinv = lvl.rep_invs.get(x)
+            if uinv is None:
+                if x not in lvl.tree:
+                    return g, w, i
+                uinv = lvl.rep_inv(x)
             g = compose(g, uinv)
-            w = _wmul(w, _winv(uw))
+            if w is not None:
+                w = _wmul(w, _winv(lvl.rep_word(x)))
         return g, w, len(levels)
 
     def _build_chain(self) -> None:
@@ -246,23 +312,25 @@ class PermGroup:
         deeper levels.  Returns the deepest level that received a new strong
         generator, or None once every pair of level i checks out."""
         lvl = levels[i]
-        trans, checked = lvl.transversal, lvl.checked
+        lvl.fill()
+        checked = lvl.checked
         # Points in sorted order, and all of a point's pairs before
         # descending: this order decides which residues become strong
         # generators, so changing it changes same-seed outputs.
         for x in lvl.points:
-            ux, _, wx = trans[x]
+            ux = lvl.reps[x]
             failed_at = None
             for k, (g, wg) in enumerate(zip(lvl.gens, lvl.words)):
                 if (x, k) in checked:
                     continue
                 checked.add((x, k))
-                _, uyinv, wy = trans[g.images[x]]
-                s = compose3(ux, g, uyinv)
+                y = g.images[x]
+                s = compose3(ux, g, lvl.rep_inv(y))
                 if s.is_identity():
                     continue
-                j = self._install(levels, s, _wmul(_wmul(wx, wg), _winv(wy)),
-                                  i + 1)
+                j = self._install(levels, s, _wmul(
+                    _wmul(lvl.rep_word(x), wg), _winv(lvl.rep_word(y))),
+                    i + 1)
                 if j is not None and (failed_at is None or j > failed_at):
                     failed_at = j
             if failed_at is not None:
@@ -278,18 +346,19 @@ class PermGroup:
     def member(self, g: Permutation) -> bool:
         if g.degree != self.degree:
             raise ValueError("degree mismatch")
-        res, _, i = self._sift(self._chain(), g, W_EMPTY)
+        res, _, i = self._sift(self._chain(), g)
         return res.is_identity()
 
     def contains(self, g: Permutation):
-        """Return (bool, word) with the word over signed 1-based generator indices."""
+        """Return (bool, word): the word is a DAG over 1-based indices into
+        ``generators``, for ``evaluate_word``, or None for non-members."""
         if g.degree != self.degree:
             raise ValueError("degree mismatch")
         res, w, _ = self._sift(self._chain(), g, W_EMPTY)
         if not res.is_identity():
             return False, None
         # g * prod(inverses) = id, so g = (that product) inverted
-        return True, flatten_word(_winv(w))
+        return True, _winv(w)
 
     def coset_rep(self, g: Permutation) -> Permutation:
         """The canonical element of the coset {compose(k, g) : k in self}.
@@ -299,9 +368,10 @@ class PermGroup:
         level's stabilizer (Seress, *Permutation Group Algorithms*, 2003).
         """
         for lvl in self._chain():
-            y = min(lvl.transversal, key=g.images.__getitem__)
+            lvl.fill()
+            y = min(lvl.tree, key=g.images.__getitem__)
             if y != lvl.base:
-                g = compose(lvl.transversal[y][0], g)
+                g = compose(lvl.reps[y], g)
         return g
 
     def elements(self) -> Iterator[Permutation]:
@@ -314,7 +384,8 @@ class PermGroup:
         levels = self._chain()
         g = identity(self.degree)
         for lvl in levels:
-            g = compose(lvl.transversal[rng.choice(lvl.points)][0], g)
+            lvl.fill()
+            g = compose(lvl.reps[rng.choice(lvl.points)], g)
         return g
 
     def is_trivial(self) -> bool:
@@ -326,6 +397,8 @@ class PermGroup:
 
 def _enumerate(levels, start, top):
     """Yield all products start * u_{top} * ... * u_0 (deepest applied first)."""
+    for lvl in levels[:top + 1]:
+        lvl.fill()
     stack = [(top, start)]
     while stack:
         i, prefix = stack.pop()
@@ -333,7 +406,7 @@ def _enumerate(levels, start, top):
             yield prefix
             continue
         for x in reversed(levels[i].points):
-            stack.append((i - 1, compose(prefix, levels[i].transversal[x][0])))
+            stack.append((i - 1, compose(prefix, levels[i].reps[x])))
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +463,7 @@ def closure_has_order(G: PermGroup, y: Permutation, order: int,
     stale = 0
     while stale < CLOSURE_STALE_SIFTS:
         x = compose(x, conjugate(y, G.random_element(rng)))
-        if G._install(levels, x, W_EMPTY, 0) is None:
+        if G._install(levels, x, None, 0) is None:
             stale += 1
         elif _chain_order(levels) == order:
             return True

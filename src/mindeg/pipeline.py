@@ -27,10 +27,12 @@ from .fflinalg import (
     multiply, preserves_form, standard_generators,
 )
 from .oracle import ORACLE_LIMIT
-from .perm import Permutation, conjugate
+from .perm import Permutation, compose, conjugate, identity, inverse
 from .simpleid import SimpleName, mu_simple, name_simple
 from .smallgroup import QuotientGroup, isomorphism_search, list_elements
-from .socle import DEFAULT_SEED, normalizer_of_factor, socle_fitting_free
+from .socle import (
+    DEFAULT_SEED, SocleDecomposition, normalizer_of_factor, socle_fitting_free,
+)
 
 FIELD_CONVENTION = "lex-least-irreducible"
 
@@ -168,16 +170,6 @@ class InducedAutData:
         return self.order // self.order_S
 
 
-def _word_eval_matrix(word, mats: list[FFMatrix],
-                      inverses: list[FFMatrix]) -> FFMatrix:
-    """The product of a word over ``mats``; letter -i reads inverses[i-1]."""
-    fld = mats[0].field
-    g = identity_matrix(fld, mats[0].nrows)
-    for s in word:
-        g = multiply(g, mats[s - 1] if s > 0 else inverses[-s - 1])
-    return g
-
-
 def induced_aut_group(G: PermGroup, factors: list[PermGroup], index: int,
                       hint: Optional[RecognitionHint] = None) -> InducedAutData:
     """A = N_G(S1)/C_G(S1) with its generator conjugation automorphisms,
@@ -187,7 +179,8 @@ def induced_aut_group(G: PermGroup, factors: list[PermGroup], index: int,
     split by ``socle_fitting_free``.  With a hint, each
     conjugation automorphism C_g is transported to a matrix automorphism of
     the standard copy via Iso o C_g o Iso^{-1}, evaluated through word
-    decompositions.
+    decompositions.  Words from one chain share their nodes, so all words
+    evaluated over the same images share one memo.
     """
     S1 = factors[index]
     # keep only generators that enlarge N_G(S1): each costs a class walk in
@@ -233,12 +226,17 @@ def induced_aut_group(G: PermGroup, factors: list[PermGroup], index: int,
     # preimages of the standard generators: decompose pi(U) in the copy
     # generated by the hint images, replay the word over the hint perms
     preimages = []
+    gen_invs = [inverse(h) for h in hint_gens]
+    memo: dict = {}
     for U in L:
         ok, word = Gstd.contains(pi(U))
         assert ok, "standard generator missing from the hinted copy"
-        preimages.append(evaluate_word(word, hint_gens, S1.degree))
+        preimages.append(evaluate_word(word, hint_gens, gen_invs, compose,
+                                       identity(S1.degree), memo))
 
     inverses = [invert(M) for M in mats]
+    one = identity_matrix(fld, hint.d)
+    memo = {}
     matrix_auts = []
     for g in NG.generators:
         reps = []
@@ -246,7 +244,8 @@ def induced_aut_group(G: PermGroup, factors: list[PermGroup], index: int,
             c = conjugate(s, g)
             ok, word = hint_group.contains(c)
             assert ok, "conjugate left the factor"
-            reps.append(_word_eval_matrix(word, mats, inverses))
+            reps.append(evaluate_word(word, mats, inverses, multiply, one,
+                                      memo))
         lam = ProjectiveAut(hint.family, hint.d, hint.q, tuple(reps))
         if hint.family == "SL":
             matrix_auts.append(lift_psl_aut(lam))
@@ -391,12 +390,15 @@ def mu_fitting_free(G: PermGroup,
                     seed: int = DEFAULT_SEED) -> MuCertificate:
     """mu(G) with a full certificate; G must be Fitting-free.
 
-    Raises HintRequired/UnsupportedCase with the partial certificate
-    attached (``error.certificate``) when some minimal normal subgroup
-    cannot be dispatched.
+    The trivial group embeds in Sym(0): its total is 0, with an empty socle
+    and no records.  Raises HintRequired/UnsupportedCase with the partial
+    certificate attached (``error.certificate``) when some minimal normal
+    subgroup cannot be dispatched.
     """
     hints = hints or []
-    dec = socle_fitting_free(G, seed)
+    dec = (SocleDecomposition(socle=G, factors=[], minimal_normals=[],
+                              probabilistic_minimality=False)
+           if G.is_trivial() else socle_fitting_free(G, seed))
     for h in hints:
         if not 0 <= h.factor_index < len(dec.factors):
             raise ValueError(

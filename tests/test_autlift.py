@@ -224,7 +224,7 @@ def test_sp_graph_permutation_respects_relations():
     # the same group element have equal images
     from itertools import product as iproduct
 
-    from mindeg.bsgs import build_group
+    from mindeg.bsgs import build_group, evaluate_word
     from mindeg.perm import compose, identity, inverse
 
     from .test_fflinalg import mat_to_perm
@@ -249,7 +249,8 @@ def test_sp_graph_permutation_respects_relations():
         w = [rng.randrange(1, len(L) + 1) for _ in range(8)]
         found, w2 = G.contains(ev(w, perms))
         assert found
-        assert ev(w, imgs) == ev(w2, imgs)
+        assert ev(w, imgs) == evaluate_word(
+            w2, imgs, [inverse(g) for g in imgs], compose, identity(G.degree))
 
 
 def test_classify_omega_inner():

@@ -1,12 +1,14 @@
+import os
 import random
 from math import gcd
 
 import pytest
 
 from mindeg.bsgs import (
-    PermGroup, build_group, centralizer_of_normal, closure_has_order,
+    W_EMPTY, PermGroup, build_group, centralizer_of_normal, closure_has_order,
     evaluate_word, induced_action, normal_closure, preimage_of_stabilizer,
 )
+from mindeg.cli import parse_group_file
 from mindeg.perm import (
     Permutation, compose, conjugate, element_order, identity, inverse,
     parse_permutation,
@@ -41,6 +43,12 @@ A5 = [P("(1 2 3)", 5), P("(3 4 5)", 5)]
 SYM4 = [P("(1 2)", 4), P("(1 2 3 4)", 4)]
 
 
+def evaluate(word, gens, degree):
+    """The permutation a word DAG stands for over gens."""
+    return evaluate_word(word, gens, [inverse(g) for g in gens], compose,
+                         identity(degree))
+
+
 def test_build_group_orders():
     assert build_group(5, SYM5).order() == 120
     assert build_group(5, A5).order() == 60
@@ -67,12 +75,13 @@ def test_order_matches_bruteforce_closure():
 def test_contains_basic():
     G = build_group(3, [P("(1 2 3)", 3)])
     ok, word = G.contains(identity(3))
-    assert ok and word == []
-    ok, _ = G.contains(P("(1 2)", 3))
-    assert not ok
+    assert ok and word is W_EMPTY
+    assert evaluate(word, G.generators, 3) == identity(3)
+    ok, word = G.contains(P("(1 2)", 3))
+    assert not ok and word is None
     ok, word = G.contains(P("(1 3 2)", 3))
     assert ok
-    assert evaluate_word(word, G.generators, 3) == P("(1 3 2)", 3)
+    assert evaluate(word, G.generators, 3) == P("(1 3 2)", 3)
 
 
 def test_contains_matches_enumeration():
@@ -86,7 +95,7 @@ def test_contains_matches_enumeration():
         even = len([c for c in g.cycles() if len(c) % 2 == 0]) % 2 == 0
         assert ok == even
         if ok:
-            assert evaluate_word(word, H.generators, 4) == g
+            assert evaluate(word, H.generators, 4) == g
 
 
 def test_normal_closure():
@@ -451,3 +460,74 @@ def test_closure_has_order_never_claims_a_proper_closure(cycles, degree):
             proper += not whole
     assert decided > 0
     assert proper > 0 or not blocks
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "src", "mindeg",
+                        "fixtures")
+
+
+CHAINS = {
+    "S6": lambda: sym(6),
+    "M12": lambda: build_group(12, [P(c, 12) for c in M12]),
+    "PSL34": lambda: parse_group_file(os.path.join(FIXTURES,
+                                                   "PSL34.grp")).group,
+    "A7xA7": lambda: build_group(14, [P(c, 14) for c in A7_A7]),
+}
+
+
+def _check_transversals(levels, gens, degree, label):
+    """u(x) sends the base to x, u(x) u(x)^-1 = 1, and x's word gives u(x),
+    for every level and orbit point.  u^-1 and the word are read deepest
+    point first, so on a level not yet filled each read walks up the
+    Schreier tree; u comes from fill()."""
+    invs = [inverse(g) for g in gens]
+    memo = {}
+    for i, lvl in enumerate(levels):
+        points = reversed(list(lvl.tree))
+        found = [(x, lvl.rep_inv(x), lvl.rep_word(x)) for x in points]
+        lvl.fill()
+        assert lvl.points == sorted(lvl.tree)
+        for x, uinv, word in found:
+            u = lvl.reps[x]
+            assert u.images[lvl.base] == x, (label, i, x)
+            assert compose(u, uinv).is_identity(), (label, i, x)
+            assert evaluate_word(word, gens, invs, compose, identity(degree),
+                                 memo) == u, (label, i, x)
+
+
+@pytest.mark.parametrize("label", list(CHAINS))
+def test_schreier_tree_transversals(label):
+    G = CHAINS[label]()
+    _check_transversals(G._chain(), G.generators, G.degree, label)
+    # an unverified chain, grown by sifts and installs alone: no level
+    # is filled
+    H = PermGroup(G.degree, G.generators)
+    levels = []
+    for k, g in enumerate(H.generators):
+        H._install(levels, g, k + 1, 0)
+    assert all(len(lvl.reps) == 1 for lvl in levels)  # no u formed yet
+    assert any(len(lvl.rep_invs) < len(lvl.tree) for lvl in levels)
+    _check_transversals(levels, H.generators, H.degree, label)
+
+
+def test_adding_a_generator_forms_no_products(monkeypatch):
+    import mindeg.bsgs as bsgs
+    calls = []
+    monkeypatch.setattr(bsgs, "compose", lambda a, b: calls.append((a, b)))
+    lvl = bsgs._Level(0, 12)
+    for k, c in enumerate(M12):
+        g = P(c, 12)
+        lvl.add_gen(g, inverse(g), k + 1)
+    assert len(lvl.tree) == 12 and not calls
+
+
+def test_evaluate_word_on_a_deep_dag():
+    a, b = P("(1 2 3 4 5)", 5), P("(1 2)", 5)
+    gens = [a, b]
+    word, expected = 1, a
+    for k in range(5000):
+        if k % 3:
+            word, expected = ("*", word, 2), compose(expected, b)
+        else:
+            word, expected = ("~", word), inverse(expected)
+    assert evaluate(word, gens, 5) == expected

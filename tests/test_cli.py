@@ -173,6 +173,19 @@ def test_mu_oracle_matches_mu(capsys):
         assert json.loads(out2)["mu"] == mu_pipeline
 
 
+def test_mu_of_the_trivial_group_matches_the_oracle(tmp_path, capsys):
+    path = tmp_path / "trivial.grp"
+    path.write_text("degree 3\n")
+    code, out, err = run(capsys, "mu", str(path))
+    assert (code, out, err) == (0, "mu 0\n", "")
+    code, out, _ = run(capsys, "mu", str(path), "--json")
+    cert = json.loads(out)
+    assert code == 0
+    assert cert["total"] == 0 and cert["records"] == []
+    code, out, _ = run(capsys, "mu-oracle", str(path), "--json")
+    assert code == 0 and json.loads(out)["mu"] == cert["total"]
+
+
 def test_mu_oracle_abelian_example(capsys):
     code, out, _ = run(capsys, "mu-oracle", fx("Z6.grp"), "--limit", "100")
     assert code == 0

@@ -174,6 +174,67 @@ def test_graph_extension_requires_hint_and_gives_double():
     assert cert.records[0].outer_index == 2
 
 
+def test_hint_transport_evaluates_shared_word_nodes_once(monkeypatch):
+    # each hint word is a DAG over the hint generators; one memo per hint
+    # evaluates each shared node once (510 products letter by letter)
+    import mindeg.pipeline
+    G = load_fixture("PSL34_2.grp")
+    hint = load_hint_file(fixture_path("PSL34_2.hint.json"))
+    calls = []
+    original = mindeg.pipeline.multiply
+
+    def counted(a, b):
+        calls.append(None)
+        return original(a, b)
+
+    monkeypatch.setattr(mindeg.pipeline, "multiply", counted)
+    assert mu_fitting_free(G, hints=[hint]).total == 42
+    assert len(calls) <= 200
+
+
+def _letters(word):
+    """The word DAG read letter by letter: signed 1-based indices."""
+    out, stack = [], [(word, False)]
+    while stack:
+        node, inv = stack.pop()
+        if isinstance(node, int):
+            out.append(-node if inv else node)
+        elif node[0] == "~":
+            stack.append((node[1], not inv))
+        elif node[0] == "*":  # a then b; inverted: b^-1 then a^-1
+            stack += ([(node[1], True), (node[2], True)] if inv
+                      else [(node[2], False), (node[1], False)])
+    return out
+
+
+def test_hint_words_evaluate_with_one_shared_memo():
+    import random
+
+    from mindeg.bsgs import evaluate_word
+    from mindeg.fflinalg import identity_matrix, invert, multiply
+    from mindeg.perm import compose, identity, inverse
+    hint = load_hint_file(fixture_path("PSL34_2.hint.json"))
+    gens, mats = hint.generators, hint.generator_images
+    H = build_group(gens[0].degree, gens)
+    gen_invs = [inverse(g) for g in gens]
+    mat_invs = [invert(M) for M in mats]
+    one = identity_matrix(mats[0].field, hint.d)
+    perm_memo, mat_memo = {}, {}
+    rng = random.Random(2024)
+    for _ in range(200):
+        g = H.random_element(rng)
+        ok, word = H.contains(g)
+        assert ok
+        assert evaluate_word(word, gens, gen_invs, compose,
+                             identity(H.degree), perm_memo) == g
+        by_letters = one
+        for s in _letters(word):
+            by_letters = multiply(by_letters,
+                                  mats[s - 1] if s > 0 else mat_invs[-s - 1])
+        assert evaluate_word(word, mats, mat_invs, multiply, one,
+                             mat_memo) == by_letters
+
+
 # --- induced automorphism group ------------------------------------------------
 
 

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import mindeg.bsgs
 import mindeg.pipeline
 import mindeg.socle
 from mindeg.bsgs import build_group, centralizer_of_normal, normal_closure
@@ -347,6 +348,26 @@ def test_sampled_sweep_rarely_builds_a_verified_closure(monkeypatch):
     assert [F.order() for F in dec.factors] == [20160]
     assert dec.probabilistic_minimality
     assert len(calls) <= 8  # 257 when every sample built a verified closure
+
+
+def test_sampled_sweep_forms_transversal_products_lazily(monkeypatch):
+    # the unverified chains of closure_has_order are only sifted into, so
+    # they form the u^-1 of the points a sift meets and no other product;
+    # with u, u^-1 formed for every orbit point the sweep made 48 198 calls
+    from mindeg.cli import parse_group_file
+    G = parse_group_file(str(FIXTURES / "PSL34.grp")).group
+    G.order()
+    calls = []
+    original = mindeg.bsgs.compose
+
+    def counted(a, b):
+        calls.append(None)
+        return original(a, b)
+
+    monkeypatch.setattr(mindeg.bsgs, "compose", counted)
+    N, sampled, simple = minimal_normal_under(G, G)
+    assert N.order() == 20160 and sampled and simple
+    assert len(calls) <= 30000
 
 
 @pytest.mark.parametrize("name", ["PSL34", "M12"])

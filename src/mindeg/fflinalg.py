@@ -500,12 +500,16 @@ def commutation_space(gens: list[FFMatrix], images: list[FFMatrix]) -> list[FFMa
 
     rows = []
     for U, Up in zip(gens, images):
+        cols = list(zip(*U.rows))
+        neg_rows = [[field.neg(x) for x in row] for row in Up.rows]
         for r in range(n):
             for c in range(n):
+                # entry (r, c) of F·U − U′·F: column c of U on row r of F,
+                # minus row r of U′ on column c of F; both meet at F[r][c]
                 row = [0] * (n * n)
-                for k in range(n):
-                    row[r * n + k] = field.add(row[r * n + k], U.rows[k][c])
-                    row[k * n + c] = field.sub(row[k * n + c], Up.rows[r][k])
+                row[r * n:(r + 1) * n] = cols[c]
+                row[c::n] = neg_rows[r]
+                row[r * n + c] = field.sub(U.rows[c][c], Up.rows[r][r])
                 rows.append(row)
     basis = nullspace(field, rows, n * n)
     return [matrix(field, [v[i * n:(i + 1) * n] for i in range(n)]) for v in basis]

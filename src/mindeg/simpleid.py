@@ -1,14 +1,17 @@
 """Naming non-abelian simple groups and their minimal faithful degrees.
 
-A simple group is named by looking its order up in a generated table of
-simple-group orders.  Among groups of order at most 10^12 the order
-determines the group except for two classical coincidences: Alt(8) vs
-PSL(3,4) at order 20160 (settled by the size of the class of an element of
-order 5), and PSp(2m,q) vs the odd-dimensional orthogonal groups for odd
-q, m >= 3 (reported as unsupported).  An order outside the table is
-reported as unsupported too.  Simplicity is not decided here: callers name
-only groups that the socle sweep (``socle.minimal_normal_under``) found
-simple.
+A simple group is named by inverting the order formulas, with no bound on
+the order.  Its order factors over the primes up to its degree.  A group
+of Lie type over F_q, q = p^e, has p-part q^N, N its number of positive
+roots, so each family and rank with N dividing the exponent of p fixes q
+and one order comparison decides; Alt(m) needs m!/2 = |G|; the sporadic
+groups are looked up by order.  The order determines the group except for
+Alt(8) vs PSL(3,4) at order 20160 (settled by the size of the class of an
+element of order 5) and PSp(2m,q) vs Ω(2m+1,q) for odd q, m >= 3 (Artin
+1955; Kimmerle, Lyons, Sandling and Teague 1990; reported as unsupported),
+as is an order that no formula gives.  Simplicity is not decided here:
+callers name only groups that the socle sweep
+(``socle.minimal_normal_under``) found simple.
 
 ``mu_simple`` gives μ(S) with one case per family, each citing its source.
 """
@@ -18,22 +21,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import count
 
 from .bsgs import PermGroup, class_tree, conjugator
 from .errors import UnsupportedCase
-from .fflinalg import prime_power
 from .perm import element_order, inverse, power
-
-MAX_TABLE_ORDER = 10 ** 12
-
-# canonical aliases: the Alt form wins; PSL(2,7) wins over PSL(3,2);
-# PSp(4,3) wins over PSU(4,2)
-_ALIASED_OUT = {
-    ("PSL", (2, 4)), ("PSL", (2, 5)), ("PSL", (2, 9)),
-    ("PSL", (3, 2)), ("PSL", (4, 2)), ("PSU", (4, 2)),
-}
 
 
 @dataclass(frozen=True)
@@ -51,11 +42,18 @@ class SimpleName:
         return f"{self.family}({','.join(str(x) for x in self.params)})"
 
 
-def _prime_powers():
-    """Every prime power q = p^e, in increasing order."""
-    for q in count(2):
-        if prime_power(q) is not None:
-            yield q
+# orders from the ATLAS (Conway et al. 1985)
+_SPORADIC_ORDER = {"M11": 7920, "M12": 95040, "ON": 460815505920}
+
+# names the family formulas give that are not canonical: the Alt form wins
+# over PSL(2,4), PSL(2,5), PSL(2,9) and PSL(4,2), PSL(2,7) over PSL(3,2),
+# PSp(4,3) over PSU(4,2); PSL(2,2), PSL(2,3), PSp(4,2), PSU(3,2) and G2(2)
+# are not simple
+_EXCLUDED = {
+    ("PSL", (2, 2)), ("PSL", (2, 3)), ("PSL", (2, 4)), ("PSL", (2, 5)),
+    ("PSL", (2, 9)), ("PSL", (3, 2)), ("PSL", (4, 2)), ("PSU", (3, 2)),
+    ("PSU", (4, 2)), ("PSp", (4, 2)), ("ExcLie", ("G2", 2)),
+}
 
 
 def simple_order(name: SimpleName) -> int:
@@ -69,7 +67,8 @@ def simple_order(name: SimpleName) -> int:
         for i in range(2, d + 1):
             o *= q ** i - 1
         return o // math.gcd(d, q - 1)
-    if f == "PSp":
+    if f in ("PSp", "POmega"):
+        # |Ω(2m+1,q)| = |PSp(2m,q)| (the two families meet only for odd q)
         n, q = par
         m = n // 2
         o = q ** (m * m)
@@ -91,7 +90,7 @@ def simple_order(name: SimpleName) -> int:
             o *= q ** i - (-1) ** i
         return o // math.gcd(d, q + 1)
     if f == "Sporadic":
-        return {"M12": 95040, "ON": 460815505920}[par[0]]
+        return _SPORADIC_ORDER[par[0]]
     if f == "ExcLie":
         typ, q = par
         if typ == "G2":
@@ -107,69 +106,64 @@ def simple_order(name: SimpleName) -> int:
     raise ValueError(f"unknown family {f!r}")
 
 
-def _emit(table, name: SimpleName):
-    if (name.family, name.params) in _ALIASED_OUT:
-        return False
-    o = simple_order(name)
-    if o > MAX_TABLE_ORDER:
-        return False
-    table.setdefault(o, []).append(name)
-    return True
-
-
-@lru_cache(maxsize=1)
 def _order_table() -> dict[int, list[SimpleName]]:
-    table: dict[int, list[SimpleName]] = {}
-    n = 5
-    while _emit(table, SimpleName("Alt", (n,))):
-        n += 1
+    """The sporadic groups by order."""
+    return {o: [SimpleName("Sporadic", (tag,))]
+            for tag, o in _SPORADIC_ORDER.items()}
 
-    def sweep(make, q_start=2, skip=()):
-        any_fit = False
-        for q in _prime_powers():
-            if q < q_start:
-                continue
-            name = make(q)
-            if name.params in skip:
-                continue
-            if simple_order(name) > MAX_TABLE_ORDER:
-                break
-            _emit(table, name)
-            any_fit = True
-        return any_fit
 
-    d = 2
-    while sweep(lambda q, d=d: SimpleName("PSL", (d, q)),
-                q_start=4 if d == 2 else 2):
-        d += 1
-    m = 2
-    while sweep(lambda q, m=m: SimpleName("PSp", (2 * m, q)), skip={(4, 2)}):
+def _lie_names(p: int, a: int):
+    """Every name of Lie type in characteristic p whose order has p-part
+    p^a: the p-part is q^N, N the number of positive roots."""
+    def ranks(first, positive_roots):
+        r = first
+        while positive_roots(r) <= a:
+            if a % positive_roots(r) == 0:
+                yield r, p ** (a // positive_roots(r))
+            r += 1
+
+    for d, q in ranks(2, lambda d: d * (d - 1) // 2):
+        yield SimpleName("PSL", (d, q))
+        if d >= 3:
+            yield SimpleName("PSU", (d, q))
+    for m, q in ranks(2, lambda m: m * m):
+        yield SimpleName("PSp", (2 * m, q))
+        if m >= 3 and p > 2:
+            yield SimpleName("POmega", (2 * m + 1, q))
+    for d, q in ranks(4, lambda d: d * (d - 1)):
+        yield SimpleName("POmegaPlus", (2 * d, q))
+        yield SimpleName("POmegaMinus", (2 * d, q))
+    for typ, n in (("G2", 6), ("F4", 24), ("E6", 36)):
+        if a % n == 0:
+            yield SimpleName("ExcLie", (typ, p ** (a // n)))
+
+
+def _candidates(order: int, degree: int) -> list[SimpleName]:
+    """Every canonical name of a simple group of this order, or none if a
+    prime above ``degree`` divides the order."""
+    names = list(_order_table().get(order, []))
+    m, o = 5, 60
+    while o < order:
         m += 1
-    for fam in ("POmegaPlus", "POmegaMinus"):
-        d = 4
-        while sweep(lambda q, d=d, fam=fam: SimpleName(fam, (2 * d, q))):
-            d += 1
-    d = 3
-    while sweep(lambda q, d=d: SimpleName("PSU", (d, q)), skip={(3, 2)}):
-        d += 1
-    sweep(lambda q: SimpleName("ExcLie", ("G2", q)), q_start=3)
-    sweep(lambda q: SimpleName("ExcLie", ("F4", q)))
-    sweep(lambda q: SimpleName("ExcLie", ("E6", q)))
-    for tag in ("M12", "ON"):
-        _emit(table, SimpleName("Sporadic", (tag,)))
-
-    _self_check(table)
-    return table
-
-
-def _self_check(table):
-    """Order lookup must be injective apart from the known 20160 pair."""
-    for o, entries in table.items():
-        if len(entries) == 1:
-            continue
-        names = sorted(str(name) for name in entries)
-        assert o == 20160 and names == ["Alt(8)", "PSL(3,4)"], (
-            f"unexpected order collision at {o}: {names}")
+        o *= m
+    if o == order:
+        names.append(SimpleName("Alt", (m,)))
+    rest, p = order, 1
+    while rest > 1:
+        p += 1
+        if p * p > rest:  # rest is prime
+            p = rest
+        if p > degree:
+            return []
+        a = 0
+        while rest % p == 0:
+            rest //= p
+            a += 1
+        if a:
+            names += [nm for nm in _lie_names(p, a)
+                      if (nm.family, nm.params) not in _EXCLUDED
+                      and simple_order(nm) == order]
+    return names
 
 
 # An element of order 5 has 1344 conjugates in Alt(8) (a 5-cycle, with
@@ -202,27 +196,30 @@ def _is_alt8(G: PermGroup) -> bool:
 def name_simple(G: PermGroup) -> SimpleName:
     """Canonical name of a permutation group found simple by the caller."""
     order = G.order()
-    entries = _order_table().get(order)
-    if entries is None:
-        raise UnsupportedCase(f"order {order} not in the simple-group table")
-    # |PSp(2m,q)| = |Ω(2m+1,q)| for odd q; the table lists only PSp
-    if any(nm.family == "PSp" and nm.params[0] >= 6 and nm.params[1] % 2
-           for nm in entries):
+    names = _candidates(order, G.degree)
+    if not names:
         raise UnsupportedCase(
-            f"order {order} coincides with an odd-dimensional orthogonal group")
-    if len(entries) == 1:
-        return entries[0]
-    assert order == 20160
-    alt8 = next(nm for nm in entries if nm.family == "Alt")
-    psl34 = next(nm for nm in entries if nm.family == "PSL")
+            f"order {order} at degree {G.degree} is the order of no named "
+            "simple group")
+    if len(names) == 1:
+        return names[0]
+    families = sorted(nm.family for nm in names)
+    if families == ["POmega", "PSp"]:
+        raise UnsupportedCase(
+            f"order {order} coincides with an odd-dimensional orthogonal "
+            f"group: {names[0]} and {names[1]} have this order")
+    assert order == 20160 and families == ["Alt", "PSL"], (
+        f"unexpected order collision at {order}: {names}")
+    alt8, psl34 = names
     return alt8 if _is_alt8(G) else psl34
 
 
-# μ(S) of single groups: M12, ON and G2(3) from the ATLAS (Conway et al.
-# 1985), Ω+(8,2) and PSU(3,5) from the classical degree table
+# μ(S) of single groups: M11, M12, ON and G2(3) from the ATLAS (Conway et
+# al. 1985), Ω+(8,2) and PSU(3,5) from the classical degree table
 _MU_CONSTANT = {
     SimpleName("POmegaPlus", (8, 2)): 120,
     SimpleName("PSU", (3, 5)): 50,
+    SimpleName("Sporadic", ("M11",)): 11,
     SimpleName("Sporadic", ("M12",)): 12,
     SimpleName("Sporadic", ("ON",)): 122760,
     SimpleName("ExcLie", ("G2", 3)): 351,

@@ -1,6 +1,9 @@
 """Shared test constructors for classical permutation groups."""
 
-from mindeg.bsgs import build_group
+from pathlib import Path
+
+from mindeg.bsgs import build_group, preimage_of_stabilizer
+from mindeg.cli import parse_group_file
 from mindeg.fflinalg import make_field, standard_generators
 from mindeg.perm import Permutation, parse_permutation
 from mindeg.pipeline import projective_points
@@ -131,6 +134,46 @@ def m10():
     fw = moebius(lambda x: F.mul(w, frobenius(F, x, 1)) if x != 9 else 9)
     G = build_group(10, [t, s, m, fw])
     assert G.order() == 720
+    return G
+
+
+def m11():
+    """M11: the stabilizer of a point of M12 on 12 points."""
+    fixture = Path(__file__).parent.parent / "src" / "mindeg" / "fixtures"
+    M12 = parse_group_file(fixture / "M12.grp").group
+    G = preimage_of_stabilizer(M12, M12.generators, 0)
+    assert G.order() == 7920
+    return G
+
+
+def m22():
+    """M22: the stabilizer of infinity and 0 in M24 on PL(23) (24 points,
+    infinity last).
+
+    M24 is generated by x -> x+1, x -> 2x, x -> -1/x and Conway's delta:
+    x -> x^3/9 on the nonzero squares, x -> 9x^3 on the non-squares.
+    """
+    inf = 23
+    squares = {x * x % 23 for x in range(1, 23)}
+
+    def on_line(f):
+        return Permutation(tuple(f(x) for x in range(24)))
+
+    def delta(x):
+        if x in (0, inf):
+            return x
+        return x ** 3 * pow(9, -1, 23) % 23 if x in squares else 9 * x ** 3 % 23
+
+    M24 = build_group(24, [
+        on_line(lambda x: inf if x == inf else (x + 1) % 23),
+        on_line(lambda x: inf if x == inf else 2 * x % 23),
+        on_line(lambda x: 0 if x == inf else inf if x == 0
+                else -pow(x, -1, 23) % 23),
+        on_line(delta)])
+    assert M24.order() == 244823040
+    M23 = preimage_of_stabilizer(M24, M24.generators, inf)
+    G = preimage_of_stabilizer(M23, M23.generators, 0)
+    assert G.order() == 443520
     return G
 
 

@@ -10,7 +10,7 @@ from mindeg.oracle import ORACLE_LIMIT, is_faithful_collection
 from mindeg.perm import Permutation, conjugate
 from mindeg.smallgroup import list_elements
 
-from .groups import A6_PSL28, A7_A7, P
+from .groups import A6_PSL28, A7_A7, P, alt, m11, m22
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir,
                         "src", "mindeg", "fixtures")
@@ -27,6 +27,12 @@ def run(capsys, *argv):
     code = run_cli(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_group(path, G):
+    path.write_text(f"degree {G.degree}\n"
+                    + "".join(f"gen {g}\n" for g in G.generators))
+    return str(path)
 
 
 # --- group file parsing --------------------------------------------------------
@@ -256,17 +262,32 @@ def test_exit_2_with_partial_certificate(capsys):
 
 
 def test_exit_2_when_the_factor_is_not_in_the_table(tmp_path, capsys):
-    # M11 is simple, but its order is missing from the simple-group table
-    path = tmp_path / "M11.grp"
-    path.write_text("degree 11\ngen (1 2 3 4 5 6 7 8 9 10 11)\n"
-                    "gen (3 7 11 8)(4 10 5 6)\n")
-    code, out, err = run(capsys, "mu", str(path))
+    # M22 is simple, but M11, M12 and O'N are the only sporadic groups named
+    code, out, err = run(capsys, "mu", write_group(tmp_path / "M22.grp",
+                                                   m22()))
     assert code == 2
     partial = json.loads(out)
     assert partial["flags"]["unsupported-case"]
-    assert partial["factor_orders"] == [7920]
-    assert "7920" in partial["records"][0]["error"]
-    assert "7920" in err
+    assert partial["factor_orders"] == [443520]
+    message = "order 443520 at degree 24 is the order of no named simple group"
+    assert partial["records"][0]["error"] == message
+    assert message in err
+
+
+@pytest.mark.parametrize("make,name,mu", [
+    (lambda: alt(17), "Alt(17)", 17), (m11, "M11", 11),
+], ids=["Alt17", "M11"])
+def test_mu_and_recognize_name_factors_of_any_order(tmp_path, capsys, make,
+                                                    name, mu):
+    path = write_group(tmp_path / "G.grp", make())
+    code, out, err = run(capsys, "mu", path, "--json")
+    assert code == 0, err
+    cert = json.loads(out)
+    assert cert["total"] == mu
+    assert [(r["factor_name"], r["rule"]) for r in cert["records"]] == [
+        (name, "default")]
+    code, out, err = run(capsys, "recognize", path)
+    assert code == 0 and out.strip() == name, err
 
 
 def test_hinted_graph_extension(capsys):

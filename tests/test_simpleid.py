@@ -1,6 +1,8 @@
 import math
 import random
 import re
+from functools import lru_cache
+from itertools import count
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,8 +15,7 @@ from mindeg.fflinalg import prime_power
 from mindeg.oracle import mu_oracle
 from mindeg.perm import Permutation, conjugate
 from mindeg.simpleid import (
-    MAX_TABLE_ORDER, SimpleName, _order_table, _prime_powers, mu_simple,
-    name_simple, simple_order,
+    SimpleName, _candidates, mu_simple, name_simple, simple_order,
 )
 from mindeg.smallgroup import list_elements
 from mindeg.socle import socle_fitting_free
@@ -24,42 +25,145 @@ from .groups import P, alt, psl2, psl_on_plane
 FIXTURES = Path(__file__).parent.parent / "src" / "mindeg" / "fixtures"
 
 
+# The reference enumeration: every simple name of order at most 10^12,
+# each family swept over q and then over its rank until the orders pass
+# the bound.  It is independent of the inversion in ``_candidates``.
+REFERENCE_BOUND = 10 ** 12
+
+# canonical aliases: the Alt form wins; PSL(2,7) wins over PSL(3,2);
+# PSp(4,3) wins over PSU(4,2)
+_ALIASED_OUT = {
+    ("PSL", (2, 4)), ("PSL", (2, 5)), ("PSL", (2, 9)),
+    ("PSL", (3, 2)), ("PSL", (4, 2)), ("PSU", (4, 2)),
+}
+
+
+def _prime_powers():
+    """Every prime power q = p^e, in increasing order."""
+    for q in count(2):
+        if prime_power(q) is not None:
+            yield q
+
+
+@lru_cache(maxsize=1)
+def _reference_table():
+    table = {}
+
+    def emit(name):
+        o = simple_order(name)
+        if o > REFERENCE_BOUND:
+            return False
+        if (name.family, name.params) not in _ALIASED_OUT:
+            table.setdefault(o, []).append(name)
+        return True
+
+    def sweep(make, keep=lambda q: True):
+        any_fit = False
+        for q in _prime_powers():
+            if not keep(q):
+                continue
+            if not emit(make(q)):
+                break
+            any_fit = True
+        return any_fit
+
+    n = 5
+    while emit(SimpleName("Alt", (n,))):
+        n += 1
+    d = 2
+    while sweep(lambda q, d=d: SimpleName("PSL", (d, q)),
+                keep=lambda q, d=d: d > 2 or q >= 4):
+        d += 1
+    m = 2
+    while sweep(lambda q, m=m: SimpleName("PSp", (2 * m, q)),
+                keep=lambda q, m=m: (m, q) != (2, 2)):
+        m += 1
+    # Ω(2m+1,q) for odd q, m >= 3; it is PSp(2m,q) for even q or m = 2
+    m = 3
+    while sweep(lambda q, m=m: SimpleName("POmega", (2 * m + 1, q)),
+                keep=lambda q: q % 2 == 1):
+        m += 1
+    for fam in ("POmegaPlus", "POmegaMinus"):
+        d = 4
+        while sweep(lambda q, d=d, fam=fam: SimpleName(fam, (2 * d, q))):
+            d += 1
+    d = 3
+    while sweep(lambda q, d=d: SimpleName("PSU", (d, q)),
+                keep=lambda q, d=d: (d, q) != (3, 2)):
+        d += 1
+    sweep(lambda q: SimpleName("ExcLie", ("G2", q)), keep=lambda q: q >= 3)
+    sweep(lambda q: SimpleName("ExcLie", ("F4", q)))
+    sweep(lambda q: SimpleName("ExcLie", ("E6", q)))
+    for tag in ("M11", "M12", "ON"):
+        emit(SimpleName("Sporadic", (tag,)))
+    return table
+
+
 def test_prime_powers_match_sympy():
     factorint = pytest.importorskip("sympy").factorint
-    # PSL(2, q) has order about q^3 / 2, so the table sweeps stop below this
-    limit = round((2 * MAX_TABLE_ORDER) ** (1 / 3)) + 100
-    got = []
-    for q in _prime_powers():
-        if q > limit:
-            break
-        got.append((q, prime_power(q)[0]))
-    expected = [(q, next(iter(f))) for q in range(2, limit + 1)
-                if len(f := factorint(q)) == 1]
-    assert got == expected
+    # PSL(2, q) has order about q^3 / 2, so the reference sweeps stop below
+    # this
+    limit = round((2 * REFERENCE_BOUND) ** (1 / 3)) + 100
+    for n in range(limit + 1):
+        f = factorint(n) if n >= 2 else {}
+        expected = next(iter(f.items())) if len(f) == 1 else None
+        assert prime_power(n) == expected, n
 
 
 def test_order_table_self_check_passes():
-    table = _order_table()
-    assert len(table) > 500
+    """Order determines the name up to 10^12, apart from |Alt(8)| =
+    |PSL(3,4)| and |PSp(2m,q)| = |Ω(2m+1,q)| (Artin 1955; Kimmerle, Lyons,
+    Sandling and Teague 1990)."""
+    table = _reference_table()
+    assert len(table) == 1630
+    collisions = {o: sorted(str(name) for name in names)
+                  for o, names in table.items() if len(names) > 1}
+    assert collisions == {20160: ["Alt(8)", "PSL(3,4)"],
+                          4585351680: ["POmega(7,3)", "PSp(6,3)"]}
     assert simple_order(SimpleName("Alt", (5,))) == 60
     assert simple_order(SimpleName("PSL", (3, 4))) == 20160
+    assert simple_order(SimpleName("Sporadic", ("M11",))) == 7920
     assert simple_order(SimpleName("Sporadic", ("M12",))) == 95040
     assert simple_order(SimpleName("ExcLie", ("G2", 3))) == 4245696
     assert simple_order(SimpleName("POmegaPlus", (8, 2))) == 174182400
 
 
-def _of_order(name):
-    """A stand-in group that only reports the order of the named group."""
-    return SimpleNamespace(order=lambda: simple_order(name))
+def test_inversion_matches_the_reference_enumeration():
+    factorint = pytest.importorskip("sympy").factorint
+    for order, names in _reference_table().items():
+        # a simple group of degree n has no prime divisor above n
+        degree = max(factorint(order))
+        assert sorted(map(str, _candidates(order, degree))) == \
+            sorted(map(str, names)), order
+    # beyond the reference bound
+    for name in (SimpleName("Alt", (17,)), SimpleName("Alt", (40,)),
+                 SimpleName("PSL", (6, 3)), SimpleName("PSU", (7, 2)),
+                 SimpleName("POmegaMinus", (10, 2)),
+                 SimpleName("ExcLie", ("F4", 2)),
+                 SimpleName("ExcLie", ("E6", 2))):
+        order = simple_order(name)
+        assert order > REFERENCE_BOUND
+        assert _candidates(order, max(factorint(order))) == [name]
+    # the orders of PSL(2,2), PSL(2,3), PSU(3,2), PSp(4,2) and G2(2), which
+    # the formulas give but which are not simple
+    for order in (6, 12, 72, 720, 12096):
+        assert _candidates(order, 7) == [], order
+
+
+def _of_order(name, degree):
+    """A stand-in group that only reports the order of the named group and
+    a degree."""
+    return SimpleNamespace(order=lambda: simple_order(name), degree=degree)
 
 
 def test_name_simple_refuses_symplectic_orthogonal_coincidence():
-    # |PSp(6,3)| = |Ω(7,3)|, and only PSp(6,3) is in the table
+    # |PSp(6,3)| = |Ω(7,3)|, and the order does not tell them apart
     with pytest.raises(UnsupportedCase,
-                       match="coincides with an odd-dimensional orthogonal"):
-        name_simple(_of_order(SimpleName("PSp", (6, 3))))
+                       match="coincides with an odd-dimensional orthogonal"
+                             ".*PSp\\(6,3\\) and POmega\\(7,3\\)"):
+        name_simple(_of_order(SimpleName("PSp", (6, 3)), 364))
     psp44 = SimpleName("PSp", (4, 4))
-    assert name_simple(_of_order(psp44)) == psp44
+    assert name_simple(_of_order(psp44, 85)) == psp44
 
 
 def test_name_simple_alt5():
@@ -108,9 +212,15 @@ def test_name_simple_20160_on_relabellings(make, expected):
 
 
 def test_name_simple_order_not_in_table():
-    with pytest.raises(UnsupportedCase, match="order 7 "):
+    with pytest.raises(UnsupportedCase, match="order 7 at degree 7 "):
         # Z7: simple but abelian, so no entry
         name_simple(build_group(7, [P("(1 2 3 4 5 6 7)", 7)]))
+    # 17 divides |Alt(17)|, so no group of degree 16 has that order
+    alt17 = SimpleName("Alt", (17,))
+    assert name_simple(_of_order(alt17, 17)) == alt17
+    with pytest.raises(UnsupportedCase,
+                       match=f"^order {simple_order(alt17)} at degree 16 "):
+        name_simple(_of_order(alt17, 16))
 
 
 def test_mu_simple_values():
@@ -130,6 +240,7 @@ def test_mu_simple_values():
         SimpleName("POmegaPlus", (8, 4)): 5525,
         SimpleName("PSp", (4, 8)): (8 ** 4 - 1) // 7,
         SimpleName("PSU", (3, 5)): 50,
+        SimpleName("Sporadic", ("M11",)): 11,
         SimpleName("Sporadic", ("M12",)): 12,
         SimpleName("Sporadic", ("ON",)): 122760,
         SimpleName("ExcLie", ("G2", 3)): 351,
@@ -167,7 +278,7 @@ def _primes_up_to(n):
 
 def _supported_mu():
     out = {}
-    for entries in _order_table().values():
+    for entries in _reference_table().values():
         for name in entries:
             try:
                 out[name] = mu_simple(name)

@@ -20,6 +20,7 @@ from operator import and_
 import numpy as np
 
 from .errors import LimitExceededError
+from .fflinalg import prime_power
 from .smallgroup import (
     CayleyGroup, _conjugates, _hom_from_gen_images, _mask_of, all_subgroups,
     from_direct_factors,
@@ -87,30 +88,36 @@ def _abelian_candidates(C: CayleyGroup) -> list[tuple[int, int, list[int]]]:
 
     For abelian G every subgroup is normal, and any H is an intersection of
     subgroups with cyclic quotient whose indices sum to at most [G:H]
-    (split G/H into cyclic factors).  So only kernels of homomorphisms
-    G → Z_exp(G) need to be considered.
+    (split G/H into cyclic factors).  A kernel with quotient Z_n is in
+    turn the meet of the kernels of its prime-power parts, whose indices
+    sum to at most n.  So only kernels of homomorphisms G → Z_(p^e) need
+    to be considered, for each prime power p^e ‖ exp(G); the p-part of
+    exp(G) is the largest order of a p-element.
     """
     gens = C.generating_set()
     orders = C.element_orders()
-    exponent = 1
-    for k in orders.tolist():
-        exponent = math.lcm(exponent, k)
-    Z = from_direct_factors([exponent])
-    zorders = Z.element_orders()
-    cands = [[x for x in range(exponent) if orders[g] % zorders[x] == 0]
-             for g in gens]
+    parts: dict[int, int] = {}  # prime p -> the p-part of exp(G)
+    for k in set(orders.tolist()):
+        pe = prime_power(k)
+        if pe is not None:
+            parts[pe[0]] = max(parts.get(pe[0], 1), k)
     out: dict[int, tuple[int, list[int]]] = {}
-    for images in product(*cands):
-        phi = _hom_from_gen_images(C, Z, gens, images)
-        if phi is None:
-            continue
-        kernel = np.nonzero(phi == 0)[0]
-        if len(kernel) == C.order:
-            continue
-        mask = _mask_of(kernel.tolist())
-        cost = C.order // len(kernel)
-        if mask not in out or out[mask][0] > cost:
-            out[mask] = (cost, kernel.tolist())
+    for _, q in sorted(parts.items()):
+        Z = from_direct_factors([q])
+        zorders = Z.element_orders()
+        cands = [[x for x in range(q) if orders[g] % zorders[x] == 0]
+                 for g in gens]
+        for images in product(*cands):
+            phi = _hom_from_gen_images(C, Z, gens, images)
+            if phi is None:
+                continue
+            kernel = np.nonzero(phi == 0)[0]
+            if len(kernel) == C.order:
+                continue
+            mask = _mask_of(kernel.tolist())
+            cost = C.order // len(kernel)
+            if mask not in out or out[mask][0] > cost:
+                out[mask] = (cost, kernel.tolist())
     return [(cost, mask, sub) for mask, (cost, sub) in out.items()]
 
 

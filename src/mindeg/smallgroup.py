@@ -15,8 +15,11 @@ Every subgroup closure, from greedy generating sets to subgroup joins,
 is the right-multiplication closure ``_join``, and every conjugacy class
 of subgroups is closed by ``_conjugates``.  Subgroups are enumerated one
 conjugacy class at a time (Neubüser 1960; Handbook, §10.1): only one
-representative per class is joined with the prime-power cyclic
-subgroups, and each new join brings its whole class.  The isomorphism
+representative H0 per class is joined with the prime-power cyclic
+subgroups, and each new join brings its whole class.  For n in N_G(H0),
+<H0, c^n> = <H0, c>^n, so the cyclic subgroups of one N_G(H0)-orbit
+give one class of joins, and H0 is joined with one of each orbit.  The
+normalizer is read off the generators carried with H0.  The isomorphism
 search drops a generator image as soon as the order of its product with
 an earlier image differs from the order of the same product in the
 source.
@@ -299,14 +302,17 @@ def _mask_of(members: list[int]) -> int:
     return mask
 
 
-def _cyclic_subgroups(C: CayleyGroup) -> tuple[list[int], list[int]]:
-    """Cyclic subgroups of prime-power order as (masks, generators).
+def _cyclic_subgroups(C: CayleyGroup) -> tuple[np.ndarray, np.ndarray]:
+    """Cyclic subgroups of prime-power order as (generators, index).
 
-    Ordered by (size, mask).  These suffice as join seeds: every subgroup
-    is the join of the prime-power cyclic subgroups of its elements.
+    Ordered by (size, mask); ``index[x]`` is the position of <x> in that
+    order, or -1 where the order of x is not a prime power.  These suffice
+    as join seeds: every subgroup is the join of the prime-power cyclic
+    subgroups of its elements.
     """
     t = C.table
     cyclic: dict[int, tuple[int, int]] = {}
+    mask_of = [0] * C.order
     for g in range(1, C.order):
         members = [0]
         y = g
@@ -315,11 +321,15 @@ def _cyclic_subgroups(C: CayleyGroup) -> tuple[list[int], list[int]]:
             y = t.item(y, g)
         if prime_power(len(members)) is None:
             continue
-        mask = _mask_of(members)
+        mask = mask_of[g] = _mask_of(members)
         if mask not in cyclic:
             cyclic[mask] = (len(members), g)
     order = sorted(cyclic.items(), key=lambda kv: (kv[1][0], kv[0]))
-    return [mask for mask, _ in order], [gen for _, (_, gen) in order]
+    position = {mask: i for i, (mask, _) in enumerate(order)}
+    index = np.array([position.get(mask, -1) for mask in mask_of],
+                     dtype=np.int32)
+    gens = np.array([gen for _, (_, gen) in order], dtype=np.int64)
+    return gens, index
 
 
 def _conjugates(C: CayleyGroup, members: np.ndarray,
@@ -344,36 +354,53 @@ def all_subgroups(C: CayleyGroup) -> list[list[int]]:
     """Every subgroup of C, each as a sorted element-index list.
 
     Sorted by (size, elements).  Joins only from one representative per
-    conjugacy class: each representative H0 is joined with every
-    prime-power cyclic subgroup c not inside it, and a join not met
-    before has its whole class recorded and becomes a representative.
-    This is complete: every K != 1 is <H, c> for some H < K and some
-    prime-power cyclic c (drop one generator from an irredundant
-    generating set of prime-power elements), and if H = H0^g then
-    <H0, c^(g^-1)> = K^(g^-1) is a join that is tried; induct on |K|.
+    conjugacy class, and with one prime-power cyclic subgroup per orbit
+    of its normalizer: each representative H0 is joined with the least
+    cyclic subgroup c of every N_G(H0)-orbit that does not lie inside
+    H0, and a join not met before has its whole class recorded and
+    becomes a representative.  This is complete: every K != 1 is <H, c>
+    for some H < K and some prime-power cyclic c not inside H (drop one
+    generator from an irredundant generating set of prime-power
+    elements), and if H = H0^g then K' = <H0, c'> = K^(g^-1) with
+    c' = c^(g^-1) not inside H0.  The orbit of c' holds the c'' = c'^n
+    (n in N_G(H0)) that is joined, and <H0, c''> = <H0^n, c'^n> = K'^n,
+    again a conjugate of K; induct on |K|.
     """
     t = C.table
     m = C.order
-    cyc_masks, cyc_gens = _cyclic_subgroups(C)
+    cyc_gens, cyc_index = _cyclic_subgroups(C)
     divisors = [d for d in range(1, m + 1) if m % d == 0]
     gens = C.generating_set()
     full_mask = (1 << m) - 1
+    everything = np.arange(m, dtype=np.int64)[:, None]
+    inv = C.inverse[:, None]
+
+    def conjugated(xs):  # [n, j] = the element x_j^n = n^-1 x_j n
+        return t[t[inv, np.asarray(xs, dtype=np.int64)[None, :]], everything]
+
+    # conj[n, i] = the index of <c_i>^n
+    conj = cyc_index[conjugated(cyc_gens)]
+    first = np.arange(len(cyc_gens), dtype=np.int32)
     trivial = np.zeros(1, dtype=np.int64)
     found: dict[int, np.ndarray] = {1: trivial}
-    # class representatives still to join: (elements, mask)
-    work: list[tuple[np.ndarray, int]] = [(trivial, 1)]
+    # class representatives still to join: (elements, generators)
+    work: list[tuple[np.ndarray, list[int]]] = [(trivial, [])]
     while work:
-        arr, mask = work.pop()
-        if mask == full_mask:
+        arr, hgens = work.pop()
+        if len(arr) == m:
             continue
-        for cm, g in zip(cyc_masks, cyc_gens):
-            if cm & mask == cm:
-                continue
+        inside = np.zeros(m, dtype=bool)
+        inside[arr] = True
+        # N_G(H0): the n that conjugate every generator of H0 into H0
+        normalizer = inside[conjugated(hgens)].all(axis=1)
+        # i is the least index of its orbit conj[N, i]; join those outside H0
+        least = conj[normalizer].min(axis=0) == first
+        for g in cyc_gens[least & ~inside[cyc_gens]].tolist():
             jarr = _join(t, arr, g, divisors)
             jmask = full_mask if len(jarr) == m else _mask_of(jarr.tolist())
             if jmask not in found:
                 found.update(_conjugates(C, jarr, gens))
-                work.append((jarr, jmask))
+                work.append((jarr, hgens + [g]))
     return sorted((np.sort(arr).tolist() for arr in found.values()),
                   key=lambda s: (len(s), s))
 

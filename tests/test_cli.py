@@ -372,7 +372,9 @@ def test_json_output_is_pinned(capsys, name, command):
 
 # witness element indices pin the element numbering and the candidate choice
 ORACLE_PINNED = [("mu-oracle", name)
-                 for name in ("A5", "S5", "PSL27", "Z6", "S4modV4")]
+                 for name in ("A5", "S5", "PSL27", "Z6", "S4modV4", "A6",
+                              "PGL27", "PSL28", "PSL211", "S6", "PGammaL28",
+                              "AutA6")]
 ORACLE_PINNED.append(("mu-quotient", "S4modV4"))
 
 

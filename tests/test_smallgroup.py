@@ -194,7 +194,7 @@ def test_subgroups_match_bruteforce(make):
 # classes are the literature values.
 @pytest.mark.parametrize("name,n_subgroups,n_classes", [
     ("S5", 156, 19), ("PSL27", 179, 15), ("A6", 501, 22), ("PGL27", 413, 23),
-    ("PSL211", 620, 16)])
+    ("PSL211", 620, 16), ("S6", 1455, 56)])
 def test_subgroup_and_class_counts(name, n_subgroups, n_classes):
     C = list_elements(load_fixture(f"{name}.grp"), bound=2000)
     subs = all_subgroups(C)
@@ -207,6 +207,24 @@ def test_subgroup_and_class_counts(name, n_subgroups, n_classes):
             classes.append(set(_conjugates(C, np.array(s), gens)))
     assert len(classes) == n_classes
     assert sum(len(cls) for cls in classes) == n_subgroups
+
+
+def test_subgroup_joins_are_one_per_normalizer_orbit(monkeypatch):
+    # each class representative H0 is joined with one prime-power cyclic
+    # subgroup per N_G(H0)-orbit: 1416 joins on S6, where joining every
+    # cyclic subgroup outside H0 makes 12 503
+    import mindeg.smallgroup
+    C = list_elements(load_fixture("S6.grp"), bound=ORACLE_LIMIT)
+    calls = []
+    original = mindeg.smallgroup._join
+
+    def counted(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(mindeg.smallgroup, "_join", counted)
+    assert len(all_subgroups(C)) == 1455
+    assert len(calls) <= 2000
 
 
 def test_subgroups_are_closed_and_lagrange():

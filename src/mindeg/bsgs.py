@@ -45,6 +45,16 @@ search is involved and no random element is drawn (Seress, ch. 6).
 conjugation action, one per generator of the normal subgroup;
 ``preimage_of_stabilizer`` is one, in an action given by the images of
 G's generators.
+
+Before any class walk, ``centralizer_of_normal(G, H)`` tries to prove
+C_G(H) = 1 from fixed points.  An element c of C_Sym(H) satisfies
+H_(alpha^c) = H_alpha (Dixon and Mortimer, *Permutation Groups*, 1996,
+Thm 4.2A), so alpha^c is fixed by H_alpha.  If, in each H-orbit, some
+H_alpha fixes no point of supp(H) but alpha, then c fixes that alpha and,
+commuting with H, its whole orbit: c fixes supp(H) pointwise.  When G
+moves no point outside supp(H), such a c in G is the identity.  The first
+orbit's H_alpha is read off H's chain, each further one costs one
+stabilizer in the point action, and no conjugation is formed.
 """
 
 from __future__ import annotations
@@ -479,14 +489,63 @@ def _check_normalizes(G: PermGroup, H: PermGroup) -> None:
                 raise ValueError("precondition failed: G does not normalize H")
 
 
+def moved_points(gens: Iterable[Permutation]) -> set[int]:
+    """The points that some permutation in gens moves."""
+    return {x for g in gens for x, y in enumerate(g.images) if x != y}
+
+
+def _fixes_no_other_point(H_alpha: Iterable[Permutation], alpha: int,
+                          support: set[int]) -> bool:
+    return support - moved_points(H_alpha) == {alpha}
+
+
+def _centralizer_is_trivial(G: PermGroup, H: PermGroup) -> bool:
+    """Whether the fixed points of H's point stabilizers prove C_G(H) = 1.
+
+    If c centralizes H, then H_(alpha^c) = H_alpha^c = H_alpha, so alpha^c
+    is a point of supp(H) fixed by H_alpha (Dixon and Mortimer, 1996, Thm
+    4.2A).  When H_alpha fixes no other point of supp(H), c fixes alpha
+    and, commuting with H, its whole H-orbit.  True when that holds for one
+    alpha in each H-orbit and G moves only points of supp(H): then every
+    element of C_G(H) fixes every point.  False leaves the question open.
+    """
+    support = moved_points(H.generators)
+    if not support or not moved_points(G.generators) <= support:
+        return False
+    levels = H._chain()
+    # the first orbit's H_alpha: the strong generators below the first base
+    # point fix it and generate its stabilizer
+    alpha = levels[0].base
+    below = levels[1].gens if len(levels) > 1 else []
+    if not _fixes_no_other_point(below, alpha, support):
+        return False
+    seen = set(levels[0].tree)
+    maps = [g.images.__getitem__ for g in H.generators]
+    for alpha in sorted(support):
+        if alpha in seen:
+            continue
+        seen.update(class_tree(alpha, maps))
+        if not _fixes_no_other_point(_stabilizer(H, alpha, maps).generators,
+                                     alpha, support):
+            return False
+    return True
+
+
 def centralizer_of_normal(G: PermGroup, H: PermGroup) -> PermGroup:
     """C_G(H) for H normalized by G, as a chain of exact stabilizers.
 
-    C_G(H) is the intersection of the stabilizers, under conjugation, of
-    H's generators.  C starts as G, and each generator h in turn replaces
-    C by its stabilizer in C, whose order is exactly |C| / |h^C|.
+    First the fixed-point test of ``_centralizer_is_trivial``: an element
+    of C_Sym(H) that fixes a point of each H-orbit fixes supp(H)
+    pointwise, and G fixes everything else, so when each orbit has a point
+    alpha that H_alpha alone fixes in supp(H), C_G(H) = 1 with no class
+    walk.  Otherwise C_G(H) is the intersection of the stabilizers, under
+    conjugation, of H's generators.  C starts as G, and each generator h
+    in turn replaces C by its stabilizer in C, whose order is exactly
+    |C| / |h^C|.
     """
     _check_normalizes(G, H)
+    if _centralizer_is_trivial(G, H):
+        return PermGroup(G.degree)
     C = G
     for h in H.generators:
         if C.is_trivial():

@@ -4,7 +4,8 @@ Parses group files (``degree N`` / ``gen <cycles>`` lines, optional
 ``kernel`` block), runs the engine, socle, oracle or pipeline commands and
 emits either plain text or JSON certificates.  Exit codes: 0 on success,
 2 when a case needs a hint or is out of scope (a partial certificate is
-still printed), 1 on input errors.
+still printed), 1 on input errors, exceeded limits and a computed mu
+that fails a necessary condition (``DegreeCheckFailed``).
 """
 
 from __future__ import annotations

@@ -19,3 +19,7 @@ class HintRequired(MindegError):
 
 class UnsupportedCase(MindegError):
     """The case is recognized but outside the supported scope."""
+
+
+class DegreeCheckFailed(MindegError):
+    """A computed mu fails a necessary condition, so it is not reported."""

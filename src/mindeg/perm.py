@@ -2,6 +2,10 @@
 
 Points are 0-based internally; cycle notation uses 1-based points.
 Composition is left-to-right: (a * b) means "apply a, then b".
+
+A product is a gather: the images of a * b are b's image table read at
+a's images, ``itemgetter(*a.images)(b.images)``, so the loop over points
+runs in C and the result is the same tuple at every degree.
 """
 
 from __future__ import annotations
@@ -10,6 +14,7 @@ import re
 from dataclasses import dataclass
 from functools import cache, reduce
 from math import lcm
+from operator import itemgetter
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -88,7 +93,9 @@ def compose(a: Permutation, b: Permutation) -> Permutation:
     """Left-to-right product: apply a first, then b."""
     if len(a.images) != len(b.images):
         raise ValueError(f"degree mismatch: {a.degree} vs {b.degree}")
-    return _unchecked(tuple(map(b.images.__getitem__, a.images)))
+    if len(a.images) == 1:  # itemgetter of one index returns a scalar
+        return a
+    return _unchecked(itemgetter(*a.images)(b.images))
 
 
 def inverse(a: Permutation) -> Permutation:
@@ -102,8 +109,9 @@ def compose3(a: Permutation, b: Permutation, c: Permutation) -> Permutation:
     """Left-to-right product a * b * c in one pass."""
     if not len(a.images) == len(b.images) == len(c.images):
         raise ValueError(f"degree mismatch: {a.degree}, {b.degree}, {c.degree}")
-    return _unchecked(tuple(map(c.images.__getitem__,
-                                map(b.images.__getitem__, a.images))))
+    if len(a.images) == 1:
+        return a
+    return _unchecked(itemgetter(*itemgetter(*a.images)(b.images))(c.images))
 
 
 def conjugate(s: Permutation, g: Permutation) -> Permutation:

@@ -15,13 +15,16 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 from itertools import product as iproduct
+from math import factorial
 from typing import Optional
 
 from .autlift import (
     MatrixAut, ProjectiveAut, lift_omega_aut, lift_psl_aut, subgroup_in_gamma,
 )
-from .bsgs import PermGroup, build_group, centralizer_of_normal, evaluate_word
-from .errors import HintRequired, UnsupportedCase
+from .bsgs import (
+    PermGroup, build_group, centralizer_of_normal, evaluate_word, moved_points,
+)
+from .errors import DegreeCheckFailed, HintRequired, UnsupportedCase
 from .fflinalg import (
     FFMatrix, determinant, form_matrix, identity_matrix, invert, matrix,
     multiply, preserves_form, standard_generators,
@@ -444,5 +447,22 @@ def mu_fitting_free(G: PermGroup,
     if failure is not None:
         failure.certificate = cert
         raise failure
+    _check_degree(G, total)
     cert.total = total
     return cert
+
+
+def _check_degree(G: PermGroup, mu: int) -> None:
+    """Raise DegreeCheckFailed unless mu passes two necessary conditions.
+
+    G acts faithfully on the points it moves, so mu is at most their
+    number; and G embeds in Sym(mu), so |G| divides mu!.
+    """
+    moved = len(moved_points(G.generators))
+    if mu > moved:
+        raise DegreeCheckFailed(
+            f"computed mu = {mu} exceeds the {moved} points that G moves")
+    if factorial(mu) % G.order():
+        raise DegreeCheckFailed(
+            f"computed mu = {mu} is impossible: |G| = {G.order()} does not "
+            f"divide {mu}!")

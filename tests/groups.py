@@ -5,7 +5,7 @@ from pathlib import Path
 from mindeg.bsgs import build_group, preimage_of_stabilizer
 from mindeg.cli import parse_group_file
 from mindeg.fflinalg import make_field, standard_generators
-from mindeg.perm import Permutation, parse_permutation
+from mindeg.perm import Permutation, compose, identity, inverse, parse_permutation
 from mindeg.pipeline import projective_points
 
 
@@ -52,6 +52,47 @@ def a5xa6():
     G = build_group(11, gens)
     assert G.order() == 60 * 360
     return G
+
+
+def a5xa5_diagonal():
+    """Alt(5) x Alt(5) on the 60 elements of Alt(5): (a, b) sends x to
+    a^-1 x b.
+
+    The action is faithful (Alt(5) has trivial center), and each factor
+    acts regularly, so a point stabilizer of a factor is trivial.  Returns
+    G and its first factor, the pairs (a, 1).
+    """
+    A5 = alt(5)
+    elements = sorted(A5.elements(), key=lambda x: x.images)
+    index = {x: i for i, x in enumerate(elements)}
+    one = identity(5)
+
+    def on_elements(a, b):
+        ainv = inverse(a)
+        return Permutation(tuple(index[compose(compose(ainv, x), b)]
+                                 for x in elements))
+
+    left = [on_elements(a, one) for a in A5.generators]
+    right = [on_elements(one, b) for b in A5.generators]
+    G = build_group(60, left + right)
+    assert G.order() == 3600
+    return G, build_group(60, left)
+
+
+def a5_on_two_orbits():
+    """Alt(5) on 5 + 60 points: naturally on the first 5, by x -> a^-1 x on
+    the elements of Alt(5) on the other 60, together with x -> x b there.
+
+    The point stabilizer of the first orbit fixes no other point, that of
+    the second (regular) orbit fixes every point.  Returns G (order 3600)
+    and the normal Alt(5), whose centralizer is the right multiplications.
+    """
+    D, left = a5xa5_diagonal()
+    on_5 = alt(5).generators + [identity(5)] * 2
+    G = build_group(65, [Permutation(a.images + tuple(5 + x for x in b.images))
+                         for a, b in zip(on_5, D.generators)])
+    assert G.order() == 3600
+    return G, build_group(65, G.generators[:len(left.generators)])
 
 
 def d8():

@@ -332,8 +332,15 @@ def test_centralizer_builds_one_chain(monkeypatch):
     assert len(builds) <= moved
 
 
+def _fixture_and_socle(name):
+    G = parse_group_file(os.path.join(FIXTURES, name + ".grp")).group
+    return G, socle_fitting_free(G).socle
+
+
 def _centralizer_cases():
-    from tests.groups import a5wrz2, pgammal2, psl2
+    from tests.groups import (
+        a5_on_two_orbits, a5wrz2, a5xa5_diagonal, pgammal2, psl2,
+    )
     S4 = build_group(4, SYM4)
     V4 = build_group(4, [P("(1 2)(3 4)", 4), P("(1 3)(2 4)", 4)])
     a5 = [P("(1 2 3)", 10), P("(3 4 5)", 10)]
@@ -345,7 +352,14 @@ def _centralizer_cases():
     return [("S4>V4", S4, V4), ("A5xA5>A5", A5xA5, build_group(10, a5)),
             ("A5wrZ2>socle", W, build_group(10, W.generators[:4])),
             ("PGammaL28>PSL28", pgammal2(8), psl2(8)),
-            ("A7xA7>A7", A7xA7, first_a7), ("M12>M12", M, M)]
+            ("A7xA7>A7", A7xA7, first_a7), ("M12>M12", M, M),
+            # two socle orbits, points and lines: the fixed-point test
+            # proves C = 1
+            ("PSL34_2>socle", *_fixture_and_socle("PSL34_2")),
+            # a regular factor, so H_alpha = 1 and the test must fall back
+            ("A5xA5 diagonal>A5", *a5xa5_diagonal()),
+            # H_alpha passes on the first orbit and fails on the second
+            ("A5 on 5+60 points", *a5_on_two_orbits())]
 
 
 def test_centralizer_matches_sympy_on_relabellings():
@@ -375,6 +389,34 @@ def test_centralizer_matches_sympy_on_relabellings():
             assert all(expected.contains(
                 combinatorics.Permutation(list(c.images)))
                 for c in C.generators), label
+
+
+@pytest.mark.parametrize("name", ["PSL34_2", "M12"])
+def test_centralizer_of_a_socle_walks_no_class(monkeypatch, name):
+    from mindeg import bsgs
+    G, socle = _fixture_and_socle(name)
+    points = []
+    original = bsgs.class_tree
+
+    def recording(x, maps, limit=None):
+        points.append(x)
+        return original(x, maps, limit)
+
+    monkeypatch.setattr(bsgs, "class_tree", recording)
+    assert centralizer_of_normal(G, socle).is_trivial()
+    # conjugation walks start from a generator's image tuple; the test
+    # only grows point orbits of the socle
+    assert all(isinstance(x, int) for x in points)
+
+
+@pytest.mark.parametrize("make", ["a5xa5_diagonal", "a5_on_two_orbits"])
+def test_centralizer_of_a_regular_orbit_falls_back_to_class_walks(make):
+    import tests.groups
+    G, H = getattr(tests.groups, make)()
+    C = centralizer_of_normal(G, H)
+    assert C.order() == 60
+    assert all(compose(c, h) == compose(h, c)
+               for c in C.generators for h in H.generators)
 
 
 def _act_on_sets(g, obj):

@@ -252,6 +252,21 @@ def test_exit_1_on_limit_exceeded(capsys):
     assert code == 1 and "error" in err
 
 
+@pytest.mark.parametrize("wrong,message", [
+    (6, "exceeds the 5 points that G moves"),
+    (4, "|G| = 60 does not divide 4!"),
+], ids=["above-moved-points", "order-not-dividing"])
+def test_exit_1_when_mu_fails_a_necessary_condition(monkeypatch, capsys,
+                                                    wrong, message):
+    import mindeg.pipeline
+    monkeypatch.setattr(mindeg.pipeline, "dispatch_table",
+                        lambda name, data: (wrong, "default"))
+    for argv in (["mu", fx("A5.grp")], ["mu", fx("A5.grp"), "--json"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert message in err
+
+
 def test_exit_2_with_partial_certificate(capsys):
     code, out, err = run(capsys, "mu", fx("PSL34_2.grp"))
     assert code == 2

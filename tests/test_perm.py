@@ -1,8 +1,11 @@
+import random
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from mindeg.perm import (
-    Permutation, compose, compose3, element_order, identity, inverse, parse_permutation,
+    Permutation, compose, compose3, conjugate, element_order, identity, inverse,
+    parse_permutation,
 )
 
 
@@ -64,6 +67,44 @@ def test_compose_degree_mismatch():
         compose(identity(3), identity(4))
     with pytest.raises(ValueError):
         compose3(identity(3), identity(3), identity(4))
+
+
+def test_products_on_degrees_1_and_2():
+    one = identity(1)
+    assert compose(one, one) == one
+    assert compose3(one, one, one) == one
+    assert conjugate(one, one) == one
+    assert compose(one, one).images == (0,)
+    t = parse_permutation("(1 2)", 2)
+    e = identity(2)
+    assert compose(t, t) == e
+    assert compose(t, e) == t and compose(e, t) == t
+    assert compose3(t, t, t) == t
+    assert compose3(t, e, e) == t
+    assert conjugate(t, t) == t
+    assert conjugate(e, t) == e
+
+
+def _reference_product(*perms):
+    """The left-to-right product, one point at a time."""
+    images = []
+    for x in range(perms[0].degree):
+        for p in perms:
+            x = p.images[x]
+        images.append(x)
+    return tuple(images)
+
+
+@given(st.integers(1, 300), st.randoms(use_true_random=False))
+@example(1, random.Random(0))
+@example(257, random.Random(0))  # images above 255
+def test_products_match_the_pointwise_reference(n, rng):
+    a, b, c = (randperm(rng, n) for _ in range(3))
+    ab = compose(a, b)
+    assert type(ab.images) is tuple
+    assert ab.images == _reference_product(a, b)
+    assert compose3(a, b, c).images == _reference_product(a, b, c)
+    assert conjugate(a, b).images == _reference_product(inverse(b), a, b)
 
 
 def test_inverse_examples():

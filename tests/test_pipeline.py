@@ -75,6 +75,19 @@ def test_alt6_row_on_the_index_2_overgroups(make, expected, rule):
     assert mu == expected
 
 
+def test_mu_of_the_diagonal_a5_x_a5_is_10():
+    # both factors act regularly on 60 points, so mu is far below the degree
+    # and each centralizer falls back to class walks
+    from .groups import a5xa5_diagonal
+    G, _ = a5xa5_diagonal()
+    cert = mu_fitting_free(G)
+    assert cert.total == 10
+    assert cert.factor_orders == [60, 60]
+    assert cert.minimal_normal_blocks == [[0], [1]]
+    assert [(r.factor_name, r.rule, r.mu) for r in cert.records] == [
+        ("Alt(5)", "default", 5)] * 2
+
+
 def test_mu_never_exceeds_degree():
     for make in (alt, sym):
         for n in (5, 6, 7):

@@ -6,7 +6,7 @@ from mindeg.bsgs import build_group, preimage_of_stabilizer
 from mindeg.cli import parse_group_file
 from mindeg.fflinalg import make_field, standard_generators
 from mindeg.perm import Permutation, compose, identity, inverse, parse_permutation
-from mindeg.pipeline import projective_points
+from mindeg.pipeline import projective_action, projective_points
 
 
 def P(text, n):
@@ -249,3 +249,37 @@ def psl_on_plane(d, q):
     index = {v: i for i, v in enumerate(pts)}
     perms = [matrix_on_projective_points(U, pts, index) for U in L]
     return build_group(len(pts), perms), field, L, pts, index
+
+
+def asl24():
+    """ASL(2,4) on the 16 vectors of F_4^2: SL(2,4) acting linearly, with
+    the translation by the first basis vector.
+
+    SL(2,4) is transitive on the nonzero vectors, so the translations it
+    conjugates that one into are all of them.  The group is perfect and
+    2-transitive, and its translations are an abelian minimal normal
+    subgroup.
+    """
+    field, L = standard_generators("SL", 2, 4)
+    vectors = [(x, y) for x in range(4) for y in range(4)]
+    index = {v: i for i, v in enumerate(vectors)}
+
+    def linear(U):
+        return Permutation(tuple(
+            index[tuple(field.add(field.mul(a, v[0]), field.mul(b, v[1]))
+                        for a, b in U.rows)] for v in vectors))
+
+    shift = Permutation(tuple(index[(field.add(v[0], 1), v[1])]
+                              for v in vectors))
+    G = build_group(16, [linear(U) for U in L] + [shift])
+    assert G.order() == 16 * 60
+    return G
+
+
+def psp44_on_points():
+    """PSp(4,4) on the 85 points of its projective space: rank 3, so
+    transitive but not 2-transitive."""
+    _, L, pi = projective_action("Sp", 4, 4)
+    G = build_group(85, [pi(U) for U in L])
+    assert G.order() == 979200
+    return G

@@ -1,4 +1,5 @@
 import json
+import random
 from math import prod
 from pathlib import Path
 
@@ -18,7 +19,8 @@ from mindeg.socle import (
 )
 
 from .groups import (
-    A6_PSL28, A7_A7, P, a5wrz2, a5xa6, alt, d8, pgammal2, pgl2, psl2, sym,
+    A6_PSL28, A7_A7, P, a5wrz2, a5xa6, alt, asl24, d8, pgammal2, pgl2, psl2,
+    psp44_on_points, sym,
 )
 from .test_bsgs import _count_chain_builds
 
@@ -329,13 +331,20 @@ def test_mu_splits_the_socle_once(monkeypatch, make, parts):
                    for g in G.generators for n in N.generators)
 
 
+def _without_the_orbit_proof(monkeypatch):
+    """Make the simplicity proof fail, so every candidate is swept."""
+    monkeypatch.setattr(mindeg.socle, "_faithful_two_transitive_orbit",
+                        lambda N: False)
+
+
 def test_sampled_sweep_rarely_builds_a_verified_closure(monkeypatch):
-    # |Soc| = 20160 > 10^4, so the sweep samples 256 elements; a closure
-    # that is all of the candidate is proved so by closure_has_order, and
-    # normal_closure runs only when it gives up (and for the sweep's
-    # starting candidate).
+    # |Soc| = 20160 > 10^4, so without the orbit proof the sweep samples
+    # 256 elements; a closure that is all of the candidate is proved so by
+    # closure_has_order, and normal_closure runs only when it gives up (and
+    # for the sweep's starting candidate).
     from mindeg.cli import parse_group_file
     G = parse_group_file(str(FIXTURES / "PSL34.grp")).group
+    _without_the_orbit_proof(monkeypatch)
     calls = []
     original = mindeg.socle.normal_closure
 
@@ -357,6 +366,7 @@ def test_sampled_sweep_forms_transversal_products_lazily(monkeypatch):
     from mindeg.cli import parse_group_file
     G = parse_group_file(str(FIXTURES / "PSL34.grp")).group
     G.order()
+    _without_the_orbit_proof(monkeypatch)
     calls = []
     original = mindeg.bsgs.compose
 
@@ -372,8 +382,9 @@ def test_sampled_sweep_forms_transversal_products_lazily(monkeypatch):
 
 @pytest.mark.parametrize("name", ["PSL34", "M12"])
 def test_sweep_proves_simplicity_when_closures_give_up(monkeypatch, name):
-    # with every known-order test giving up, the verified N-closures alone
-    # prove the socle simple: the same socle, and no second split
+    # with every known-order test giving up, the verified closure of the
+    # generator commutators proves the socle perfect, and with it simple:
+    # the same socle, and no second split
     from mindeg.cli import parse_group_file
     path = str(FIXTURES / f"{name}.grp")
     expected = socle_fitting_free(parse_group_file(path).group)
@@ -393,3 +404,193 @@ def test_sweep_proves_simplicity_when_closures_give_up(monkeypatch, name):
         [g.images for g in expected.socle.generators]
     assert dec.probabilistic_minimality == expected.probabilistic_minimality
     assert calls == []
+
+
+@pytest.mark.parametrize("name", ["PSL34", "M12"])
+def test_sweep_alone_proves_simplicity_when_closures_give_up(monkeypatch,
+                                                             name):
+    # without the orbit proof and with every known-order test giving up,
+    # the sweep's verified N-closures alone prove the socle simple
+    from mindeg.cli import parse_group_file
+    path = str(FIXTURES / f"{name}.grp")
+    expected = socle_fitting_free(parse_group_file(path).group)
+    _without_the_orbit_proof(monkeypatch)
+    monkeypatch.setattr(mindeg.socle, "closure_has_order",
+                        lambda *args: False)
+    monkeypatch.setattr(mindeg.socle, "simple_factors", None)  # no split
+    dec = socle_fitting_free(parse_group_file(path).group)
+    assert [F.order() for F in dec.factors] == \
+        [F.order() for F in expected.factors]
+    assert [g.images for g in dec.socle.generators] == \
+        [g.images for g in expected.socle.generators]
+    assert dec.probabilistic_minimality
+
+
+# --- the simplicity proof: a faithful, 2-transitive, non-affine orbit and a
+# perfect group
+
+
+def _spy(monkeypatch, name):
+    """Record (first argument, result) of each call of a socle helper."""
+    calls = []
+    original = getattr(mindeg.socle, name)
+
+    def spied(N, *args):
+        result = original(N, *args)
+        calls.append((N, result))
+        return result
+
+    monkeypatch.setattr(mindeg.socle, name, spied)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["PSL34", "PSL34_2", "M12"])
+def test_two_transitive_socles_are_never_sampled(monkeypatch, name):
+    from mindeg.cli import parse_group_file
+    G = parse_group_file(str(FIXTURES / f"{name}.grp")).group
+    entered = []
+    samples = mindeg.socle._prime_order_samples
+
+    def counted(N, rng):
+        entered.append(N)
+        return samples(N, rng)
+
+    monkeypatch.setattr(mindeg.socle, "_prime_order_samples", counted)
+    dec = socle_fitting_free(G)
+    assert [F.order() for F in dec.factors] == [G.order() if name == "M12"
+                                                 else 20160]
+    assert not dec.probabilistic_minimality
+    assert entered == []
+
+
+def test_affine_group_is_not_proved_simple(tmp_path, capsys):
+    # ASL(2,4) is perfect and 2-transitive on 16 = 2^4 points, and 960
+    # divides |AGL(4,2)|: Burnside's theorem allows an abelian socle
+    G = asl24()
+    assert mindeg.socle._second_orbit_is_rest(G._chain())
+    assert mindeg.socle._is_perfect(G, random.Random(0))
+    assert mindeg.socle._may_be_affine(16, G.order())
+    assert not mindeg.socle._faithful_two_transitive_orbit(G)
+    path = tmp_path / "ASL24.grp"
+    path.write_text("degree 16\n"
+                    + "".join(f"gen {g}\n" for g in G.generators))
+    assert run_cli(["mu", str(path), "--json"]) == 1
+    assert "abelian minimal normal subgroup" in capsys.readouterr().err
+    with pytest.raises(NotFittingFree):
+        socle_fitting_free(G)
+
+
+def test_symmetric_group_fails_the_perfectness_condition(monkeypatch):
+    G = sym(5)
+    assert mindeg.socle._faithful_two_transitive_orbit(G)
+    assert not mindeg.socle._is_perfect(G, random.Random(0))
+    # the sweep descends from Sym(5) to Alt(5), which is proved
+    perfect = _spy(monkeypatch, "_is_perfect")
+    N, sampled, simple = minimal_normal_under(G, G)
+    assert [(H.order(), r) for H, r in perfect] == [(120, False),
+                                                    (60, True)]
+    assert (N.order(), sampled, simple) == (60, False, True)
+
+
+def test_affine_tie_falls_back_to_the_exhaustive_sweep(monkeypatch):
+    # PSL(2,7) on 8 = 2^3 points: 168 divides |AGL(3,2)| = 1344
+    assert mindeg.socle._may_be_affine(8, 168)
+    assert not mindeg.socle._faithful_two_transitive_orbit(psl2(7))
+    perfect = _spy(monkeypatch, "_is_perfect")
+    swept = _spy(monkeypatch, "_class_representatives")
+    G = pgl2(7)
+    N, sampled, simple = minimal_normal_under(G, G)
+    assert (N.order(), sampled, simple) == (168, False, True)
+    assert perfect == []
+    assert [H for H, _ in swept] == [G]
+
+
+def test_literal_a7_x_a7_is_proved_factor_by_factor(monkeypatch):
+    # A7 x A7 is simple on each 7-point orbit and faithful on neither, so
+    # the first candidate is swept; each A7 it descends to is proved
+    orbit = _spy(monkeypatch, "_faithful_two_transitive_orbit")
+    dec = socle_fitting_free(_product_group(A7_A7, 14))
+    assert [(H.order(), r) for H, r in orbit] == [
+        (2520 ** 2, False), (2520, True), (2520, True)]
+    assert [F.order() for F in dec.factors] == [2520, 2520]
+    assert dec.minimal_normals == [[0], [1]]
+    assert not dec.probabilistic_minimality
+
+
+def test_intransitive_candidate_needs_a_faithful_orbit():
+    # A5 x A5 on 5 + 5 points: the stabilizer of the first base point has
+    # an orbit of 4 points, which would pass a test that only compares the
+    # first level's orbit with an orbit of N
+    G = build_group(10, [P("(1 2 3)", 10), P("(1 2 3 4 5)", 10),
+                         P("(6 7 8)", 10), P("(6 7 8 9 10)", 10)])
+    levels = G._chain()
+    assert len(levels[0].tree) == 5 and len(levels[1].tree) == 4
+    assert not mindeg.socle._faithful_two_transitive_orbit(G)
+
+
+def test_rank_3_group_stays_sampled():
+    G = psp44_on_points()
+    assert not mindeg.socle._faithful_two_transitive_orbit(G)
+    dec = socle_fitting_free(G)
+    assert [F.order() for F in dec.factors] == [979200]
+    assert dec.probabilistic_minimality
+
+
+def _sympy_group(H):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    return combinatorics.PermutationGroup(
+        [combinatorics.Permutation(list(g.images)) for g in H.generators])
+
+
+def _sympy_is_simple(S):
+    """Every nontrivial conjugacy class has normal closure S."""
+    return all(S.normal_closure(next(iter(c))).order() == S.order()
+               for c in S.conjugacy_classes()
+               if not next(iter(c)).is_Identity)
+
+
+def _sympy_has_faithful_two_transitive_orbit(S):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    for orbit in S.orbits():
+        points = sorted(orbit)
+        index = {x: i for i, x in enumerate(points)}
+        R = combinatorics.PermutationGroup([
+            combinatorics.Permutation([index[g(x)] for x in points])
+            for g in S.generators])
+        if R.order() == S.order() and R.transitivity_degree >= 2:
+            return True
+    return False
+
+
+CERTIFIED = {
+    "A5": [60], "S5": [60], "A6": [360], "S6": [360], "AutA6": [360],
+    "PSL27": [168], "PGL27": [], "PSL28": [504], "PGammaL28": [504],
+    "PSL211": [660], "A5wrZ2": [60, 60], "A5xA6": [60, 360],
+    "M12": [95040], "PSL34": [20160], "PSL34_2": [20160],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFIED) + ["A7xA7"])
+def test_certified_groups_are_simple_by_sympy(monkeypatch, name):
+    # sympy's composition_series handles solvable groups only, so
+    # simplicity is checked by closing one element of each conjugacy class
+    # (orders up to 10^4; sympy lists the classes of M12 and PSL(3,4) in
+    # seconds), and above that the proof's conditions are rechecked
+    from mindeg.cli import parse_group_file
+    perfect = _spy(monkeypatch, "_is_perfect")
+    if name == "A7xA7":
+        G, expected = _product_group(A7_A7, 14), [2520, 2520]
+    else:
+        G = parse_group_file(str(FIXTURES / f"{name}.grp")).group
+        expected = CERTIFIED[name]
+    socle_fitting_free(G)
+    certified = [N for N, proved in perfect if proved]
+    assert [N.order() for N in certified] == expected
+    for N in certified:
+        S = _sympy_group(N)
+        assert S.order() == N.order()
+        assert S.is_perfect
+        if N.order() <= 10 ** 4:
+            assert _sympy_is_simple(S)
+        else:
+            assert _sympy_has_faithful_two_transitive_orbit(S)

@@ -46,6 +46,9 @@ conjugation action, one per generator of the normal subgroup;
 ``preimage_of_stabilizer`` is one, in an action given by the images of
 G's generators.
 
+Other modules read a chain's orbits and point stabilizers only through
+``orbits``, ``point_stabilizer`` and ``is_two_transitive``.
+
 Before any class walk, ``centralizer_of_normal(G, H)`` tries to prove
 C_G(H) = 1 from fixed points.  An element c of C_Sym(H) satisfies
 H_(alpha^c) = H_alpha (Dixon and Mortimer, *Permutation Groups*, 1996,
@@ -494,9 +497,36 @@ def moved_points(gens: Iterable[Permutation]) -> set[int]:
     return {x for g in gens for x, y in enumerate(g.images) if x != y}
 
 
-def _fixes_no_other_point(H_alpha: Iterable[Permutation], alpha: int,
-                          support: set[int]) -> bool:
-    return support - moved_points(H_alpha) == {alpha}
+def orbits(H: PermGroup) -> list[list[int]]:
+    """The orbits of H on supp(H), each in breadth-first order from its
+    first point: the first level's tree, which starts at the first base
+    point, then the other orbits by least point."""
+    result = [list(lvl.tree) for lvl in H._chain()[:1]]
+    seen = set().union(*result)
+    maps = [g.images.__getitem__ for g in H.generators]
+    for alpha in sorted(moved_points(H.generators)):
+        if alpha not in seen:
+            result.append(list(class_tree(alpha, maps)))
+            seen.update(result[-1])
+    return result
+
+
+def point_stabilizer(H: PermGroup, alpha: int) -> PermGroup:
+    """H_alpha.  For the first base point these are the strong generators
+    of the second level, and no chain is built."""
+    levels = H._chain()
+    if levels and alpha == levels[0].base:
+        return PermGroup(H.degree, levels[1].gens if len(levels) > 1 else ())
+    return _stabilizer(H, alpha, [g.images.__getitem__ for g in H.generators])
+
+
+def is_two_transitive(H: PermGroup) -> bool:
+    """Whether H is 2-transitive on supp(H): transitive, and the stabilizer
+    of the first base point has an orbit of all |supp(H)| - 1 others."""
+    n = len(moved_points(H.generators))
+    # a trivial stabilizer has no level; its orbits are single points
+    sizes = [len(lvl.tree) for lvl in H._chain()[:2]] + [1]
+    return sizes[:2] == [n, n - 1]
 
 
 def _centralizer_is_trivial(G: PermGroup, H: PermGroup) -> bool:
@@ -512,23 +542,8 @@ def _centralizer_is_trivial(G: PermGroup, H: PermGroup) -> bool:
     support = moved_points(H.generators)
     if not support or not moved_points(G.generators) <= support:
         return False
-    levels = H._chain()
-    # the first orbit's H_alpha: the strong generators below the first base
-    # point fix it and generate its stabilizer
-    alpha = levels[0].base
-    below = levels[1].gens if len(levels) > 1 else []
-    if not _fixes_no_other_point(below, alpha, support):
-        return False
-    seen = set(levels[0].tree)
-    maps = [g.images.__getitem__ for g in H.generators]
-    for alpha in sorted(support):
-        if alpha in seen:
-            continue
-        seen.update(class_tree(alpha, maps))
-        if not _fixes_no_other_point(_stabilizer(H, alpha, maps).generators,
-                                     alpha, support):
-            return False
-    return True
+    return all(support - moved_points(point_stabilizer(H, o[0]).generators)
+               == {o[0]} for o in orbits(H))
 
 
 def centralizer_of_normal(G: PermGroup, H: PermGroup) -> PermGroup:

@@ -33,9 +33,7 @@ from .oracle import ORACLE_LIMIT
 from .perm import Permutation, compose, conjugate, identity, inverse
 from .simpleid import SimpleName, mu_simple, name_simple
 from .smallgroup import QuotientGroup, isomorphism_search, list_elements
-from .socle import (
-    DEFAULT_SEED, SocleDecomposition, normalizer_of_factor, socle_fitting_free,
-)
+from .socle import DEFAULT_SEED, normalizer_of_factor, socle_fitting_free
 
 FIELD_CONVENTION = "lex-least-irreducible"
 
@@ -97,6 +95,7 @@ class RecognitionHint:
     """
 
     factor_index: int
+    degree: int  # of the permutation generators
     family: str  # matrix-cover family: "SL", "Sp", "OmegaPlus"
     d: int
     q: int
@@ -130,7 +129,7 @@ def load_hint(data: dict) -> RecognitionHint:
     if any(g.is_identity() for g in gens):
         raise ValueError("hint generator is the identity")
     return RecognitionHint(factor_index=int(data["factor_index"]),
-                           family=family, d=d, q=q,
+                           degree=degree, family=family, d=d, q=q,
                            generator_images=images, generators=gens)
 
 
@@ -394,19 +393,31 @@ def mu_fitting_free(G: PermGroup,
     """mu(G) with a full certificate; G must be Fitting-free.
 
     The trivial group embeds in Sym(0): its total is 0, with an empty socle
-    and no records.  Raises HintRequired/UnsupportedCase with the partial
-    certificate attached (``error.certificate``) when some minimal normal
-    subgroup cannot be dispatched.
+    and no records.  Raises ValueError for a hint of another degree than
+    G's, one that names no factor, or two that name one block.  Raises
+    HintRequired/UnsupportedCase with the partial certificate attached
+    (``error.certificate``) when some minimal normal subgroup cannot be
+    dispatched.
     """
     hints = hints or []
-    dec = (SocleDecomposition(socle=G, factors=[], minimal_normals=[],
-                              probabilistic_minimality=False)
-           if G.is_trivial() else socle_fitting_free(G, seed))
+    dec = socle_fitting_free(G, seed)
     for h in hints:
+        if h.degree != G.degree:
+            raise ValueError(
+                f"hint degree mismatch: the hint for factor_index "
+                f"{h.factor_index} has degree {h.degree}, G has degree "
+                f"{G.degree}")
         if not 0 <= h.factor_index < len(dec.factors):
             raise ValueError(
                 f"hint factor_index {h.factor_index} names no factor: the "
                 f"socle has {len(dec.factors)} simple factor(s)")
+    for i, block in enumerate(dec.minimal_normals):
+        named = [h.factor_index for h in hints if h.factor_index in block]
+        if len(named) > 1:
+            raise ValueError(
+                f"{len(named)} hints name minimal normal block {i} (factors "
+                f"{', '.join(map(str, block))}): factor_index "
+                f"{', '.join(map(str, named))}; give one hint per block")
     cert = MuCertificate(
         group_order=G.order(),
         socle_order=dec.socle.order(),

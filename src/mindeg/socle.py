@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from math import factorial
 
 from .bsgs import (
-    PermGroup, _smallest_moved_point, centralizer_of_normal, class_tree,
-    closure_has_order, conjugator, induced_action, moved_points,
-    normal_closure, preimage_of_stabilizer,
+    PermGroup, centralizer_of_normal, class_tree, closure_has_order,
+    conjugator, induced_action, is_two_transitive, moved_points,
+    normal_closure, orbits, preimage_of_stabilizer,
 )
 from .errors import NotFittingFree
 from .fflinalg import prime_power
@@ -100,47 +100,32 @@ def _may_be_affine(degree: int, order: int) -> bool:
     return agl % order == 0
 
 
-def _second_orbit_is_rest(levels) -> bool:
-    """Whether a verified chain of a group transitive on its n moved points
-    has a second level with an orbit of n - 1 points: the stabilizer of
-    the first base point is transitive on the rest."""
-    return len(levels) > 1 and len(levels[1].tree) == len(levels[0].tree) - 1
-
-
 def _faithful_two_transitive_orbit(N: PermGroup) -> bool:
     """Whether N acts faithfully, 2-transitively and not as a subgroup of
     an affine group on one of its orbits.
 
-    For N transitive on its support, that orbit is the support, the action
-    is faithful, and 2-transitivity is read off N's own chain.  Otherwise
-    each orbit on whose points N could act faithfully (|N| divides
-    |Delta|!) gets a chain of the restriction of N to it, whose order
-    decides faithfulness.  N's own chain is read only when its first orbit
-    is the whole support: the second level of an intransitive N is the
-    stabilizer of a point acting on every orbit, and would make A5 x A5 on
-    5 + 5 points look 2-transitive on its first orbit.
+    Each orbit on whose points N could act faithfully (|N| divides
+    |Delta|!) and not as an affine group gives the restriction R of N to
+    it: N itself when the orbit is the whole support, otherwise a
+    relabelled copy on the orbit.  |R| = |N| decides faithfulness, and R's
+    chain 2-transitivity.  N's own chain is read only when its orbit is the
+    whole support: the stabilizer of a point of an intransitive N acts on
+    every orbit, and would make A5 x A5 on 5 + 5 points look 2-transitive
+    on its first orbit.
     """
     order = N.order()
     support = moved_points(N.generators)
-    levels = N._chain()
-    if len(levels[0].tree) == len(support):
-        return (not _may_be_affine(len(support), order)
-                and _second_orbit_is_rest(levels))
-    maps = [g.images.__getitem__ for g in N.generators]
-    seen: set[int] = set()
-    for alpha in sorted(support):
-        if alpha in seen:
-            continue
-        orbit = list(class_tree(alpha, maps))
-        seen.update(orbit)
+    for orbit in orbits(N):
         n = len(orbit)
         if factorial(n) % order or _may_be_affine(n, order):
             continue
-        index = {x: i for i, x in enumerate(orbit)}
-        R = PermGroup(n, [
-            Permutation(tuple(index[g.images[x]] for x in orbit))
-            for g in N.generators])
-        if R.order() == order and _second_orbit_is_rest(R._chain()):
+        R = N
+        if n < len(support):
+            index = {x: i for i, x in enumerate(orbit)}
+            R = PermGroup(n, [
+                Permutation(tuple(index[g.images[x]] for x in orbit))
+                for g in N.generators])
+        if R.order() == order and is_two_transitive(R):
             return True
     return False
 
@@ -220,7 +205,7 @@ def minimal_normal_under(G: PermGroup, C: PermGroup,
     closure_rng = random.Random(seed + 1)
     proof_rng = random.Random(seed + 2)
     start = min((g for g in C.generators if not g.is_identity()),
-                key=lambda g: (_smallest_moved_point(g), g.images))
+                key=lambda g: (min(moved_points([g])), g.images))
     N = normal_closure(G, [start])
     while True:
         if (_faithful_two_transitive_orbit(N)
@@ -285,10 +270,12 @@ def socle_fitting_free(G: PermGroup,
     Each minimal normal subgroup found simple is its own factor; any other
     is split into its simple factors here, once.  The factors of one
     minimal normal subgroup form one block; callers pass ``factors`` on
-    instead of splitting again.
+    instead of splitting again.  The trivial group is its own socle, with
+    no factors.
     """
     if G.is_trivial():
-        raise ValueError("G must be nontrivial")
+        return SocleDecomposition(socle=G, factors=[], minimal_normals=[],
+                                  probabilistic_minimality=False)
     parts, sampled = _centralizer_recursion(G, seed)
     factors: list[PermGroup] = []
     blocks: list[list[int]] = []

@@ -80,3 +80,21 @@ def test_every_parameter_is_read():
                        if p != "self" and not p.startswith("_")
                        and p not in loaded]
     assert unread == []
+
+
+def test_only_bsgs_reads_the_chain():
+    """Other modules reach orbits and point stabilizers through the public
+    functions of ``bsgs``, never through its chain's levels."""
+    private = {"_chain", "_levels", "tree"}
+    reads = []
+    for mod, tree in TREES.items():
+        if mod == "bsgs":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in private:
+                reads.append(f"{mod}:{node.lineno}: .{node.attr}")
+            elif (isinstance(node, ast.ImportFrom) and node.module == "bsgs"
+                  and node.level == 1):
+                reads += [f"{mod}:{node.lineno}: import {a.name}"
+                          for a in node.names if a.name.startswith("_")]
+    assert reads == []

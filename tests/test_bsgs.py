@@ -6,7 +6,8 @@ import pytest
 
 from mindeg.bsgs import (
     W_EMPTY, PermGroup, build_group, centralizer_of_normal, closure_has_order,
-    evaluate_word, induced_action, normal_closure, preimage_of_stabilizer,
+    evaluate_word, induced_action, is_two_transitive, normal_closure, orbits,
+    point_stabilizer, preimage_of_stabilizer,
 )
 from mindeg.cli import parse_group_file
 from mindeg.perm import (
@@ -573,3 +574,65 @@ def test_evaluate_word_on_a_deep_dag():
         else:
             word, expected = ("~", word), inverse(expected)
     assert evaluate(word, gens, 5) == expected
+
+
+def _orbit_cases():
+    from tests.groups import (
+        a5_on_two_orbits, a5xa5_diagonal, asl24, psp44_on_points,
+    )
+    names = sorted(f[:-4] for f in os.listdir(FIXTURES) if f.endswith(".grp"))
+    cases = [(name, parse_group_file(os.path.join(FIXTURES, name + ".grp"))
+              .group) for name in names]
+    a5xa5 = [P("(1 2 3)", 10), P("(1 2 3 4 5)", 10),
+             P("(6 7 8)", 10), P("(6 7 8 9 10)", 10)]
+    return cases + [
+        ("ASL24", asl24()), ("PSp44 on 85 points", psp44_on_points()),
+        ("Sym2", build_group(2, [P("(1 2)", 2)])),
+        ("A5wrZ2 socle", build_group(10, a5wrz2().generators[:4])),
+        ("PSL34_2 socle", _fixture_and_socle("PSL34_2")[1]),
+        ("A5 on 5+60 points", a5_on_two_orbits()[0]),
+        ("A5 on 5+60 points, normal A5", a5_on_two_orbits()[1]),
+        ("A5xA5 diagonal", a5xa5_diagonal()[0]),
+        ("A5xA5 diagonal, left A5", a5xa5_diagonal()[1]),
+        ("A5xA5 on 5+5", build_group(10, a5xa5))]
+
+
+def test_orbits_and_point_stabilizers_match_sympy_on_relabellings():
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    rng = random.Random(11)
+    cases = _orbit_cases()
+    for label, G in cases:
+        images = list(range(G.degree))
+        rng.shuffle(images)
+        sigma = Permutation(tuple(images))
+        gens = [conjugate(g, sigma) for g in G.generators]
+        rng.shuffle(gens)
+        H = build_group(G.degree, gens)
+        S = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(g.images)) for g in gens])
+        found = orbits(H)
+        assert found[0][0] == H._chain()[0].base, label
+        assert sum(map(len, found)) == len(set().union(*found)), label
+        assert ({frozenset(o) for o in found}
+                == {frozenset(o) for o in S.orbits() if len(o) > 1}), label
+        for o in found:
+            stab = point_stabilizer(H, o[0])
+            expected = S.stabilizer(o[0])
+            assert stab.order() == expected.order(), (label, o[0])
+            assert all(stab.member(Permutation(tuple(s.array_form)))
+                       for s in expected.generators), (label, o[0])
+            assert all(expected.contains(
+                combinatorics.Permutation(list(s.images)))
+                for s in stab.generators), (label, o[0])
+        # sympy's transitivity degree counts fixed points, so it is compared
+        # on groups transitive on all of their points
+        if len(found) > 1:
+            assert not is_two_transitive(H), label
+        elif len(S.orbits()) == 1:
+            assert is_two_transitive(H) == (S.transitivity_degree >= 2), label
+    # the known answers, so the comparison is not vacuous
+    groups = dict(cases)
+    assert is_two_transitive(groups["ASL24"])
+    assert not is_two_transitive(groups["PSp44 on 85 points"])
+    assert not is_two_transitive(build_group(3, []))
+    assert orbits(build_group(3, [])) == []

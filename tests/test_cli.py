@@ -343,6 +343,28 @@ def test_exit_1_on_a_hint_that_names_nothing(tmp_path, capsys, change):
         assert "factor_index 5" in err and "1 simple factor" in err
 
 
+def test_exit_1_on_a_hint_of_another_degree(tmp_path, capsys):
+    with open(fx("PSL34_2.hint.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["degree"] += 1
+    data["generators"] = [g + [len(g)] for g in data["generators"]]
+    path = tmp_path / "hint.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "mu", fx("PSL34_2.grp"), "--hint", str(path))
+    assert (code, out) == (1, "")
+    assert err == ("error: hint degree mismatch: the hint for factor_index 0 "
+                   "has degree 43, G has degree 42\n")
+
+
+def test_exit_1_on_two_hints_for_one_block(capsys):
+    hint = fx("PSL34_2.hint.json")
+    code, out, err = run(capsys, "mu", fx("PSL34_2.grp"),
+                         "--hint", hint, "--hint", hint)
+    assert (code, out) == (1, "")
+    assert err == ("error: 2 hints name minimal normal block 0 (factors 0): "
+                   "factor_index 0, 0; give one hint per block\n")
+
+
 # --- output stability ----------------------------------------------------------
 
 

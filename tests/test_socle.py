@@ -8,7 +8,10 @@ import pytest
 import mindeg.bsgs
 import mindeg.pipeline
 import mindeg.socle
-from mindeg.bsgs import build_group, centralizer_of_normal, normal_closure
+from mindeg.bsgs import (
+    build_group, centralizer_of_normal, is_two_transitive, normal_closure,
+    orbits, point_stabilizer,
+)
 from mindeg.cli import run_cli
 from mindeg.errors import NotFittingFree
 from mindeg.perm import compose, conjugate
@@ -119,9 +122,23 @@ def test_socle_rejects_non_fitting_free():
         socle_fitting_free(d8())
 
 
-def test_socle_rejects_trivial_group():
-    with pytest.raises(ValueError):
-        socle_fitting_free(build_group(3, []))
+def test_socle_of_the_trivial_group_is_empty(tmp_path, capsys):
+    G = build_group(3, [])
+    dec = socle_fitting_free(G)
+    assert dec.socle is G and dec.factors == [] and dec.minimal_normals == []
+    assert not dec.probabilistic_minimality
+    path = tmp_path / "trivial.grp"
+    path.write_text("degree 3\n")
+    assert run_cli(["socle", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "socle_order": 1, "socle_generators": [], "factor_orders": [],
+        "minimal_normal_blocks": [], "fitting_free": True,
+        "probabilistic_minimality": False}
+    assert run_cli(["min-normal", str(path)]) == 0
+    assert capsys.readouterr() == ("\n", "")
+    assert run_cli(["min-normal", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "minimal_normal_blocks": [], "factor_orders": []}
 
 
 def test_socle_wreath():
@@ -467,7 +484,7 @@ def test_affine_group_is_not_proved_simple(tmp_path, capsys):
     # ASL(2,4) is perfect and 2-transitive on 16 = 2^4 points, and 960
     # divides |AGL(4,2)|: Burnside's theorem allows an abelian socle
     G = asl24()
-    assert mindeg.socle._second_orbit_is_rest(G._chain())
+    assert is_two_transitive(G)
     assert mindeg.socle._is_perfect(G, random.Random(0))
     assert mindeg.socle._may_be_affine(16, G.order())
     assert not mindeg.socle._faithful_two_transitive_orbit(G)
@@ -518,13 +535,15 @@ def test_literal_a7_x_a7_is_proved_factor_by_factor(monkeypatch):
 
 
 def test_intransitive_candidate_needs_a_faithful_orbit():
-    # A5 x A5 on 5 + 5 points: the stabilizer of the first base point has
-    # an orbit of 4 points, which would pass a test that only compares the
-    # first level's orbit with an orbit of N
+    # A5 x A5 on 5 + 5 points: the stabilizer of the first point has an
+    # orbit of 4 points, which would pass a test that only compares an
+    # orbit of that stabilizer with an orbit of N
     G = build_group(10, [P("(1 2 3)", 10), P("(1 2 3 4 5)", 10),
                          P("(6 7 8)", 10), P("(6 7 8 9 10)", 10)])
-    levels = G._chain()
-    assert len(levels[0].tree) == 5 and len(levels[1].tree) == 4
+    first = orbits(G)[0]
+    assert len(first) == 5 and not is_two_transitive(G)
+    stabilizer = point_stabilizer(G, first[0])
+    assert sorted(map(len, orbits(stabilizer))) == [4, 5]
     assert not mindeg.socle._faithful_two_transitive_orbit(G)
 
 

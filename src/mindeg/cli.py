@@ -108,9 +108,10 @@ def _cmd_socle(gf: GroupFile, args) -> int:
         "probabilistic_minimality": dec.probabilistic_minimality,
     }
     lines = [f"socle order {dec.socle.order()}",
-             "factor orders " + " ".join(str(F.order()) for F in dec.factors),
-             "minimal normal blocks " + " ".join(
-                 ",".join(map(str, b)) for b in dec.minimal_normals)]
+             " ".join(["factor orders",
+                       *(str(F.order()) for F in dec.factors)]),
+             " ".join(["minimal normal blocks",
+                       *(",".join(map(str, b)) for b in dec.minimal_normals)])]
     _emit(payload, "\n".join(lines), args.json)
     return 0
 
@@ -128,8 +129,9 @@ def _cmd_recognize(gf: GroupFile, args) -> int:
     G = gf.group
     if G.is_trivial():
         raise ValueError("input group is not simple")
-    N, _, simple = minimal_normal_under(G, G, args.seed)
-    if N.order() != G.order() or not simple:
+    N, _, blocks = minimal_normal_under(G, G, args.seed)
+    # one minimal normal subgroup, found simple, that is all of G
+    if N.order() != G.order() or blocks != [[N]]:
         raise ValueError("input group is not simple")
     name = name_simple(G)
     _emit({"name": str(name), "family": name.family,

@@ -6,18 +6,22 @@ action on factors.  A candidate minimal normal subgroup N is first tested
 for a proof of simplicity: a faithful, 2-transitive, non-affine orbit
 makes N almost simple (Burnside), and a perfect almost simple group is
 simple (Schreier's conjecture).  A simple normal subgroup is minimal
-normal.  When that proof does not apply, a sweep over elements of N
-proves N minimal (exhaustively up to order 10^4, otherwise only by
-sampling) and decides whether it is simple; an N that is not is split
-into its non-abelian simple factors (one conjugation orbit, so one
-block).
+normal.  Failing that, an intransitive N whose restriction to every orbit
+passes the same tests is a direct product T_1 x ... x T_k of simple
+groups; its factors are generated by the cuts of N's generators to
+classes of linked orbits and checked by their orders, and each orbit of G
+on them is a minimal normal subgroup (Dixon and Mortimer 1996, ch. 4).
+When neither proof applies, a sweep over elements of N proves N minimal
+(exhaustively up to order 10^4, otherwise only by sampling) and decides
+whether it is simple; an N that is not is split into its non-abelian
+simple factors (one conjugation orbit, so one block).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import factorial
+from math import factorial, prod
 
 from .bsgs import (
     PermGroup, centralizer_of_normal, class_tree, closure_has_order,
@@ -100,15 +104,23 @@ def _may_be_affine(degree: int, order: int) -> bool:
     return agl % order == 0
 
 
+def _restriction(N: PermGroup, points: list[int]) -> PermGroup:
+    """N acting on an N-invariant list of points, relabelled by position."""
+    index = {x: i for i, x in enumerate(points)}
+    return PermGroup(len(points), [
+        Permutation(tuple(index[g.images[x]] for x in points))
+        for g in N.generators])
+
+
 def _faithful_two_transitive_orbit(N: PermGroup) -> bool:
     """Whether N acts faithfully, 2-transitively and not as a subgroup of
     an affine group on one of its orbits.
 
     Each orbit on whose points N could act faithfully (|N| divides
     |Delta|!) and not as an affine group gives the restriction R of N to
-    it: N itself when the orbit is the whole support, otherwise a
-    relabelled copy on the orbit.  |R| = |N| decides faithfulness, and R's
-    chain 2-transitivity.  N's own chain is read only when its orbit is the
+    it: N itself when the orbit is the whole support, otherwise
+    ``_restriction``.  |R| = |N| decides faithfulness, and R's chain
+    2-transitivity.  N's own chain is read only when its orbit is the
     whole support: the stabilizer of a point of an intransitive N acts on
     every orbit, and would make A5 x A5 on 5 + 5 points look 2-transitive
     on its first orbit.
@@ -119,12 +131,7 @@ def _faithful_two_transitive_orbit(N: PermGroup) -> bool:
         n = len(orbit)
         if factorial(n) % order or _may_be_affine(n, order):
             continue
-        R = N
-        if n < len(support):
-            index = {x: i for i, x in enumerate(orbit)}
-            R = PermGroup(n, [
-                Permutation(tuple(index[g.images[x]] for x in orbit))
-                for g in N.generators])
+        R = N if n == len(support) else _restriction(N, orbit)
         if R.order() == order and is_two_transitive(R):
             return True
     return False
@@ -156,18 +163,124 @@ def _is_perfect(N: PermGroup, rng: random.Random) -> bool:
             == N.order())
 
 
+def _cut(g: Permutation, points: list[int]) -> Permutation:
+    """g on the points, the identity elsewhere."""
+    images = list(range(g.degree))
+    for x in points:
+        images[x] = g.images[x]
+    return Permutation(tuple(images))
+
+
+def _linked_classes(N: PermGroup, orbs: list[list[int]],
+                    orders: list[int]) -> list[tuple[list[int], int]]:
+    """The orbits of N grouped into classes of linked orbits, each as its
+    points and |N^Delta| for its orbits Delta, in order of least point.
+
+    When every N^Delta is simple, N is a subdirect product of them, so a
+    direct product T_1 x ... x T_k of non-abelian simple groups, and N acts
+    on each orbit through one T_i (Dixon and Mortimer 1996, ch. 4).  Two
+    orbits are linked when it is the same T_i, that is when
+    |N^(Delta u Delta')| = |N^Delta'|; when the |N^Delta| multiply to |N|,
+    no two are.
+    """
+    unlinked = prod(orders) == N.order()
+    classes: list[list[int]] = []
+    for i, orbit in enumerate(orbs):
+        for c in classes:
+            j = c[0]
+            if (not unlinked and orders[j] == orders[i]
+                    and _restriction(N, orbs[j] + orbit).order()
+                    == orders[j]):
+                c.append(i)
+                break
+        else:
+            classes.append([i])
+    return sorted([([x for i in c for x in orbs[i]], orders[c[0]])
+                   for c in classes], key=lambda c: min(c[0]))
+
+
+def _cut_factors(N: PermGroup, classes: list[tuple[list[int], int]]
+                 ) -> list[PermGroup] | None:
+    """The groups F_U generated by the cuts to U of N's generators, one per
+    class (U, order), when each has the given order and their orders
+    multiply to |N|; otherwise None.
+
+    The classes partition supp(N), so each generator of N is the product
+    of its cuts and N lies in the direct product of the F_U: |N| =
+    prod |F_U| makes the two equal, and with it puts every cut in N.
+    Restriction to an orbit Delta in U maps F_U onto N^Delta, an
+    isomorphism when the orders agree.
+    """
+    factors = []
+    for points, order in classes:
+        F = PermGroup(N.degree,
+                      dict.fromkeys(_cut(g, points) for g in N.generators))
+        if F.order() != order:
+            return None
+        factors.append(F)
+    if prod(F.order() for F in factors) != N.order():
+        return None
+    return factors
+
+
+def _orbit_blocks(G: PermGroup, N: PermGroup, rng: random.Random
+                  ) -> list[list[PermGroup]] | None:
+    """The minimal normal subgroups of G inside N, as lists of their
+    simple factors, when N is proved a direct product T_1 x ... x T_k of
+    non-abelian simple groups from its orbits; otherwise None.
+
+    N must be intransitive on its support, and the restriction of N to
+    each orbit must pass the simplicity proof (it is faithful on the
+    orbit by construction).  ``_cut_factors`` then checks the classes of
+    ``_linked_classes``, so a wrong grouping is refused, not trusted.  G
+    permutes the factors of N as it permutes their supports, and each
+    G-orbit of factors is a minimal normal subgroup of G.  Factors and
+    blocks come in order of least moved point.
+    """
+    orbs = orbits(N)
+    if len(orbs) < 2:
+        return None
+    orders = []
+    for orbit in orbs:
+        R = _restriction(N, orbit)
+        if not (is_two_transitive(R)
+                and not _may_be_affine(len(orbit), R.order())
+                and _is_perfect(R, rng)):
+            return None
+        orders.append(R.order())
+    classes = _linked_classes(N, orbs, orders)
+    factors = _cut_factors(N, classes)
+    if factors is None:
+        return None
+    class_of = {x: i for i, (points, _) in enumerate(classes)
+                for x in points}
+    maps = [im.images.__getitem__ for im in induced_action(
+        G, range(len(classes)),
+        lambda g, i: class_of[g.images[classes[i][0][0]]])]
+    blocks, seen = [], set()
+    for i in range(len(classes)):
+        if i not in seen:
+            block = sorted(class_tree(i, maps))
+            seen.update(block)
+            blocks.append([factors[j] for j in block])
+    return blocks
+
+
 def minimal_normal_under(G: PermGroup, C: PermGroup,
                          seed: int = DEFAULT_SEED
-                         ) -> tuple[PermGroup, bool, bool]:
-    """A minimal normal subgroup N of G inside the normal subgroup C.
+                         ) -> tuple[PermGroup, bool,
+                                    list[list[PermGroup]] | None]:
+    """Minimal normal subgroups of G inside the normal subgroup C.
 
     Starts from the normal closure of the nontrivial generator of C with
     the smallest moved point, so the choice among several minimal normal
     subgroups is reproducible, and descends: whenever the closure of some
     element of the candidate is a proper nontrivial normal subgroup, it
-    replaces the candidate.  Returns N, whether its minimality was only
-    sampled, and whether N was found simple (proved exactly when
-    minimality is).
+    replaces the candidate.  Returns a normal subgroup N of G, whether its
+    minimality was only sampled, and the minimal normal subgroups of G
+    whose product is N, each as the list of its simple factors: [[N]] when
+    N was found simple (proved exactly when minimality is), None when N is
+    minimal normal but was found not simple and is left to split.
 
     Each candidate N, the first closure and each one it descends to, is
     first tested for a proof that it is simple.  N is simple when it has
@@ -182,9 +295,21 @@ def minimal_normal_under(G: PermGroup, C: PermGroup,
     N is almost simple with socle T.  N/T lies in Out(T), which is solvable
     (Schreier's conjecture, a consequence of the classification), and N
     is perfect, so N = T.  A simple normal subgroup of G is minimal normal,
-    so N is returned with no sweep.  The proof draws from its own
-    generator, so a candidate it does not prove gets the same sweep as
-    without it.
+    so N is returned with no sweep.
+
+    When that fails and N is intransitive, N may be proved a direct
+    product T_1 x ... x T_k (``_orbit_blocks``): the restriction of N to
+    each orbit passes 2-4, and is faithful on its orbit, so is simple.
+    N is then a subdirect product of simple groups, so a direct product of
+    some of them (Dixon and Mortimer 1996, ch. 4), found as the groups
+    generated by the cuts of N's generators to classes of linked orbits
+    and checked by their orders.  G permutes these factors, each G-orbit
+    of them is a minimal normal subgroup, and all are returned at once,
+    in order of least moved point, with no sweep.  The orbits and their
+    restrictions come from ``bsgs.orbits`` and stabilizer chains (Seress,
+    *Permutation Group Algorithms*, 2003, ch. 5-6).  Both proofs draw
+    from their own generator, so a candidate they do not prove gets the
+    same sweep as without them.
 
     Otherwise the sweep certifies minimality exhaustively for candidates
     of order at most 10^4, and otherwise by random sampling.
@@ -210,7 +335,10 @@ def minimal_normal_under(G: PermGroup, C: PermGroup,
     while True:
         if (_faithful_two_transitive_orbit(N)
                 and _is_perfect(N, proof_rng)):
-            return N, False, True
+            return N, False, [[N]]
+        blocks = _orbit_blocks(G, N, proof_rng)
+        if blocks is not None:
+            return N, False, blocks
         sampled = N.order() > EXHAUSTIVE_MINIMALITY_BOUND
         simple = True
         sweep = (_prime_order_samples(N, rng) if sampled
@@ -230,7 +358,7 @@ def minimal_normal_under(G: PermGroup, C: PermGroup,
                 N = M
                 break
         else:
-            return N, sampled, simple
+            return N, sampled, [[N]] if simple else None
 
 
 def _is_abelian(H: PermGroup) -> bool:
@@ -240,23 +368,26 @@ def _is_abelian(H: PermGroup) -> bool:
 def _centralizer_recursion(G: PermGroup, seed: int):
     """Soc(G) = N × Soc(C_G(N)), unrolled.
 
-    Adjoins a minimal normal subgroup N of G inside C, the centralizer of
-    the product so far, and narrows C to C_C(N) until it is trivial.
-    Returns the minimal normal subgroups found, each with whether it was
-    found simple, and whether the minimality of any of them was only
-    sampled.  Any abelian one proves G is not Fitting-free.
+    Adjoins the product N of the minimal normal subgroups of G that
+    ``minimal_normal_under`` finds inside C, the centralizer of the
+    product so far, and narrows C to C_C(N) until it is trivial.  Returns
+    each N found with its blocks of simple factors (None when N is one
+    minimal normal subgroup left to split), and whether the minimality of
+    any of them was only sampled.  Any abelian N proves G is not
+    Fitting-free.
     """
-    parts: list[tuple[PermGroup, bool]] = []
+    parts: list[tuple[PermGroup, list[list[PermGroup]] | None]] = []
     sampled = False
     C = G
     while True:
-        N, s, simple = minimal_normal_under(G, C, seed)
+        N, s, blocks = minimal_normal_under(G, C, seed)
         if _is_abelian(N):
             raise NotFittingFree("abelian minimal normal subgroup found")
         sampled |= s
-        parts.append((N, simple))
-        # N = C proved simple and non-abelian: C_C(N) = Z(N) = 1
-        if simple and not s and N.order() == C.order():
+        parts.append((N, blocks))
+        # N = C proved a product of non-abelian simple groups:
+        # C_C(N) = Z(N) = 1
+        if blocks is not None and not s and N.order() == C.order():
             return parts, sampled
         C = centralizer_of_normal(C, N)
         if C.is_trivial():
@@ -267,11 +398,11 @@ def socle_fitting_free(G: PermGroup,
                        seed: int = DEFAULT_SEED) -> SocleDecomposition:
     """Socle decomposition of G, certifying that G is Fitting-free.
 
-    Each minimal normal subgroup found simple is its own factor; any other
-    is split into its simple factors here, once.  The factors of one
-    minimal normal subgroup form one block; callers pass ``factors`` on
-    instead of splitting again.  The trivial group is its own socle, with
-    no factors.
+    Each minimal normal subgroup comes with its simple factors, unless a
+    sweep found it not simple; that one is split here, once.  The factors
+    of one minimal normal subgroup form one block; callers pass
+    ``factors`` on instead of splitting again.  The trivial group is its
+    own socle, with no factors.
     """
     if G.is_trivial():
         return SocleDecomposition(socle=G, factors=[], minimal_normals=[],
@@ -279,10 +410,11 @@ def socle_fitting_free(G: PermGroup,
     parts, sampled = _centralizer_recursion(G, seed)
     factors: list[PermGroup] = []
     blocks: list[list[int]] = []
-    for N, simple in parts:
-        split = [N] if simple else simple_factors(N)
-        blocks.append(list(range(len(factors), len(factors) + len(split))))
-        factors += split
+    for N, found in parts:
+        for split in found if found is not None else [simple_factors(N)]:
+            blocks.append(list(range(len(factors),
+                                     len(factors) + len(split))))
+            factors += split
     socle = parts[0][0] if len(parts) == 1 else PermGroup(
         G.degree, [g for N, _ in parts for g in N.generators])
     return SocleDecomposition(socle=socle, factors=factors,
@@ -293,7 +425,8 @@ def socle_fitting_free(G: PermGroup,
 def simple_factors(N: PermGroup) -> list[PermGroup]:
     """The simple factors of N, a direct product of non-abelian simple
     groups such as a minimal normal subgroup."""
-    return [F for F, _ in _centralizer_recursion(N, DEFAULT_SEED)[0]]
+    return [F for M, found in _centralizer_recursion(N, DEFAULT_SEED)[0]
+            for block in found or [[M]] for F in block]
 
 
 def _factor_image(g: Permutation, i: int, factors: list[PermGroup]) -> int:

@@ -19,6 +19,12 @@ A6_PSL28 = ["(1 2 3)(7 8)(9 10)(11 12)(13 14)",
             "(2 3 4 5 6)(7 15)(9 12)(10 13)(11 14)",
             "(1 2 3)(8 9 11 10 13 14 12)"]
 A7_A7 = ["(1 2 3)(8 9 10 11 12 13 14)", "(1 2 3 4 5 6 7)(8 9 10)"]
+# Alt(5) on 1..5 times Alt(5) acting diagonally on 6..10 and 11..15, each
+# generator moving all three orbits; and Alt(5) wr Z3 on three blocks of 5.
+A5_X_DIAGONAL_A5 = ["(1 2 3)(6 7 8 9 10)(11 12 13 14 15)",
+                    "(1 2 3 4 5)(6 7 8)(11 12 13)"]
+A5_WR_Z3 = ["(1 2 3)", "(1 2 3 4 5)",
+            "(1 6 11)(2 7 12)(3 8 13)(4 9 14)(5 10 15)"]
 
 
 def alt(n):
@@ -77,6 +83,22 @@ def a5xa5_diagonal():
     G = build_group(60, left + right)
     assert G.order() == 3600
     return G, build_group(60, left)
+
+
+def a5wrz2_product_action():
+    """Alt(5) wr Z2 on the 25 pairs (i, j), i, j in 0..4, as 5i + j: each
+    copy of Alt(5) moves one coordinate, and the swap exchanges them.  Its
+    socle Alt(5) x Alt(5) is transitive but not 2-transitive."""
+    def on_pairs(f):
+        return Permutation(tuple(5 * a + b for i in range(5)
+                                 for j in range(5) for a, b in [f(i, j)]))
+
+    gens = [on_pairs(lambda i, j: (c.images[i], j)) for c in alt(5).generators]
+    gens += [on_pairs(lambda i, j: (i, c.images[j]))
+             for c in alt(5).generators]
+    G = build_group(25, gens + [on_pairs(lambda i, j: (j, i))])
+    assert G.order() == 7200
+    return G
 
 
 def a5_on_two_orbits():

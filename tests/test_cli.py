@@ -97,8 +97,13 @@ def test_recognize(capsys):
 
 
 def test_recognize_rejects_nonsimple(tmp_path, capsys):
-    for name in ("S4", "S5", "D8", "Z6"):
-        code, out, err = run(capsys, "recognize", fx(name + ".grp"))
+    # A5wrZ2 and A7 x A7 are products the orbit proof splits; a split is
+    # not a proof of simplicity
+    path = tmp_path / "A7xA7.grp"
+    path.write_text("degree 14\n" + "".join(f"gen {c}\n" for c in A7_A7))
+    for file in [fx(name + ".grp") for name in ("S4", "S5", "D8", "Z6",
+                                                "A5wrZ2")] + [str(path)]:
+        code, out, err = run(capsys, "recognize", file)
         assert code == 1 and out == ""
         assert "input group is not simple" in err
     # Z7 is simple, but abelian: no table entry for its order
@@ -144,6 +149,19 @@ def test_socle_and_min_normal(capsys):
     code, out, _ = run(capsys, "min-normal", fx("A5xA6.grp"))
     assert code == 0
     assert out.strip().splitlines() == ["0", "1"]
+
+
+def test_socle_text_lines_end_without_a_space(tmp_path, capsys):
+    # with no factors, each label ends its line, with no space after it
+    path = tmp_path / "trivial.grp"
+    path.write_text("degree 3\n")
+    for file, lines in ((str(path), ["socle order 1", "factor orders",
+                                     "minimal normal blocks"]),
+                        (fx("A5.grp"), ["socle order 60", "factor orders 60",
+                                        "minimal normal blocks 0"])):
+        code, out, _ = run(capsys, "socle", file)
+        assert code == 0
+        assert out.splitlines() == lines
 
 
 def test_mu_text_and_json(capsys):
@@ -424,7 +442,8 @@ def test_oracle_json_output_is_pinned(capsys, command, name):
     assert out == expected
 
 
-# literal products whose socle splits only by the prime-order sweep
+# literal products of two simple groups on disjoint supports, split by
+# their orbits
 PRODUCTS = {"A6xPSL28": (A6_PSL28, 15), "A7xA7": (A7_A7, 14)}
 
 

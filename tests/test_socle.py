@@ -9,12 +9,12 @@ import mindeg.bsgs
 import mindeg.pipeline
 import mindeg.socle
 from mindeg.bsgs import (
-    build_group, centralizer_of_normal, is_two_transitive, normal_closure,
-    orbits, point_stabilizer,
+    build_group, centralizer_of_normal, is_two_transitive, moved_points,
+    normal_closure, orbits, point_stabilizer,
 )
 from mindeg.cli import run_cli
 from mindeg.errors import NotFittingFree
-from mindeg.perm import compose, conjugate
+from mindeg.perm import Permutation, compose, conjugate
 from mindeg.pipeline import mu_fitting_free
 from mindeg.socle import (
     minimal_normal_under, normalizer_of_factor, simple_factors,
@@ -22,8 +22,9 @@ from mindeg.socle import (
 )
 
 from .groups import (
-    A6_PSL28, A7_A7, P, a5wrz2, a5xa6, alt, asl24, d8, pgammal2, pgl2, psl2,
-    psp44_on_points, sym,
+    A5_WR_Z3, A5_X_DIAGONAL_A5, A6_PSL28, A7_A7, P, a5wrz2,
+    a5wrz2_product_action, a5xa5_diagonal, a5xa6, alt, asl24, d8, pgammal2,
+    pgl2, psl2, psp44_on_points, sym,
 )
 from .test_bsgs import _count_chain_builds
 
@@ -69,29 +70,30 @@ def brute_socle(G):
 
 
 def test_minimal_normal_under_sym5():
-    N, sampled, simple = minimal_normal_under(sym(5), sym(5))
+    N, sampled, blocks = minimal_normal_under(sym(5), sym(5))
     assert N.order() == 60
     assert not sampled
-    assert simple
+    assert blocks == [[N]]
 
 
 def test_minimal_normal_under_wreath_socle_is_minimal():
     G = a5wrz2()
     soc = build_group(10, list(G.generators)[:4])
     assert soc.order() == 3600
-    N, _, simple = minimal_normal_under(G, soc)
-    # the swap fuses the two Alt(5) blocks into one minimal normal subgroup
-    assert N.order() == 3600
-    assert not simple
+    N, sampled, blocks = minimal_normal_under(G, soc)
+    # the swap fuses the two Alt(5) factors into one minimal normal
+    # subgroup, which is not simple
+    assert N.order() == 3600 and not sampled
+    assert [[F.order() for F in b] for b in blocks] == [[60, 60]]
 
 
 def test_minimal_normal_under_deterministic_choice():
     G = a5xa6()
-    N, _, simple = minimal_normal_under(G, G)
+    N, _, blocks = minimal_normal_under(G, G)
     # both factors are minimal normal; the seed with the smallest moved
     # point lives in the Alt(5) block
     assert N.order() == 60
-    assert simple
+    assert blocks == [[N]]
     again, _, _ = minimal_normal_under(G, G)
     assert sorted(g.images for g in again.generators) == \
         sorted(g.images for g in N.generators)
@@ -280,11 +282,25 @@ def test_socle_splits_a6_x_psl28(seed):
 
 
 @pytest.mark.parametrize("seed", range(20))
-def test_socle_splits_a7_x_a7(seed):
+def test_socle_splits_a7_x_a7(monkeypatch, seed):
+    # the orbit proof splits it, so no seed reaches the sampled sweep
     G = _product_group(A7_A7, 14)
     assert G.order() == 2520 ** 2
+    samples = _spy(monkeypatch, "_prime_order_samples")
     dec = socle_fitting_free(G, seed)
     assert sorted(F.order() for F in dec.factors) == [2520, 2520]
+    assert samples == []
+
+
+def test_literal_a7_x_a7_socle_does_not_depend_on_the_seed(tmp_path,
+                                                           capsys):
+    path = tmp_path / "A7xA7.grp"
+    path.write_text("degree 14\n" + "".join(f"gen {c}\n" for c in A7_A7))
+    outputs = []
+    for extra in ([], ["--seed", "3"]):
+        assert run_cli(["socle", str(path), "--json", *extra]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_mu_a7_x_a7_chain_builds_are_bounded(monkeypatch):
@@ -311,8 +327,9 @@ def test_cli_mu_of_product(tmp_path, capsys, cycles, degree, mu):
     assert json.loads(capsys.readouterr().out)["total"] == mu
 
 
-@pytest.mark.parametrize("make,parts", [(a5xa6, 0), (a5wrz2, 1)],
-                         ids=["A5xA6", "A5wrZ2"])
+@pytest.mark.parametrize("make,parts", [(a5xa6, 0), (a5wrz2, 0),
+                                        (a5wrz2_product_action, 1)],
+                         ids=["A5xA6", "A5wrZ2", "A5wrZ2-product-action"])
 def test_mu_splits_the_socle_once(monkeypatch, make, parts):
     calls = []
     decs = []
@@ -335,13 +352,15 @@ def test_mu_splits_the_socle_once(monkeypatch, make, parts):
     monkeypatch.setattr(mindeg.pipeline, "socle_fitting_free", recorded)
     G = make()
     mu_fitting_free(G)
-    # once per minimal normal subgroup of more than one factor, on that
-    # subgroup; the sweep proves the others simple
+    # once per minimal normal subgroup that a sweep found not simple, on
+    # that subgroup; the proofs and the sweep return the others split.
+    # A5wrZ2's socle is split by its orbits, the product action's is swept.
     (dec,) = decs
-    split_blocks = [b for b in dec.minimal_normals if len(b) > 1]
-    assert len(calls) == len(split_blocks) == parts
-    for N, block in zip(calls, split_blocks):
-        factors = [dec.factors[i] for i in block]
+    assert len(calls) == parts
+    for N in calls:
+        (factors,) = [[dec.factors[i] for i in b] for b in dec.minimal_normals
+                      if all(N.member(s) for i in b
+                             for s in dec.factors[i].generators)]
         assert N.order() == prod(F.order() for F in factors)
         assert all(N.member(s) for F in factors for s in F.generators)
         assert all(N.member(conjugate(n, g))
@@ -447,14 +466,15 @@ def test_sweep_alone_proves_simplicity_when_closures_give_up(monkeypatch,
 # perfect group
 
 
-def _spy(monkeypatch, name):
-    """Record (first argument, result) of each call of a socle helper."""
+def _spy(monkeypatch, name, arg=0):
+    """Record (argument number ``arg``, result) of each call of a socle
+    helper."""
     calls = []
     original = getattr(mindeg.socle, name)
 
-    def spied(N, *args):
-        result = original(N, *args)
-        calls.append((N, result))
+    def spied(*args):
+        result = original(*args)
+        calls.append((args[arg], result))
         return result
 
     monkeypatch.setattr(mindeg.socle, name, spied)
@@ -503,10 +523,10 @@ def test_symmetric_group_fails_the_perfectness_condition(monkeypatch):
     assert not mindeg.socle._is_perfect(G, random.Random(0))
     # the sweep descends from Sym(5) to Alt(5), which is proved
     perfect = _spy(monkeypatch, "_is_perfect")
-    N, sampled, simple = minimal_normal_under(G, G)
+    N, sampled, blocks = minimal_normal_under(G, G)
     assert [(H.order(), r) for H, r in perfect] == [(120, False),
                                                     (60, True)]
-    assert (N.order(), sampled, simple) == (60, False, True)
+    assert (N.order(), sampled, blocks) == (60, False, [[N]])
 
 
 def test_affine_tie_falls_back_to_the_exhaustive_sweep(monkeypatch):
@@ -516,19 +536,24 @@ def test_affine_tie_falls_back_to_the_exhaustive_sweep(monkeypatch):
     perfect = _spy(monkeypatch, "_is_perfect")
     swept = _spy(monkeypatch, "_class_representatives")
     G = pgl2(7)
-    N, sampled, simple = minimal_normal_under(G, G)
-    assert (N.order(), sampled, simple) == (168, False, True)
+    N, sampled, blocks = minimal_normal_under(G, G)
+    assert (N.order(), sampled, blocks) == (168, False, [[N]])
     assert perfect == []
     assert [H for H, _ in swept] == [G]
 
 
 def test_literal_a7_x_a7_is_proved_factor_by_factor(monkeypatch):
     # A7 x A7 is simple on each 7-point orbit and faithful on neither, so
-    # the first candidate is swept; each A7 it descends to is proved
+    # the first candidate fails the faithful-orbit proof; the orbit proof
+    # splits it into its two A7, with no sweep and no second candidate
     orbit = _spy(monkeypatch, "_faithful_two_transitive_orbit")
+    split = _spy(monkeypatch, "_orbit_blocks", 1)
+    swept = _spy(monkeypatch, "_prime_order_samples")
     dec = socle_fitting_free(_product_group(A7_A7, 14))
-    assert [(H.order(), r) for H, r in orbit] == [
-        (2520 ** 2, False), (2520, True), (2520, True)]
+    assert [(H.order(), r) for H, r in orbit] == [(2520 ** 2, False)]
+    assert [[[F.order() for F in b] for b in r] for _, r in split] == [
+        [[2520], [2520]]]
+    assert swept == []
     assert [F.order() for F in dec.factors] == [2520, 2520]
     assert dec.minimal_normals == [[0], [1]]
     assert not dec.probabilistic_minimality
@@ -589,14 +614,42 @@ CERTIFIED = {
 }
 
 
+# products split by the orbit proof: the factor orders of each block
+ORBIT_SPLIT = {"A5wrZ2": [[60, 60]], "A7xA7": [[2520], [2520]]}
+
+
+def _check_split_by_sympy(N, blocks):
+    """Each factor is simple and lies in N, the factors commute, and their
+    orders multiply to |N|."""
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+
+    def perms(H):
+        return [combinatorics.Permutation(list(g.images))
+                for g in H.generators]
+
+    SN = _sympy_group(N)
+    factors = [F for block in blocks for F in block]
+    for i, F in enumerate(factors):
+        S = _sympy_group(F)
+        assert S.order() == F.order() <= 10 ** 4
+        assert _sympy_is_simple(S)
+        assert all(SN.contains(x) for x in perms(F))
+        for H in factors[:i]:
+            assert all(x * y == y * x for x in perms(F) for y in perms(H))
+    assert prod(F.order() for F in factors) == SN.order()
+
+
 @pytest.mark.parametrize("name", sorted(CERTIFIED) + ["A7xA7"])
 def test_certified_groups_are_simple_by_sympy(monkeypatch, name):
     # sympy's composition_series handles solvable groups only, so
     # simplicity is checked by closing one element of each conjugacy class
     # (orders up to 10^4; sympy lists the classes of M12 and PSL(3,4) in
-    # seconds), and above that the proof's conditions are rechecked
+    # seconds), and above that the proof's conditions are rechecked.  The
+    # groups proved perfect include each orbit restriction of a product
+    # that the orbit proof splits; its factors are checked as a split.
     from mindeg.cli import parse_group_file
     perfect = _spy(monkeypatch, "_is_perfect")
+    split = _spy(monkeypatch, "_orbit_blocks", 1)
     if name == "A7xA7":
         G, expected = _product_group(A7_A7, 14), [2520, 2520]
     else:
@@ -605,6 +658,11 @@ def test_certified_groups_are_simple_by_sympy(monkeypatch, name):
     socle_fitting_free(G)
     certified = [N for N, proved in perfect if proved]
     assert [N.order() for N in certified] == expected
+    splits = [(N, r) for N, r in split if r is not None]
+    assert [[[F.order() for F in b] for b in r] for _, r in splits] == (
+        [ORBIT_SPLIT[name]] if name in ORBIT_SPLIT else [])
+    for N, r in splits:
+        _check_split_by_sympy(N, r)
     for N in certified:
         S = _sympy_group(N)
         assert S.order() == N.order()
@@ -613,3 +671,113 @@ def test_certified_groups_are_simple_by_sympy(monkeypatch, name):
             assert _sympy_is_simple(S)
         else:
             assert _sympy_has_faithful_two_transitive_orbit(S)
+
+
+# --- the orbit proof: a product T_1 x ... x T_k split by the cuts of its
+# generators to classes of linked orbits
+
+
+@pytest.mark.parametrize("cycles,blocks,mu", [
+    (A5_X_DIAGONAL_A5, [[60], [60]], 10),
+    (A5_WR_Z3, [[60, 60, 60]], 15),
+    (A6_PSL28, [[360], [504]], 15),
+], ids=["A5xdiagA5", "A5wrZ3", "A6xPSL28"])
+def test_orbit_proof_splits_products(monkeypatch, cycles, blocks, mu):
+    # A5 x diag(A5): the first closure is all of G, whose two diagonal
+    # orbits are linked; A5 wr Z3: one block of three factors, order above
+    # the exhaustive bound
+    G = _product_group(cycles, 15)
+    split = _spy(monkeypatch, "_orbit_blocks", 1)
+    classes = _spy(monkeypatch, "_class_representatives")
+    samples = _spy(monkeypatch, "_prime_order_samples")
+    cert = mu_fitting_free(G)
+    assert cert.total == mu
+    assert not cert.flags["probabilistic-minimality"]
+    assert [[cert.factor_orders[i] for i in b]
+            for b in cert.minimal_normal_blocks] == blocks
+    ((N, found),) = split
+    assert [[F.order() for F in b] for b in found] == blocks
+    _check_split_by_sympy(N, found)
+    assert classes == samples == []
+
+
+@pytest.mark.parametrize("cycles", [A5_X_DIAGONAL_A5, A5_WR_Z3],
+                         ids=["A5xdiagA5", "A5wrZ3"])
+@pytest.mark.parametrize("seed", range(10))
+def test_orbit_proof_orders_factors_by_least_point(cycles, seed):
+    # relabelled, N's first orbit often starts at a base point that is not
+    # its least point
+    images = list(range(15))
+    random.Random(seed).shuffle(images)
+    sigma = Permutation(tuple(images))
+    G = build_group(15, [conjugate(P(c, 15), sigma) for c in cycles])
+    dec = socle_fitting_free(G)
+    least = [min(moved_points(F.generators)) for F in dec.factors]
+    assert least == sorted(least)
+
+
+def test_cut_factors_refuses_a_wrong_grouping():
+    # the classes are only a guess, and each order check refuses one kind
+    # of wrong guess (the cuts lie in N exactly when the orders multiply to
+    # |N|, since N lies in the product of the groups its cuts generate)
+    cut_factors = mindeg.socle._cut_factors
+    both = _product_group(["(1 2 3)", "(1 2 3 4 5)",
+                           "(6 7 8)", "(6 7 8 9 10)"], 10)
+    diagonal = _product_group(["(1 2 3)(6 7 8)",
+                               "(1 2 3 4 5)(6 7 8 9 10)"], 10)
+    first, second = list(range(5)), list(range(5, 10))
+    # two unlinked orbits in one class: its group is A5 x A5, not of order
+    # |N^Delta| = 60, though the orders multiply to |N|
+    assert cut_factors(both, [(first + second, 60)]) is None
+    # two linked orbits apart: each cut group has order 60, but the cuts
+    # leave the diagonal and the orders multiply to 3600, not 60
+    assert cut_factors(diagonal, [(first, 60), (second, 60)]) is None
+    assert [F.order() for F in cut_factors(
+        both, [(first, 60), (second, 60)])] == [60, 60]
+    assert [F.order() for F in cut_factors(
+        diagonal, [(first + second, 60)])] == [60]
+    # A6 x PSL(2,8) left unsplit: one class, of order 181440, not 360
+    product = _product_group(A6_PSL28, 15)
+    assert cut_factors(product, [(list(range(15)), 360)]) is None
+    assert [F.order() for F in cut_factors(
+        product, [(list(range(6)), 360), (list(range(6, 15)), 504)])] == [
+            360, 504]
+
+
+def _beside_a5(H):
+    """H on its points, times Alt(5) on 5 more."""
+    n = H.degree
+    return build_group(n + 5, [Permutation(g.images + tuple(range(n, n + 5)))
+                               for g in H.generators]
+                       + [P(c, n + 5) for c in (f"({n + 1} {n + 2} {n + 3})",
+                                                f"({n + 1} {n + 2} {n + 3} "
+                                                f"{n + 4} {n + 5})")])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_group(25, a5wrz2_product_action().generators[:4]),
+    asl24,
+    lambda: sym(5),
+], ids=["A5xA5-product-action", "ASL24", "S5"])
+def test_orbit_proof_needs_simple_restrictions(make):
+    # beside A5 on 5 points, the orders of the restrictions multiply to
+    # |N|, but A5 x A5 on 25 points is not 2-transitive, ASL(2,4) on 16
+    # points may be affine, and Sym(5) is not perfect: none is simple
+    N = _beside_a5(make())
+    assert mindeg.socle._orbit_blocks(N, N, random.Random(0)) is None
+
+
+@pytest.mark.parametrize("make,sweep", [
+    (psp44_on_points, "_prime_order_samples"),
+    (lambda: pgl2(7), "_class_representatives"),
+    (lambda: a5xa5_diagonal()[0], "_class_representatives"),
+], ids=["PSp44-on-85", "PSL27-affine-tie", "A5xA5-diagonal-on-60"])
+def test_transitive_candidates_keep_their_sweep(monkeypatch, make, sweep):
+    # a transitive candidate is never split by its orbits: the faithful
+    # orbit proof covers it or the sweep decides, as before
+    G = make()
+    split = _spy(monkeypatch, "_orbit_blocks", 1)
+    swept = _spy(monkeypatch, sweep)
+    socle_fitting_free(G)
+    assert split and all(r is None for _, r in split)
+    assert swept

@@ -438,12 +438,13 @@ def normal_closure(G: PermGroup, seeds: Sequence[Permutation]) -> PermGroup:
         if not G.member(s):
             raise ValueError("seed element not in G")
     N = PermGroup(G.degree, seeds)
+    pairs = [(inverse(g), g) for g in G.generators]
     changed = True
     while changed:
         changed = False
-        for g in G.generators:
+        for ginv, g in pairs:
             for s in list(N.generators):
-                if N.extend(conjugate(s, g)):
+                if N.extend(compose3(ginv, s, g)):
                     changed = True
     return N
 
@@ -487,8 +488,9 @@ def closure_has_order(G: PermGroup, y: Permutation, order: int,
 
 def _check_normalizes(G: PermGroup, H: PermGroup) -> None:
     for g in G.generators:
+        ginv = inverse(g)
         for h in H.generators:
-            if not H.member(conjugate(h, g)):
+            if not H.member(compose3(ginv, h, g)):
                 raise ValueError("precondition failed: G does not normalize H")
 
 

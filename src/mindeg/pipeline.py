@@ -13,6 +13,7 @@ as recognition hints (JSON) and are transported to matrix automorphisms.
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import asdict, dataclass, field
 from itertools import product as iproduct
 from math import factorial
@@ -30,7 +31,7 @@ from .fflinalg import (
     multiply, preserves_form, standard_generators,
 )
 from .oracle import ORACLE_LIMIT
-from .perm import Permutation, compose, conjugate, identity, inverse
+from .perm import Permutation, compose, compose3, identity, inverse
 from .simpleid import SimpleName, mu_simple, name_simple
 from .smallgroup import QuotientGroup, isomorphism_search, list_elements
 from .socle import DEFAULT_SEED, normalizer_of_factor, socle_fitting_free
@@ -241,9 +242,10 @@ def induced_aut_group(G: PermGroup, factors: list[PermGroup], index: int,
     memo = {}
     matrix_auts = []
     for g in NG.generators:
+        ginv = inverse(g)
         reps = []
         for s in preimages:
-            c = conjugate(s, g)
+            c = compose3(ginv, s, g)
             ok, word = hint_group.contains(c)
             assert ok, "conjugate left the factor"
             reps.append(evaluate_word(word, mats, inverses, multiply, one,
@@ -263,17 +265,42 @@ def induced_aut_group(G: PermGroup, factors: list[PermGroup], index: int,
 # Dispatch table
 
 
+# Draws from N_G(S1) before ``_embeds_in_sym6`` falls back to the Cayley
+# table search.  At least a quarter of each order-720 candidate for A
+# induces an automorphism of order 6 or 8, so all draws miss with
+# probability at most (3/4)^64 < 10^-8.
+SYM6_WITNESS_DRAWS = 64
+
+
+def _automorphism_order(x: Permutation, S1: PermGroup) -> int:
+    """The order of the automorphism of S1 induced by x in N_G(S1): the
+    least k >= 1 with x^k centralizing S1's generators."""
+    y, k = x, 1
+    while any(compose(y, s) != compose(s, y) for s in S1.generators):
+        y, k = compose(y, x), k + 1
+    return k
+
+
 def _embeds_in_sym6(data: InducedAutData) -> bool:
     """Whether A embeds into Sym(6) (decides the Alt(6) table row).
 
     A contains a copy of Alt(6), so |A| is 360, 720 or 1440.  An order-720
-    subgroup of Sym(6) is Sym(6) itself, so only the middle case needs an
-    isomorphism search.
+    A is Sym(6), PGL(2,9) or M10.  Only Sym(6) has elements of order 6,
+    and only the other two have elements of order 8 (Conway et al., *ATLAS
+    of Finite Groups*, 1985, the A6 page), so one element of N_G(S1) that
+    induces an automorphism of either order decides the row (Las Vegas).
+    When ``SYM6_WITNESS_DRAWS`` draws find none, a Cayley table search
+    against Sym(6) decides.
     """
     if data.order > 720:
         return False
     if data.order == 360:  # A is Alt(6) itself
         return True
+    rng = random.Random(DEFAULT_SEED)
+    for _ in range(SYM6_WITNESS_DRAWS):
+        k = _automorphism_order(data.normalizer.random_element(rng), data.S1)
+        if k in (6, 8):
+            return k == 6
     A = list_elements(QuotientGroup(data.normalizer, data.centralizer),
                       bound=ORACLE_LIMIT)
     s6_perm = build_group(6, [Permutation((1, 0, 2, 3, 4, 5)),

@@ -36,7 +36,7 @@ import numpy as np
 from .bsgs import PermGroup
 from .errors import LimitExceededError
 from .fflinalg import prime_power
-from .perm import Permutation, compose, conjugate, identity
+from .perm import Permutation, compose, compose3, identity, inverse
 
 
 class CayleyGroup:
@@ -139,8 +139,9 @@ class QuotientGroup:
             if not self.G.member(k):
                 raise ValueError("K is not a subgroup of G")
         for g in self.G.generators:
+            ginv = inverse(g)
             for k in self.K.generators:
-                if not self.K.member(conjugate(k, g)):
+                if not self.K.member(compose3(ginv, k, g)):
                     raise ValueError("K is not normalized by G")
 
     def index(self) -> int:

@@ -31,7 +31,7 @@ from .bsgs import (
 from .errors import NotFittingFree
 from .fflinalg import prime_power
 from .perm import (
-    Permutation, compose, conjugate, element_order, inverse, power,
+    Permutation, compose, compose3, element_order, inverse, power,
 )
 
 EXHAUSTIVE_MINIMALITY_BOUND = 10 ** 4
@@ -92,8 +92,17 @@ def _prime_order_samples(N: PermGroup, rng: random.Random):
 
 
 def _may_be_affine(degree: int, order: int) -> bool:
-    """Whether a group of this order could act on this many points inside
-    AGL(d, p): the degree is p^d and the order divides |AGL(d, p)|."""
+    """Whether a perfect group of this order could act faithfully and
+    2-transitively on this many points inside AGL(d, p): the degree is
+    p^d, the order divides |AGL(d, p)|, and 4 divides the order of a point
+    stabilizer.
+
+    Such a group is V.N_alpha with V its translations, so N_alpha is
+    perfect and, for degree >= 3, nontrivial.  It then has a non-abelian
+    simple quotient, whose order 4 divides: it is even (Feit-Thompson),
+    and a cyclic Sylow 2-subgroup would give it a normal 2-complement
+    (Burnside).
+    """
     pe = prime_power(degree)
     if pe is None:
         return False
@@ -101,7 +110,7 @@ def _may_be_affine(degree: int, order: int) -> bool:
     agl = degree
     for i in range(d):
         agl *= degree - p ** i
-    return agl % order == 0
+    return agl % order == 0 and (order // degree) % 4 == 0
 
 
 def _restriction(N: PermGroup, points: list[int]) -> PermGroup:
@@ -113,8 +122,8 @@ def _restriction(N: PermGroup, points: list[int]) -> PermGroup:
 
 
 def _faithful_two_transitive_orbit(N: PermGroup) -> bool:
-    """Whether N acts faithfully, 2-transitively and not as a subgroup of
-    an affine group on one of its orbits.
+    """Whether N acts faithfully, 2-transitively and, should N be perfect,
+    not as a subgroup of an affine group on one of its orbits.
 
     Each orbit on whose points N could act faithfully (|N| divides
     |Delta|!) and not as an affine group gives the restriction R of N to
@@ -288,7 +297,9 @@ def minimal_normal_under(G: PermGroup, C: PermGroup,
       1. N acts faithfully on Delta;
       2. N is 2-transitive on Delta;
       3. the action is not affine: |Delta| is not a prime power p^d, or |N|
-         does not divide |AGL(d, p)|;
+         does not divide |AGL(d, p)|, or 4 does not divide |N| / |Delta|
+         (with 4, an affine N has a perfect point stabilizer, whose
+         order 4 divides: see ``_may_be_affine``);
       4. N is perfect.
     By Burnside's theorem (Dixon and Mortimer, *Permutation Groups*, 1996,
     Thm 4.1B) a 2-transitive group is affine or almost simple, so by 1-3
@@ -436,7 +447,8 @@ def _factor_image(g: Permutation, i: int, factors: list[PermGroup]) -> int:
     orders then make the two equal.
     """
     Si = factors[i]
-    conj_gens = [conjugate(s, g) for s in Si.generators]
+    ginv = inverse(g)
+    conj_gens = [compose3(ginv, s, g) for s in Si.generators]
     for j, Sj in enumerate(factors):
         if (Sj.order() == Si.order()
                 and all(Sj.member(c) for c in conj_gens)):

@@ -60,6 +60,12 @@ def a5xa6():
     return G
 
 
+def s6xa5():
+    """Sym(6) x Alt(5) on 11 points (disjoint supports)."""
+    return build_group(11, [P("(1 2)", 11), P("(1 2 3 4 5 6)", 11),
+                            P("(7 8 9)", 11), P("(9 10 11)", 11)])
+
+
 def a5xa5_diagonal():
     """Alt(5) x Alt(5) on the 60 elements of Alt(5): (a, b) sends x to
     a^-1 x b.
@@ -295,6 +301,31 @@ def asl24():
                               for v in vectors))
     G = build_group(16, [linear(U) for U in L] + [shift])
     assert G.order() == 16 * 60
+    return G
+
+
+def asl32():
+    """ASL(3,2) = AGL(3,2) on the 8 vectors of F_2^3: SL(3,2) acting
+    linearly, and x -> Ux + e_1 for its first generator U.
+
+    The group is perfect and 2-transitive, and 4 divides the order 168 of
+    its point stabilizer.  No generator is a translation, so the normal
+    closure of each is the whole group, not the translations.
+    """
+    _, L = standard_generators("SL", 3, 2)
+    vectors = [(x, y, z) for x in range(2) for y in range(2)
+               for z in range(2)]
+    index = {v: i for i, v in enumerate(vectors)}
+
+    def affine(U, shift):
+        return Permutation(tuple(
+            index[tuple((sum(a * x for a, x in zip(row, v)) + c) % 2
+                        for row, c in zip(U.rows, shift))]
+            for v in vectors))
+
+    G = build_group(8, [affine(U, (0, 0, 0)) for U in L]
+                    + [affine(L[0], (1, 0, 0))])
+    assert G.order() == 8 * 168
     return G
 
 

@@ -175,8 +175,10 @@ def test_mu_text_and_json(capsys):
 
 
 def test_mu_s6_x_a5_lists_a_quotient_for_the_alt6_row(tmp_path, capsys):
-    # C_G(S1) = A5 for the Alt(6) factor, so A = N_G(S1)/C_G(S1) is listed
-    # as a quotient of a group on 11 points before the search against Sym(6)
+    # C_G(S1) = A5 for the Alt(6) factor, so A = N_G(S1)/C_G(S1) is a
+    # quotient of a group on 11 points, of order 720; an element of N_G(S1)
+    # inducing an automorphism of order 6 shows that A is Sym(6), and the
+    # quotient is listed only when no such witness is drawn
     path = tmp_path / "S6xA5.grp"
     path.write_text("degree 11\ngen (1 2)\ngen (1 2 3 4 5 6)\n"
                     "gen (7 8 9)\ngen (9 10 11)\n")
@@ -186,6 +188,8 @@ def test_mu_s6_x_a5_lists_a_quotient_for_the_alt6_row(tmp_path, capsys):
     assert cert["total"] == 11
     assert sorted(r["rule"] for r in cert["records"]) == [
         "default", "default (A embeds in Sym(6))"]
+    assert [r["order_A"] for r in cert["records"]
+            if r["factor_name"] == "Alt(6)"] == [720]
 
 
 def test_mu_oracle_matches_mu(capsys):

@@ -1,8 +1,11 @@
 import json
 import os
+import random
 
 import pytest
 
+import mindeg.pipeline
+import mindeg.smallgroup
 from mindeg.bsgs import build_group
 from mindeg.errors import HintRequired, LimitExceededError, UnsupportedCase
 from mindeg.oracle import ORACLE_LIMIT, mu_oracle
@@ -11,10 +14,13 @@ from mindeg.pipeline import (
     load_hint_file, mu_fitting_free,
 )
 from mindeg.simpleid import SimpleName, mu_simple
-from mindeg.smallgroup import QuotientGroup, list_elements
+from mindeg.smallgroup import QuotientGroup, isomorphism_search, list_elements
 from mindeg.socle import socle_fitting_free
 
-from .groups import P, a5wrz2, a5xa6, alt, m10, pgammal2, pgl2, psl2, sym
+from .groups import (
+    P, a5wrz2, a5xa6, alt, m10, pgammal2, pgl2, psl2, s6xa5, sym,
+)
+from .test_bsgs import _relabelled_generating_set
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir,
                         "src", "mindeg", "fixtures")
@@ -73,6 +79,63 @@ def test_alt6_row_on_the_index_2_overgroups(make, expected, rule):
     assert [r.rule for r in cert.records] == [rule]
     mu, _ = mu_oracle(list_elements(G, bound=ORACLE_LIMIT))
     assert mu == expected
+
+
+def _alt6_inputs():
+    """Groups whose Alt(6) factor has |A| = 720: the three index-2
+    overgroups, Sym(6) on relabelled generating sets, and Sym(6) x Alt(5),
+    where C_G(S1) = Alt(5) is nontrivial."""
+    S6 = load_fixture("S6.grp")
+    rng = random.Random(720)
+    return ([pgl2(9), m10(), pgammal2(9), s6xa5()]
+            + [build_group(6, _relabelled_generating_set(rng, 6,
+                                                         S6.generators))
+               for _ in range(4)])
+
+
+def _alt6_data(G):
+    dec = socle_fitting_free(G)
+    k = next(i for i, F in enumerate(dec.factors) if F.order() == 360)
+    data = induced_aut_group(G, [dec.factors[k]], 0)
+    assert data.order == 720
+    return data
+
+
+def test_sym6_witness_agrees_with_the_cayley_search():
+    S6 = list_elements(sym(6), bound=ORACLE_LIMIT)
+    for G in _alt6_inputs():
+        data = _alt6_data(G)
+        A = list_elements(QuotientGroup(data.normalizer, data.centralizer),
+                          bound=ORACLE_LIMIT)
+        expected = isomorphism_search(A, S6) is not None
+        assert mindeg.pipeline._embeds_in_sym6(data) == expected
+
+
+@pytest.mark.parametrize("make", [
+    lambda: pgl2(9), m10, lambda: pgammal2(9), s6xa5,
+    lambda: load_fixture("S6.grp"),
+], ids=["PGL29", "M10", "PSigmaL29", "S6xA5", "S6"])
+def test_alt6_row_lists_no_cayley_table(monkeypatch, make):
+    # the witness decides the row, so the fallback's listing and search
+    # are never reached
+    G = make()
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the Alt(6) row listed a Cayley table")
+
+    for name in ("list_elements", "isomorphism_search"):
+        monkeypatch.setattr(mindeg.smallgroup, name, refuse)
+        monkeypatch.setattr(mindeg.pipeline, name, refuse)
+    cert = mu_fitting_free(G)
+    assert [r.order_A for r in cert.records if r.factor_name == "Alt(6)"] \
+        == [720]
+
+
+def test_sym6_fallback_gives_the_same_certificates(monkeypatch):
+    inputs = _alt6_inputs()
+    witnessed = [mu_fitting_free(G).to_json() for G in inputs]
+    monkeypatch.setattr(mindeg.pipeline, "SYM6_WITNESS_DRAWS", 0)
+    assert [mu_fitting_free(G).to_json() for G in inputs] == witnessed
 
 
 def test_mu_of_the_diagonal_a5_x_a5_is_10():

@@ -23,8 +23,8 @@ from mindeg.socle import (
 
 from .groups import (
     A5_WR_Z3, A5_X_DIAGONAL_A5, A6_PSL28, A7_A7, P, a5wrz2,
-    a5wrz2_product_action, a5xa5_diagonal, a5xa6, alt, asl24, d8, pgammal2,
-    pgl2, psl2, psp44_on_points, sym,
+    a5wrz2_product_action, a5xa5_diagonal, a5xa6, alt, asl24, asl32, d8,
+    pgammal2, pgl2, psl2, psp44_on_points, sym,
 )
 from .test_bsgs import _count_chain_builds
 
@@ -530,16 +530,38 @@ def test_symmetric_group_fails_the_perfectness_condition(monkeypatch):
 
 
 def test_affine_tie_falls_back_to_the_exhaustive_sweep(monkeypatch):
-    # PSL(2,7) on 8 = 2^3 points: 168 divides |AGL(3,2)| = 1344
-    assert mindeg.socle._may_be_affine(8, 168)
-    assert not mindeg.socle._faithful_two_transitive_orbit(psl2(7))
+    # ASL(3,2) on 8 = 2^3 points is perfect and 2-transitive: 1344 divides
+    # |AGL(3,2)| = 1344 and 4 divides 1344 / 8, so no proof applies to the
+    # first candidate, the whole group, and the sweep finds the translations
+    G = asl32()
+    assert is_two_transitive(G) and mindeg.socle._may_be_affine(8, 1344)
+    assert not mindeg.socle._faithful_two_transitive_orbit(G)
     perfect = _spy(monkeypatch, "_is_perfect")
-    swept = _spy(monkeypatch, "_class_representatives")
-    G = pgl2(7)
+    swept = _spy(monkeypatch, "_class_representatives", 1)
     N, sampled, blocks = minimal_normal_under(G, G)
-    assert (N.order(), sampled, blocks) == (168, False, [[N]])
+    assert (N.order(), sampled, blocks) == (8, False, None)
     assert perfect == []
-    assert [H for H, _ in swept] == [G]
+    assert [H.order() for H, _ in swept] == [1344, 8]
+
+
+@pytest.mark.parametrize("make,mu", [
+    (lambda: psl2(7), 7), (lambda: pgl2(7), 8), (lambda: psl2(31), 32),
+    (lambda: psl2(127), 128),
+], ids=["PSL27", "PGL27", "PSL2_31", "PSL2_127"])
+def test_mersenne_psl2_is_proved_without_a_sweep(monkeypatch, make, mu):
+    # PSL(2,q) on q + 1 = 2^d points has |N| / |Delta| = q(q - 1) / 2, an
+    # odd number, so it cannot be affine although |N| divides |AGL(d,2)|;
+    # the faithful orbit proof covers it and neither sweep runs
+    G = make()
+    S = psl2(G.degree - 1)
+    assert not mindeg.socle._may_be_affine(G.degree, S.order())
+    assert mindeg.socle._faithful_two_transitive_orbit(S)
+    swept = _spy(monkeypatch, "_class_representatives")
+    sampled = _spy(monkeypatch, "_prime_order_samples")
+    cert = mu_fitting_free(G)
+    assert cert.total == mu and cert.factor_orders == [S.order()]
+    assert not cert.flags["probabilistic-minimality"]
+    assert swept == sampled == []
 
 
 def test_literal_a7_x_a7_is_proved_factor_by_factor(monkeypatch):
@@ -608,7 +630,7 @@ def _sympy_has_faithful_two_transitive_orbit(S):
 
 CERTIFIED = {
     "A5": [60], "S5": [60], "A6": [360], "S6": [360], "AutA6": [360],
-    "PSL27": [168], "PGL27": [], "PSL28": [504], "PGammaL28": [504],
+    "PSL27": [168], "PGL27": [168], "PSL28": [504], "PGammaL28": [504],
     "PSL211": [660], "A5wrZ2": [60, 60], "A5xA6": [60, 360],
     "M12": [95040], "PSL34": [20160], "PSL34_2": [20160],
 }
@@ -769,9 +791,8 @@ def test_orbit_proof_needs_simple_restrictions(make):
 
 @pytest.mark.parametrize("make,sweep", [
     (psp44_on_points, "_prime_order_samples"),
-    (lambda: pgl2(7), "_class_representatives"),
     (lambda: a5xa5_diagonal()[0], "_class_representatives"),
-], ids=["PSp44-on-85", "PSL27-affine-tie", "A5xA5-diagonal-on-60"])
+], ids=["PSp44-on-85", "A5xA5-diagonal-on-60"])
 def test_transitive_candidates_keep_their_sweep(monkeypatch, make, sweep):
     # a transitive candidate is never split by its orbits: the faithful
     # orbit proof covers it or the sweep decides, as before

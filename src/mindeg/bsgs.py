@@ -284,11 +284,13 @@ class PermGroup:
             self._install(levels, g, k + 1, 0)
         self._verify(levels, len(levels) - 1)
 
-    def extend(self, g: Permutation) -> bool:
+    def extend(self, g: Permutation, bound: Optional[int] = None) -> bool:
         """Add g to the group unless it is already a member.
 
         Returns whether g was new; only then is it appended to
-        ``generators``, and the chain is extended in place.
+        ``generators``, and the chain is extended in place.  ``bound`` is
+        the order of a group known to contain the result; verification
+        stops once the chain's order reaches it.
         """
         if g.degree != self.degree:
             raise ValueError("degree mismatch")
@@ -297,12 +299,21 @@ class PermGroup:
         if i is None:
             return False
         self.generators.append(g)
-        self._verify(levels, i)
+        self._verify(levels, i, bound)
         return True
 
-    def _verify(self, levels, i) -> None:
-        """Check Schreier pairs from level i up to level 0."""
-        while i >= 0:
+    def _verify(self, levels, i, bound: Optional[int] = None) -> None:
+        """Check Schreier pairs from level i up to level 0.
+
+        With ``bound``, the order of a group known to contain this one, the
+        check stops as soon as the product of the orbit lengths reaches it:
+        every strong generator lies in the group, so that product is a lower
+        bound on its order (the known-order test of ``closure_has_order``),
+        the group is then the whole bounding group, and each level already
+        holds the true point stabilizer.  The Schreier pairs left unchecked
+        all sift to the identity.
+        """
+        while i >= 0 and (bound is None or _chain_order(levels) < bound):
             j = self._check_level(levels, i)
             i = i - 1 if j is None else j
         self._order = _chain_order(levels)
@@ -608,7 +619,8 @@ def _stabilizer(C: PermGroup, x, maps: Sequence[Callable]) -> PermGroup:
     orbit tree of x, the path u_y to a point y, read as a word in C's
     generators, takes x to y.  Schreier generators u_y g u_z^-1, with
     z = y^g, fix x and generate the stabilizer (Schreier's lemma); they
-    are added to a fresh group until it reaches the known order.
+    are added to a fresh group until it reaches the known order, and each
+    addition is verified only until then.
     """
     gens = C.generators
     tree = class_tree(x, maps)
@@ -633,7 +645,7 @@ def _stabilizer(C: PermGroup, x, maps: Sequence[Callable]) -> PermGroup:
         u = path(y, False)
         for g, act in zip(gens, maps):
             s = compose3(u, g, path(act(y), True))
-            if S.extend(s) and S.order() == target:
+            if S.extend(s, target) and S.order() == target:
                 return S
     raise AssertionError("Schreier generators fell short of the stabilizer")
 

@@ -9,7 +9,8 @@ reproducible across systems that adopt the same convention.
 One Gauss-Jordan routine, ``_eliminate``, serves inverses, determinants
 and nullspaces; only nullspaces over prime fields take a numpy
 elimination, which is much faster on the dense systems of the orthogonal
-groups.  ``prime_power`` is the package's one prime-power test.
+groups.  That routine imports numpy itself, so the module loads without
+it.  ``prime_power`` is the package's one prime-power test.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-
-import numpy as np
 
 MAX_FIELD_SIZE = 1 << 16
 
@@ -329,6 +328,8 @@ def _nullspace_from_rref(field, rows, pivots, m):
 
 
 def _nullspace_prime(field: Field, rows, m: int) -> list[list[int]]:
+    import numpy as np
+
     p = field.p
     A = np.array(rows, dtype=np.int64) % p
     n = len(A)

@@ -17,14 +17,14 @@ from functools import reduce
 from itertools import product
 from operator import and_
 
-import numpy as np
-
 from .errors import LimitExceededError
 from .fflinalg import prime_power
 from .smallgroup import (
     CayleyGroup, _conjugates, _hom_from_gen_images, _mask_of, all_subgroups,
-    from_direct_factors,
+    from_direct_factors, lazy_import,
 )
+
+np = lazy_import("numpy")
 
 ORACLE_LIMIT = 2000
 

@@ -27,16 +27,40 @@ source.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .bsgs import PermGroup
 from .errors import LimitExceededError
 from .fflinalg import prime_power
 from .perm import Permutation, compose, compose3, identity, inverse
+
+
+def lazy_import(name: str):
+    """The module ``name``, whose code runs when an attribute is first read.
+
+    The lazy-import recipe of the importlib documentation ("Implementing
+    lazy imports"): the module is entered in ``sys.modules`` at once, so
+    every later import of it gets the same object.  A module that is
+    already there is returned as it is.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = loader
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    loader.exec_module(module)
+    return module
+
+
+# Cayley tables are numpy arrays, and `mu` builds one only on rare paths;
+# numpy loads with the first table, not with this module.
+np = lazy_import("numpy")
 
 
 class CayleyGroup:

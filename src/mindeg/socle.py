@@ -459,7 +459,10 @@ def _factor_image(g: Permutation, i: int, factors: list[PermGroup]) -> int:
 def normalizer_of_factor(G: PermGroup, factors: list[PermGroup],
                          index: int) -> PermGroup:
     """N_G(factors[index]): a point stabilizer in the induced action of G
-    on the factors of one block."""
+    on the factors of one block.  G normalizes a block, so the one factor
+    of a one-factor block has N_G(S1) = G, and no action is induced."""
+    if len(factors) == 1:
+        return G
     images = induced_action(G, list(range(len(factors))),
                             lambda g, i: _factor_image(g, i, factors))
     return preimage_of_stabilizer(G, images, index)

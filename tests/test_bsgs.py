@@ -636,3 +636,30 @@ def test_orbits_and_point_stabilizers_match_sympy_on_relabellings():
     assert not is_two_transitive(groups["PSp44 on 85 points"])
     assert not is_two_transitive(build_group(3, []))
     assert orbits(build_group(3, [])) == []
+
+
+def test_a_stabilizer_stopped_at_its_order_extends_to_the_whole_group():
+    # away from the first base point, point_stabilizer stops verifying its
+    # chain once the orbit product reaches |H| / |alpha^H|; extending the
+    # stabilizer by H's generators must check the pairs it skipped
+    rng = random.Random(27)
+    stopped = 0
+    for label, G in _orbit_cases():
+        gens = _relabelled_generating_set(rng, G.degree, G.generators)
+        H = build_group(G.degree, gens)
+        for o in orbits(H):
+            alpha = o[-1]
+            if alpha == H._chain()[0].base:
+                continue
+            S = point_stabilizer(H, alpha)
+            assert S.order() == H.order() // len(o), (label, alpha)
+            assert all(s.images[alpha] == alpha for s in S.generators)
+            stopped += any(len(lvl.checked) < len(lvl.tree) * len(lvl.gens)
+                           for lvl in S._chain())
+            for g in H.generators:
+                S.extend(g)
+            assert S.order() == H.order(), (label, alpha)
+            assert all(S.member(g) for g in gens), (label, alpha)
+    # some stabilizers were left with unchecked pairs, so the extension
+    # really had pairs to check
+    assert stopped > 0

@@ -1,0 +1,61 @@
+"""`mindeg mu` never loads numpy; the oracle loads it on first use.
+
+The check runs in a fresh interpreter, because this process has numpy
+loaded already.  ``mindeg.oracle`` and ``mindeg.smallgroup`` must still be
+imported with ``mindeg.cli``: the bench tracer patches their functions
+through ``sys.modules`` before any command runs.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import mindeg.cli
+
+SRC = Path(mindeg.cli.__file__).resolve().parent.parent
+FIXTURES = SRC / "mindeg" / "fixtures"
+
+CHILD = """\
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from mindeg.cli import run_cli
+
+def state():
+    return {"mindeg": sorted(m for m in sys.modules
+                             if m.startswith("mindeg.")),
+            "numpy": sorted(m for m in sys.modules
+                            if m in ("numpy._core", "numpy.core"))}
+
+report = {"import": state(), "codes": [], "outputs": []}
+fx = sys.argv[2]
+for argv in (["mu", "--json", fx + "/A5wrZ2.grp"],
+             ["mu", "--json", "--hint", fx + "/PSL34_2.hint.json",
+              fx + "/PSL34_2.grp"],
+             ["mu-oracle", "--json", fx + "/S5.grp"]):
+    if argv[0] == "mu-oracle":
+        report["mu"] = state()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        report["codes"].append(run_cli(argv))
+    report["outputs"].append(out.getvalue())
+report["oracle"] = state()
+print(json.dumps(report))
+"""
+
+
+def test_mu_runs_without_numpy_and_the_oracle_loads_it():
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, str(SRC), str(FIXTURES)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["codes"] == [0, 0, 0]
+    assert {"mindeg.oracle", "mindeg.smallgroup"} <= set(
+        report["import"]["mindeg"])
+    assert report["import"]["numpy"] == []
+    assert report["mu"]["numpy"] == []
+    assert json.loads(report["outputs"][0])["total"] == 10
+    assert json.loads(report["outputs"][1])["total"] == 42
+    assert json.loads(report["outputs"][2])["mu"] == 5
+    assert report["oracle"]["numpy"] != []  # numpy did load on first use

@@ -213,6 +213,24 @@ def test_normalizer_of_factor_builds_one_chain(monkeypatch, make, blocks):
         assert N.order() == G.order() // len(block)
 
 
+def test_one_factor_blocks_induce_no_action(monkeypatch, capsys):
+    # N_G(S1) = G when S1 is the one factor of its block, so no factor
+    # image is formed, and the certificates stay pinned
+    pins = json.loads((Path(__file__).parent / "data" / "cli_pins.json")
+                      .read_text(encoding="utf-8"))
+
+    def refuse(*args):
+        raise AssertionError("factor image formed")
+
+    monkeypatch.setattr(mindeg.socle, "_factor_image", refuse)
+    for name in ("A5", "S6", "AutA6"):
+        assert run_cli(["mu", str(FIXTURES / f"{name}.grp"), "--json"]) == 0
+        assert capsys.readouterr().out == pins[name]["mu"], name
+    # a two-factor block still acts on its factors
+    with pytest.raises(AssertionError, match="factor image formed"):
+        run_cli(["mu", str(FIXTURES / "A5wrZ2.grp"), "--json"])
+
+
 @pytest.mark.parametrize("make", [sym(5), pgl2(7), a5wrz2, a5xa6],
                          ids=["S5", "PGL27", "A5wrZ2", "A5xA6"])
 def test_socle_invariants(make):

@@ -578,15 +578,13 @@ def centralizer_of_normal(G: PermGroup, H: PermGroup) -> PermGroup:
     for h in H.generators:
         if C.is_trivial():
             break
-        C = _stabilizer(C, h.images, [conjugator(g, inverse(g))
-                                      for g in C.generators])
+        C = _stabilizer(C, h.images, [conjugator(g) for g in C.generators])
     return C
 
 
-def conjugator(g: Permutation, ginv: Permutation) -> Callable:
-    """x -> the images of g^-1 x g, on image tuples of length at least 2;
-    ginv is g^-1."""
-    pre, gi = itemgetter(*ginv.images), g.images
+def conjugator(g: Permutation) -> Callable:
+    """x -> the images of g^-1 x g, on image tuples of length at least 2."""
+    pre, gi = itemgetter(*inverse(g).images), g.images
     return lambda x: itemgetter(*pre(x))(gi)
 
 

@@ -178,10 +178,6 @@ class Field:
         return f"F_{self.q}" if self.e > 1 else f"F_{self.p}"
 
 
-def make_field(p: int, e: int = 1) -> Field:
-    return Field(p, e)
-
-
 def frobenius(field: Field, x: int, t: int) -> int:
     """The field automorphism x -> x^{p^t}."""
     return field.pow(x, field.p ** (t % field.e))
@@ -422,7 +418,7 @@ def standard_generators(family: str, d: int, q: int) -> tuple[Field, list[FFMatr
             raise ValueError("only Omega+(2d, 3) is supported")
         if d < 8 or d % 2 != 0:
             raise ValueError("Omega+ needs even matrix size 2d >= 8")
-        field = make_field(3, 1)
+        field = Field(3, 1)
         h = d // 2
         gens = []
         for i in range(1, h + 1):
@@ -444,7 +440,7 @@ def _field_of_order(q: int) -> Field:
     pe = prime_power(q)
     if pe is None:
         raise ValueError(f"{q} is not a prime power")
-    return make_field(*pe)
+    return Field(*pe)
 
 
 def form_matrix(family: str, d: int, q: int) -> FFMatrix:
@@ -462,7 +458,7 @@ def form_matrix(family: str, d: int, q: int) -> FFMatrix:
     if family == "OmegaPlus":
         if q != 3:
             raise ValueError("only Omega+(2d, 3) is supported")
-        field = make_field(3, 1)
+        field = Field(3, 1)
         h = d // 2
         rows = [[0] * d for _ in range(d)]
         for i in range(h):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .bsgs import PermGroup, class_tree, conjugator
 from .errors import UnsupportedCase
-from .perm import element_order, inverse, power
+from .perm import element_order, power
 
 
 @dataclass(frozen=True)
@@ -185,7 +185,7 @@ def _is_alt8(G: PermGroup) -> bool:
         o = element_order(g)
         if o % 5 == 0:
             break
-    conjs = [conjugator(s, inverse(s)) for s in G.generators]
+    conjs = [conjugator(s) for s in G.generators]
     tree = class_tree(power(g, o // 5).images, conjs, ALT8_CLASS_OF_5)
     if tree is None:
         return False

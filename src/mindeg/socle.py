@@ -3,15 +3,18 @@
 Computes the socle by the centralizer recursion Soc(G) = N × Soc(C_G(N)),
 and computes factor normalizers as point stabilizers of the induced
 action on factors.  A candidate minimal normal subgroup N is first tested
-for a proof of simplicity: a faithful, 2-transitive, non-affine orbit
-makes N almost simple (Burnside), and a perfect almost simple group is
-simple (Schreier's conjecture).  A simple normal subgroup is minimal
-normal.  Failing that, an intransitive N whose restriction to every orbit
-passes the same tests is a direct product T_1 x ... x T_k of simple
+by one walk over its orbits, with two conclusions.  The restriction R of
+N to an orbit is simple when it is 2-transitive, not affine (the orbit
+length is not a prime power p^d, or |R| does not divide |AGL(d, p)|, or
+4 does not divide |R| / |Delta|) and perfect: it is almost simple
+(Burnside), and a perfect almost simple group is simple (Schreier's
+conjecture).  A simple R with |R| = |N| proves N simple, and a simple
+normal subgroup is minimal normal.  An intransitive N whose restriction
+to every orbit is simple is a direct product T_1 x ... x T_k of simple
 groups; its factors are generated by the cuts of N's generators to
 classes of linked orbits and checked by their orders, and each orbit of G
 on them is a minimal normal subgroup (Dixon and Mortimer 1996, ch. 4).
-When neither proof applies, a sweep over elements of N proves N minimal
+When the walk proves neither, a sweep over elements of N proves N minimal
 (exhaustively up to order 10^4, otherwise only by sampling) and decides
 whether it is simple; an N that is not is split into its non-abelian
 simple factors (one conjugation orbit, so one block).
@@ -57,7 +60,7 @@ def _class_representatives(G: PermGroup, N: PermGroup):
     Conjugate elements share their normal closure, so the minimality sweep
     only needs class representatives.
     """
-    conjs = [conjugator(g, inverse(g)) for g in G.generators]
+    conjs = [conjugator(g) for g in G.generators]
     covered: set[tuple] = set()
     for y in N.elements():
         if y.images not in covered:
@@ -119,31 +122,6 @@ def _restriction(N: PermGroup, points: list[int]) -> PermGroup:
     return PermGroup(len(points), [
         Permutation(tuple(index[g.images[x]] for x in points))
         for g in N.generators])
-
-
-def _faithful_two_transitive_orbit(N: PermGroup) -> bool:
-    """Whether N acts faithfully, 2-transitively and, should N be perfect,
-    not as a subgroup of an affine group on one of its orbits.
-
-    Each orbit on whose points N could act faithfully (|N| divides
-    |Delta|!) and not as an affine group gives the restriction R of N to
-    it: N itself when the orbit is the whole support, otherwise
-    ``_restriction``.  |R| = |N| decides faithfulness, and R's chain
-    2-transitivity.  N's own chain is read only when its orbit is the
-    whole support: the stabilizer of a point of an intransitive N acts on
-    every orbit, and would make A5 x A5 on 5 + 5 points look 2-transitive
-    on its first orbit.
-    """
-    order = N.order()
-    support = moved_points(N.generators)
-    for orbit in orbits(N):
-        n = len(orbit)
-        if factorial(n) % order or _may_be_affine(n, order):
-            continue
-        R = N if n == len(support) else _restriction(N, orbit)
-        if R.order() == order and is_two_transitive(R):
-            return True
-    return False
 
 
 def _generator_commutators(N: PermGroup):
@@ -235,28 +213,43 @@ def _cut_factors(N: PermGroup, classes: list[tuple[list[int], int]]
 def _orbit_blocks(G: PermGroup, N: PermGroup, rng: random.Random
                   ) -> list[list[PermGroup]] | None:
     """The minimal normal subgroups of G inside N, as lists of their
-    simple factors, when N is proved a direct product T_1 x ... x T_k of
-    non-abelian simple groups from its orbits; otherwise None.
+    simple factors, when one walk over N's orbits proves N simple or a
+    direct product T_1 x ... x T_k of non-abelian simple groups; otherwise
+    None.
 
-    N must be intransitive on its support, and the restriction of N to
-    each orbit must pass the simplicity proof (it is faithful on the
-    orbit by construction).  ``_cut_factors`` then checks the classes of
-    ``_linked_classes``, so a wrong grouping is refused, not trusted.  G
-    permutes the factors of N as it permutes their supports, and each
-    G-orbit of factors is a minimal normal subgroup of G.  Factors and
-    blocks come in order of least moved point.
+    On each orbit Delta, the restriction R of N is proved simple when it
+    is 2-transitive, not affine and perfect.  R is N itself only when N is
+    transitive: the point stabilizers in an intransitive N act on every
+    orbit, and would make A5 x A5 on 5 + 5 points look 2-transitive on
+    its first orbit.  A simple N acts faithfully on each of its orbits,
+    the kernel being a proper normal subgroup, so the first proved R with
+    |R| = |N| returns [[N]].  When every restriction of an intransitive N
+    is proved, ``_cut_factors`` checks the classes of ``_linked_classes``,
+    so a wrong grouping is refused, not trusted.  G permutes the factors
+    of N as it permutes their supports, and each G-orbit of factors is a
+    minimal normal subgroup of G.  Factors and blocks come in order of
+    least moved point.  Once the split is ruled out, only an orbit on
+    which N may act faithfully (|N| divides |Delta|!) and not as an affine
+    group is tried.
     """
+    order = N.order()
     orbs = orbits(N)
-    if len(orbs) < 2:
-        return None
-    orders = []
+    orders: list[int] | None = [] if len(orbs) > 1 else None
     for orbit in orbs:
-        R = _restriction(N, orbit)
-        if not (is_two_transitive(R)
-                and not _may_be_affine(len(orbit), R.order())
+        n = len(orbit)
+        if orders is None and (factorial(n) % order
+                               or _may_be_affine(n, order)):
+            continue
+        R = N if len(orbs) == 1 else _restriction(N, orbit)
+        if not (is_two_transitive(R) and not _may_be_affine(n, R.order())
                 and _is_perfect(R, rng)):
-            return None
-        orders.append(R.order())
+            orders = None
+        elif R.order() == order:
+            return [[N]]
+        elif orders is not None:
+            orders.append(R.order())
+    if orders is None:
+        return None
     classes = _linked_classes(N, orbs, orders)
     factors = _cut_factors(N, classes)
     if factors is None:
@@ -292,35 +285,31 @@ def minimal_normal_under(G: PermGroup, C: PermGroup,
     minimal normal but was found not simple and is left to split.
 
     Each candidate N, the first closure and each one it descends to, is
-    first tested for a proof that it is simple.  N is simple when it has
-    an orbit Delta with |Delta| >= 2 such that
-      1. N acts faithfully on Delta;
-      2. N is 2-transitive on Delta;
-      3. the action is not affine: |Delta| is not a prime power p^d, or |N|
-         does not divide |AGL(d, p)|, or 4 does not divide |N| / |Delta|
-         (with 4, an affine N has a perfect point stabilizer, whose
+    first tested by one walk over its orbits (``_orbit_blocks``, orbits
+    from ``bsgs.orbits`` and restrictions from stabilizer chains: Seress,
+    *Permutation Group Algorithms*, 2003, ch. 5-6).  The restriction R of
+    N to an orbit Delta with |Delta| >= 2 is simple when
+      1. R is 2-transitive on Delta;
+      2. the action is not affine: |Delta| is not a prime power p^d, or |R|
+         does not divide |AGL(d, p)|, or 4 does not divide |R| / |Delta|
+         (with 4, an affine R has a perfect point stabilizer, whose
          order 4 divides: see ``_may_be_affine``);
-      4. N is perfect.
+      3. R is perfect.
     By Burnside's theorem (Dixon and Mortimer, *Permutation Groups*, 1996,
-    Thm 4.1B) a 2-transitive group is affine or almost simple, so by 1-3
-    N is almost simple with socle T.  N/T lies in Out(T), which is solvable
-    (Schreier's conjecture, a consequence of the classification), and N
-    is perfect, so N = T.  A simple normal subgroup of G is minimal normal,
-    so N is returned with no sweep.
-
-    When that fails and N is intransitive, N may be proved a direct
-    product T_1 x ... x T_k (``_orbit_blocks``): the restriction of N to
-    each orbit passes 2-4, and is faithful on its orbit, so is simple.
-    N is then a subdirect product of simple groups, so a direct product of
-    some of them (Dixon and Mortimer 1996, ch. 4), found as the groups
-    generated by the cuts of N's generators to classes of linked orbits
-    and checked by their orders.  G permutes these factors, each G-orbit
-    of them is a minimal normal subgroup, and all are returned at once,
-    in order of least moved point, with no sweep.  The orbits and their
-    restrictions come from ``bsgs.orbits`` and stabilizer chains (Seress,
-    *Permutation Group Algorithms*, 2003, ch. 5-6).  Both proofs draw
-    from their own generator, so a candidate they do not prove gets the
-    same sweep as without them.
+    Thm 4.1B) a 2-transitive group is affine or almost simple, so by 1-2
+    R is almost simple with socle T.  R/T lies in Out(T), which is
+    solvable (Schreier's conjecture, a consequence of the classification),
+    and R is perfect, so R = T.  The walk has two conclusions.  A simple R
+    with |R| = |N| is N acting faithfully, so N is simple, hence minimal
+    normal, and is returned with no sweep.  When N is intransitive and
+    every R is simple, N is a subdirect product of simple groups, so a
+    direct product of some of them (Dixon and Mortimer 1996, ch. 4), found
+    as the groups generated by the cuts of N's generators to classes of
+    linked orbits and checked by their orders.  G permutes these factors,
+    each G-orbit of them is a minimal normal subgroup, and all are
+    returned at once, in order of least moved point, with no sweep.  The
+    walk draws from its own generator, so a candidate it does not prove
+    gets the same sweep as without it.
 
     Otherwise the sweep certifies minimality exhaustively for candidates
     of order at most 10^4, and otherwise by random sampling.
@@ -344,9 +333,6 @@ def minimal_normal_under(G: PermGroup, C: PermGroup,
                 key=lambda g: (min(moved_points([g])), g.images))
     N = normal_closure(G, [start])
     while True:
-        if (_faithful_two_transitive_orbit(N)
-                and _is_perfect(N, proof_rng)):
-            return N, False, [[N]]
         blocks = _orbit_blocks(G, N, proof_rng)
         if blocks is not None:
             return N, False, blocks

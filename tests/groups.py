@@ -4,7 +4,7 @@ from pathlib import Path
 
 from mindeg.bsgs import build_group, preimage_of_stabilizer
 from mindeg.cli import parse_group_file
-from mindeg.fflinalg import make_field, standard_generators
+from mindeg.fflinalg import Field, standard_generators
 from mindeg.perm import Permutation, compose, identity, inverse, parse_permutation
 from mindeg.pipeline import projective_action, projective_points
 
@@ -145,7 +145,7 @@ def _line_maps(q):
     With k = 2 for odd q (k = 1 for even q) all three maps lie in PSL(2,q)
     and generate it (Borel subgroup plus the Weyl reflection).
     """
-    F = make_field(*_pp_decompose(q))
+    F = Field(*_pp_decompose(q))
     inf = q
     g = next(x for x in range(2, q) if _mult_order(F, x) == q - 1) if q > 3 else \
         next(x for x in range(1, q) if _mult_order(F, x) == q - 1)

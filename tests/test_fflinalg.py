@@ -2,27 +2,27 @@ import pytest
 
 from mindeg.bsgs import build_group
 from mindeg.fflinalg import (
-    commutation_space, determinant, form_matrix, frobenius, identity_matrix,
-    invert, make_field, matrix, multiply, nullspace, preserves_form,
+    Field, commutation_space, determinant, form_matrix, frobenius,
+    identity_matrix, invert, matrix, multiply, nullspace, preserves_form,
     scalar_multiply, solve_commutation, standard_generators, transpose,
 )
 from mindeg.perm import Permutation
 
 
 def test_make_field_basic():
-    F2 = make_field(2, 1)
+    F2 = Field(2, 1)
     assert (F2.p, F2.e, F2.q) == (2, 1, 2)
-    F4 = make_field(2, 2)
+    F4 = Field(2, 2)
     assert F4.modulus == (1, 1)  # x^2 + x + 1
     with pytest.raises(ValueError):
-        make_field(4, 1)
+        Field(4, 1)
     with pytest.raises(ValueError):
-        make_field(2, 17)  # 2^17 > 2^16
+        Field(2, 17)  # 2^17 > 2^16
 
 
 def test_field_axioms_small():
     for (p, e) in [(2, 2), (3, 2), (5, 1), (2, 3)]:
-        F = make_field(p, e)
+        F = Field(p, e)
         els = list(F.elements())
         for a in els:
             assert F.add(a, F.neg(a)) == 0
@@ -41,7 +41,7 @@ def test_field_axioms_small():
 def test_sub_inverts_add(p, e):
     # prime fields, characteristic 2 and odd prime powers each take their
     # own branch of Field.sub
-    F = make_field(p, e)
+    F = Field(p, e)
     els = list(F.elements())
     for a in els:
         for b in els:
@@ -50,20 +50,20 @@ def test_sub_inverts_add(p, e):
 
 
 def test_frobenius():
-    F4 = make_field(2, 2)
+    F4 = Field(2, 2)
     for x in F4.elements():
         assert frobenius(F4, x, F4.e) == x
     # x^2 = x + 1 modulo x^2 + x + 1; codes: x is 2, x+1 is 3
     assert frobenius(F4, 2, 1) == 3
-    F2 = make_field(2, 1)
+    F2 = Field(2, 1)
     assert all(frobenius(F2, x, t) == x for x in (0, 1) for t in range(3))
-    F9 = make_field(3, 2)
+    F9 = Field(3, 2)
     for x in F9.elements():
         assert frobenius(F9, frobenius(F9, x, 1), 1) == x
 
 
 def test_matrix_arithmetic():
-    F3 = make_field(3, 1)
+    F3 = Field(3, 1)
     I = identity_matrix(F3, 3)
     assert determinant(I) == 1
     A = matrix(F3, [[1, 2, 0], [0, 1, 1], [1, 0, 2]])
@@ -76,14 +76,14 @@ def test_matrix_arithmetic():
 
 
 def test_determinant_multiplicative():
-    F4 = make_field(2, 2)
+    F4 = Field(2, 2)
     A = matrix(F4, [[2, 1], [1, 1]])
     B = matrix(F4, [[1, 3], [0, 2]])
     assert determinant(multiply(A, B)) == F4.mul(determinant(A), determinant(B))
 
 
 def test_nullspace_examples():
-    F3 = make_field(3, 1)
+    F3 = Field(3, 1)
     assert nullspace(F3, identity_matrix(F3, 3).rows, 3) == []
     assert len(nullspace(F3, [[0, 0], [0, 0]], 2)) == 2
     basis = nullspace(F3, [[1, 1], [2, 2]], 2)
@@ -93,7 +93,7 @@ def test_nullspace_examples():
 
 
 def test_nullspace_nonprime_field():
-    F4 = make_field(2, 2)
+    F4 = Field(2, 2)
     A = matrix(F4, [[1, 2, 3], [0, 0, 0]])
     basis = nullspace(F4, A.rows, A.ncols)
     assert len(basis) == 2

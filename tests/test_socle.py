@@ -386,9 +386,9 @@ def test_mu_splits_the_socle_once(monkeypatch, make, parts):
 
 
 def _without_the_orbit_proof(monkeypatch):
-    """Make the simplicity proof fail, so every candidate is swept."""
-    monkeypatch.setattr(mindeg.socle, "_faithful_two_transitive_orbit",
-                        lambda N: False)
+    """Make the orbit proof fail, so every candidate is swept."""
+    monkeypatch.setattr(mindeg.socle, "_orbit_blocks",
+                        lambda G, N, rng: None)
 
 
 def test_sampled_sweep_rarely_builds_a_verified_closure(monkeypatch):
@@ -480,8 +480,8 @@ def test_sweep_alone_proves_simplicity_when_closures_give_up(monkeypatch,
     assert dec.probabilistic_minimality
 
 
-# --- the simplicity proof: a faithful, 2-transitive, non-affine orbit and a
-# perfect group
+# --- the orbit proof: a restriction to an orbit that is 2-transitive, not
+# affine and perfect is simple, and a faithful one proves the candidate simple
 
 
 def _spy(monkeypatch, name, arg=0):
@@ -525,7 +525,7 @@ def test_affine_group_is_not_proved_simple(tmp_path, capsys):
     assert is_two_transitive(G)
     assert mindeg.socle._is_perfect(G, random.Random(0))
     assert mindeg.socle._may_be_affine(16, G.order())
-    assert not mindeg.socle._faithful_two_transitive_orbit(G)
+    assert mindeg.socle._orbit_blocks(G, G, random.Random(0)) is None
     path = tmp_path / "ASL24.grp"
     path.write_text("degree 16\n"
                     + "".join(f"gen {g}\n" for g in G.generators))
@@ -537,8 +537,9 @@ def test_affine_group_is_not_proved_simple(tmp_path, capsys):
 
 def test_symmetric_group_fails_the_perfectness_condition(monkeypatch):
     G = sym(5)
-    assert mindeg.socle._faithful_two_transitive_orbit(G)
+    assert is_two_transitive(G) and not mindeg.socle._may_be_affine(5, 120)
     assert not mindeg.socle._is_perfect(G, random.Random(0))
+    assert mindeg.socle._orbit_blocks(G, G, random.Random(0)) is None
     # the sweep descends from Sym(5) to Alt(5), which is proved
     perfect = _spy(monkeypatch, "_is_perfect")
     N, sampled, blocks = minimal_normal_under(G, G)
@@ -553,7 +554,7 @@ def test_affine_tie_falls_back_to_the_exhaustive_sweep(monkeypatch):
     # first candidate, the whole group, and the sweep finds the translations
     G = asl32()
     assert is_two_transitive(G) and mindeg.socle._may_be_affine(8, 1344)
-    assert not mindeg.socle._faithful_two_transitive_orbit(G)
+    assert mindeg.socle._orbit_blocks(G, G, random.Random(0)) is None
     perfect = _spy(monkeypatch, "_is_perfect")
     swept = _spy(monkeypatch, "_class_representatives", 1)
     N, sampled, blocks = minimal_normal_under(G, G)
@@ -569,11 +570,11 @@ def test_affine_tie_falls_back_to_the_exhaustive_sweep(monkeypatch):
 def test_mersenne_psl2_is_proved_without_a_sweep(monkeypatch, make, mu):
     # PSL(2,q) on q + 1 = 2^d points has |N| / |Delta| = q(q - 1) / 2, an
     # odd number, so it cannot be affine although |N| divides |AGL(d,2)|;
-    # the faithful orbit proof covers it and neither sweep runs
+    # the orbit proof covers it and neither sweep runs
     G = make()
     S = psl2(G.degree - 1)
     assert not mindeg.socle._may_be_affine(G.degree, S.order())
-    assert mindeg.socle._faithful_two_transitive_orbit(S)
+    assert mindeg.socle._orbit_blocks(S, S, random.Random(0)) == [[S]]
     swept = _spy(monkeypatch, "_class_representatives")
     sampled = _spy(monkeypatch, "_prime_order_samples")
     cert = mu_fitting_free(G)
@@ -584,37 +585,53 @@ def test_mersenne_psl2_is_proved_without_a_sweep(monkeypatch, make, mu):
 
 def test_literal_a7_x_a7_is_proved_factor_by_factor(monkeypatch):
     # A7 x A7 is simple on each 7-point orbit and faithful on neither, so
-    # the first candidate fails the faithful-orbit proof; the orbit proof
-    # splits it into its two A7, with no sweep and no second candidate
-    orbit = _spy(monkeypatch, "_faithful_two_transitive_orbit")
+    # the first candidate is not proved simple; the orbit proof splits it
+    # into its two A7, with no sweep and no second candidate
     split = _spy(monkeypatch, "_orbit_blocks", 1)
     swept = _spy(monkeypatch, "_prime_order_samples")
     dec = socle_fitting_free(_product_group(A7_A7, 14))
-    assert [(H.order(), r) for H, r in orbit] == [(2520 ** 2, False)]
-    assert [[[F.order() for F in b] for b in r] for _, r in split] == [
-        [[2520], [2520]]]
+    assert [(H.order(), [[F.order() for F in b] for b in r])
+            for H, r in split] == [(2520 ** 2, [[2520], [2520]])]
     assert swept == []
     assert [F.order() for F in dec.factors] == [2520, 2520]
     assert dec.minimal_normals == [[0], [1]]
     assert not dec.probabilistic_minimality
 
 
-def test_intransitive_candidate_needs_a_faithful_orbit():
+def test_intransitive_candidate_needs_a_faithful_orbit(monkeypatch):
     # A5 x A5 on 5 + 5 points: the stabilizer of the first point has an
     # orbit of 4 points, which would pass a test that only compares an
-    # orbit of that stabilizer with an orbit of N
+    # orbit of that stabilizer with an orbit of N; it is split, never
+    # proved simple
     G = build_group(10, [P("(1 2 3)", 10), P("(1 2 3 4 5)", 10),
                          P("(6 7 8)", 10), P("(6 7 8 9 10)", 10)])
     first = orbits(G)[0]
     assert len(first) == 5 and not is_two_transitive(G)
     stabilizer = point_stabilizer(G, first[0])
     assert sorted(map(len, orbits(stabilizer))) == [4, 5]
-    assert not mindeg.socle._faithful_two_transitive_orbit(G)
+    blocks = mindeg.socle._orbit_blocks(G, G, random.Random(0))
+    assert blocks != [[G]]
+    assert [[F.order() for F in b] for b in blocks] == [[60], [60]]
+    # A5 on its 10 pairs and on 5 points: the first orbit, the rank-3
+    # action on pairs, is not 2-transitive, which rules the split out, and
+    # the later 5-point orbit is faithful and proves the candidate simple
+    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    N = build_group(15, [
+        Permutation(tuple(pairs.index(tuple(sorted((g.images[i],
+                                                    g.images[j]))))
+                          for i, j in pairs)
+                    + tuple(10 + x for x in g.images))
+        for g in alt(5).generators])
+    assert N.order() == 60 and [len(o) for o in orbits(N)] == [10, 5]
+    swept = _spy(monkeypatch, "_class_representatives", 1)
+    M, sampled, blocks = minimal_normal_under(N, N)
+    assert (M.order(), sampled, blocks) == (60, False, [[M]])
+    assert swept == []
 
 
 def test_rank_3_group_stays_sampled():
     G = psp44_on_points()
-    assert not mindeg.socle._faithful_two_transitive_orbit(G)
+    assert mindeg.socle._orbit_blocks(G, G, random.Random(0)) is None
     dec = socle_fitting_free(G)
     assert [F.order() for F in dec.factors] == [979200]
     assert dec.probabilistic_minimality
@@ -685,8 +702,9 @@ def test_certified_groups_are_simple_by_sympy(monkeypatch, name):
     # simplicity is checked by closing one element of each conjugacy class
     # (orders up to 10^4; sympy lists the classes of M12 and PSL(3,4) in
     # seconds), and above that the proof's conditions are rechecked.  The
-    # groups proved perfect include each orbit restriction of a product
-    # that the orbit proof splits; its factors are checked as a split.
+    # groups proved perfect are orbit restrictions; the orbit proof returns
+    # [[N]] for a candidate proved simple, which is checked like them, and
+    # otherwise a split, whose factors are checked as a split.
     from mindeg.cli import parse_group_file
     perfect = _spy(monkeypatch, "_is_perfect")
     split = _spy(monkeypatch, "_orbit_blocks", 1)
@@ -698,12 +716,15 @@ def test_certified_groups_are_simple_by_sympy(monkeypatch, name):
     socle_fitting_free(G)
     certified = [N for N, proved in perfect if proved]
     assert [N.order() for N in certified] == expected
-    splits = [(N, r) for N, r in split if r is not None]
+    simple = [N for N, r in split if r == [[N]]]
+    assert [N.order() for N in simple] == (
+        [] if name in ORBIT_SPLIT else expected)
+    splits = [(N, r) for N, r in split if r not in (None, [[N]])]
     assert [[[F.order() for F in b] for b in r] for _, r in splits] == (
         [ORBIT_SPLIT[name]] if name in ORBIT_SPLIT else [])
     for N, r in splits:
         _check_split_by_sympy(N, r)
-    for N in certified:
+    for N in {id(N): N for N in certified + simple}.values():
         S = _sympy_group(N)
         assert S.order() == N.order()
         assert S.is_perfect

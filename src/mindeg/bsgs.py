@@ -68,7 +68,7 @@ from math import prod
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .perm import Permutation, compose, compose3, conjugate, identity, inverse
+from .perm import Permutation, compose, compose3, identity, inverse
 
 # ---------------------------------------------------------------------------
 # Words over generator indices.
@@ -404,13 +404,30 @@ class PermGroup:
         # an element is u_{k-1} * ... * u_0 (deepest transversal applied first)
         yield from _enumerate(levels, identity(self.degree), len(levels) - 1)
 
-    def random_element(self, rng: random.Random) -> Permutation:
-        levels = self._chain()
-        g = identity(self.degree)
-        for lvl in levels:
+    def _random_picks(self, rng: random.Random) -> list:
+        """(level, orbit point) for one uniform pick per level, first
+        level first: the element u_(k-1) * ... * u_0 of their transversal
+        elements is uniform in the group."""
+        picks = []
+        for lvl in self._chain():
             lvl.fill()
-            g = compose(lvl.reps[rng.choice(lvl.points)], g)
+            picks.append((lvl, rng.choice(lvl.points)))
+        return picks
+
+    def random_element(self, rng: random.Random) -> Permutation:
+        g = identity(self.degree)
+        for lvl, x in self._random_picks(rng):
+            g = compose(lvl.reps[x], g)
         return g
+
+    def random_conjugate(self, y: Permutation,
+                         rng: random.Random) -> Permutation:
+        """g^-1 y g for the g that ``random_element`` draws with the same
+        rng calls, conjugated by one transversal element at a time from
+        the cached u and u^-1, so no inverse is formed."""
+        for lvl, x in reversed(self._random_picks(rng)):
+            y = compose3(lvl.rep_invs[x], y, lvl.reps[x])
+        return y
 
     def is_trivial(self) -> bool:
         return self.order() == 1
@@ -487,7 +504,7 @@ def closure_has_order(G: PermGroup, y: Permutation, order: int,
     x = identity(G.degree)
     stale = 0
     while stale < CLOSURE_STALE_SIFTS:
-        x = compose(x, conjugate(y, G.random_element(rng)))
+        x = compose(x, G.random_conjugate(y, rng))
         if G._install(levels, x, None, 0) is None:
             stale += 1
         elif _chain_order(levels) == order:

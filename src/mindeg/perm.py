@@ -114,11 +114,6 @@ def compose3(a: Permutation, b: Permutation, c: Permutation) -> Permutation:
     return _unchecked(itemgetter(*itemgetter(*a.images)(b.images))(c.images))
 
 
-def conjugate(s: Permutation, g: Permutation) -> Permutation:
-    """The conjugate g^{-1} s g (as a function: g after s after g^{-1})."""
-    return compose3(inverse(g), s, g)
-
-
 def element_order(a: Permutation) -> int:
     return reduce(lcm, (len(c) for c in a.cycles()), 1)
 

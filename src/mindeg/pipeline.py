@@ -179,19 +179,22 @@ def induced_aut_group(G: PermGroup, factors: list[PermGroup], index: int,
     for S1 = factors[index].
 
     ``factors`` are the simple factors of one minimal normal subgroup, as
-    split by ``socle_fitting_free``.  With a hint, each
-    conjugation automorphism C_g is transported to a matrix automorphism of
-    the standard copy via Iso o C_g o Iso^{-1}, evaluated through word
-    decompositions.  Words from one chain share their nodes, so all words
-    evaluated over the same images share one memo.
+    split by ``socle_fitting_free``.  N_G(S1) is the group that
+    ``normalizer_of_factor`` returns: G itself, with its verified chain,
+    for a one-factor block, and otherwise a point stabilizer that keeps
+    only generators enlarging it.
+
+    With a hint, rows 11-13 ask whether A lies in a subgroup Gamma of
+    Aut(S1) that contains Inn(S1).  S1 C_G(S1) = S1 x C_G(S1), since
+    Z(S1) = 1, induces exactly Inn(S1), so A lies in Gamma iff the
+    generators of N_G(S1) that enlarge S1 C_G(S1) do.  Only those are
+    transported, each conjugation automorphism C_g to a matrix
+    automorphism of the standard copy via Iso o C_g o Iso^{-1}, evaluated
+    through word decompositions.  Words from one chain share their nodes,
+    so all words evaluated over the same images share one memo.
     """
     S1 = factors[index]
-    # keep only generators that enlarge N_G(S1): each costs a class walk in
-    # the centralizer and, with a hint, a lift; for a one-factor block
-    # N_G(S1) is G with all of its generators
-    NG = PermGroup(G.degree)
-    for g in normalizer_of_factor(G, factors, index).generators:
-        NG.extend(g)
+    NG = normalizer_of_factor(G, factors, index)
     CG = centralizer_of_normal(NG, S1)
     order_A = NG.order() // CG.order()
     data = InducedAutData(order=order_A, order_S=S1.order(), S1=S1,
@@ -240,8 +243,16 @@ def induced_aut_group(G: PermGroup, factors: list[PermGroup], index: int,
     inverses = [invert(M) for M in mats]
     one = identity_matrix(fld, hint.d)
     memo = {}
+    # only the generators that enlarge S1 x C_G(S1) are lifted; with the
+    # known orders |S1| |C_G(S1)| and |N_G(S1)| as bounds, no chain is
+    # verified beyond either
+    inner = PermGroup(G.degree)
+    for s in S1.generators + CG.generators:
+        inner.extend(s, S1.order() * CG.order())
+    outer = [g for g in NG.generators if inner.order() < NG.order()
+             and inner.extend(g, NG.order())]
     matrix_auts = []
-    for g in NG.generators:
+    for g in outer:
         ginv = inverse(g)
         reps = []
         for s in preimages:

@@ -230,7 +230,8 @@ def _orbit_blocks(G: PermGroup, N: PermGroup, rng: random.Random
     minimal normal subgroup of G.  Factors and blocks come in order of
     least moved point.  Once the split is ruled out, only an orbit on
     which N may act faithfully (|N| divides |Delta|!) and not as an affine
-    group is tried.
+    group is tried.  A restriction with |R| = |N| that is not perfect ends
+    the walk: N is then isomorphic to R, so no orbit can prove it.
     """
     order = N.order()
     orbs = orbits(N)
@@ -241,8 +242,11 @@ def _orbit_blocks(G: PermGroup, N: PermGroup, rng: random.Random
                                or _may_be_affine(n, order)):
             continue
         R = N if len(orbs) == 1 else _restriction(N, orbit)
-        if not (is_two_transitive(R) and not _may_be_affine(n, R.order())
-                and _is_perfect(R, rng)):
+        if not (is_two_transitive(R) and not _may_be_affine(n, R.order())):
+            orders = None
+        elif not _is_perfect(R, rng):
+            if R.order() == order:  # N is isomorphic to R, so not perfect
+                return None
             orders = None
         elif R.order() == order:
             return [[N]]
@@ -445,8 +449,9 @@ def _factor_image(g: Permutation, i: int, factors: list[PermGroup]) -> int:
 def normalizer_of_factor(G: PermGroup, factors: list[PermGroup],
                          index: int) -> PermGroup:
     """N_G(factors[index]): a point stabilizer in the induced action of G
-    on the factors of one block.  G normalizes a block, so the one factor
-    of a one-factor block has N_G(S1) = G, and no action is induced."""
+    on the factors of one block, whose generators each enlarge the group
+    of those before them.  G normalizes a block, so the one factor of a
+    one-factor block has N_G(S1) = G, and no action is induced."""
     if len(factors) == 1:
         return G
     images = induced_action(G, list(range(len(factors))),

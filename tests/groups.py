@@ -5,12 +5,19 @@ from pathlib import Path
 from mindeg.bsgs import build_group, preimage_of_stabilizer
 from mindeg.cli import parse_group_file
 from mindeg.fflinalg import Field, standard_generators
-from mindeg.perm import Permutation, compose, identity, inverse, parse_permutation
+from mindeg.perm import (
+    Permutation, compose, compose3, identity, inverse, parse_permutation,
+)
 from mindeg.pipeline import projective_action, projective_points
 
 
 def P(text, n):
     return parse_permutation(text, n)
+
+
+def conjugate(s, g):
+    """The conjugate g^-1 s g."""
+    return compose3(inverse(g), s, g)
 
 
 # Direct products with disjoint supports: A6 on 1..6 times PSL(2,8) on

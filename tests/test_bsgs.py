@@ -11,12 +11,11 @@ from mindeg.bsgs import (
 )
 from mindeg.cli import parse_group_file
 from mindeg.perm import (
-    Permutation, compose, conjugate, element_order, identity, inverse,
-    parse_permutation,
+    Permutation, compose, element_order, identity, inverse, parse_permutation,
 )
 from mindeg.socle import socle_fitting_free
 
-from .groups import A6_PSL28, A7_A7, a5wrz2, sym
+from .groups import A6_PSL28, A7_A7, a5wrz2, conjugate, sym
 
 
 def P(text, n):

@@ -7,10 +7,10 @@ import pytest
 from mindeg.bsgs import build_group
 from mindeg.cli import parse_group_file, run_cli
 from mindeg.oracle import ORACLE_LIMIT, is_faithful_collection
-from mindeg.perm import Permutation, conjugate
+from mindeg.perm import Permutation
 from mindeg.smallgroup import list_elements
 
-from .groups import A6_PSL28, A7_A7, P, alt, m11, m22
+from .groups import A6_PSL28, A7_A7, P, alt, conjugate, m11, m22
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir,
                         "src", "mindeg", "fixtures")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from mindeg.perm import (
-    Permutation, compose, compose3, conjugate, element_order, identity, inverse,
+    Permutation, compose, compose3, element_order, identity, inverse,
     parse_permutation,
 )
 
@@ -73,7 +73,6 @@ def test_products_on_degrees_1_and_2():
     one = identity(1)
     assert compose(one, one) == one
     assert compose3(one, one, one) == one
-    assert conjugate(one, one) == one
     assert compose(one, one).images == (0,)
     t = parse_permutation("(1 2)", 2)
     e = identity(2)
@@ -81,8 +80,6 @@ def test_products_on_degrees_1_and_2():
     assert compose(t, e) == t and compose(e, t) == t
     assert compose3(t, t, t) == t
     assert compose3(t, e, e) == t
-    assert conjugate(t, t) == t
-    assert conjugate(e, t) == e
 
 
 def _reference_product(*perms):
@@ -104,7 +101,6 @@ def test_products_match_the_pointwise_reference(n, rng):
     assert type(ab.images) is tuple
     assert ab.images == _reference_product(a, b)
     assert compose3(a, b, c).images == _reference_product(a, b, c)
-    assert conjugate(a, b).images == _reference_product(inverse(b), a, b)
 
 
 def test_inverse_examples():

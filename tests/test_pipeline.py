@@ -6,9 +6,10 @@ import pytest
 
 import mindeg.pipeline
 import mindeg.smallgroup
-from mindeg.bsgs import build_group
+from mindeg.bsgs import PermGroup, build_group
 from mindeg.errors import HintRequired, LimitExceededError, UnsupportedCase
 from mindeg.oracle import ORACLE_LIMIT, mu_oracle
+from mindeg.perm import Permutation
 from mindeg.pipeline import (
     InducedAutData, dispatch_table, induced_aut_group, load_hint,
     load_hint_file, mu_fitting_free,
@@ -18,9 +19,9 @@ from mindeg.smallgroup import QuotientGroup, isomorphism_search, list_elements
 from mindeg.socle import socle_fitting_free
 
 from .groups import (
-    P, a5wrz2, a5xa6, alt, m10, pgammal2, pgl2, psl2, s6xa5, sym,
+    P, a5wrz2, a5xa6, alt, conjugate, m10, pgammal2, pgl2, psl2, s6xa5, sym,
 )
-from .test_bsgs import _relabelled_generating_set
+from .test_bsgs import _count_chain_builds, _relabelled_generating_set
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir,
                         "src", "mindeg", "fixtures")
@@ -265,7 +266,70 @@ def test_hint_transport_evaluates_shared_word_nodes_once(monkeypatch):
 
     monkeypatch.setattr(mindeg.pipeline, "multiply", counted)
     assert mu_fitting_free(G, hints=[hint]).total == 42
-    assert len(calls) <= 200
+    assert len(calls) <= 30
+
+
+def _relabelled_with_hint(name, rng):
+    """The fixture with its points relabelled by a random sigma and its
+    generators reshuffled, and its hint with the generators conjugated by
+    the same sigma."""
+    G = load_fixture(f"{name}.grp")
+    hint = load_hint_file(fixture_path(f"{name}.hint.json"))
+    images = list(range(G.degree))
+    rng.shuffle(images)
+    sigma = Permutation(tuple(images))
+    gens = [conjugate(g, sigma) for g in G.generators]
+    rng.shuffle(gens)
+    hint.generators = [conjugate(h, sigma) for h in hint.generators]
+    return PermGroup(G.degree, gens), hint
+
+
+@pytest.mark.parametrize("name,mu,rule,lifts", [
+    ("PSL34_2", 42, "row 11", 1), ("PSL34", 21, "default", 0),
+], ids=["PSL34_2", "PSL34"])
+def test_hint_transport_lifts_only_the_outer_generators(monkeypatch, name, mu,
+                                                        rule, lifts):
+    # S1 x C_G(S1) induces Inn(S1), so only generators of N_G(S1) outside
+    # it are lifted: one for |A / S1| = 2 and none for |A / S1| = 1,
+    # wherever the outer generator sits among G's generators
+    calls = []
+    original = mindeg.pipeline.lift_psl_aut
+
+    def counted(lam):
+        calls.append(lam)
+        return original(lam)
+
+    monkeypatch.setattr(mindeg.pipeline, "lift_psl_aut", counted)
+    rng = random.Random(29)
+    inputs = [(load_fixture(f"{name}.grp"),
+               load_hint_file(fixture_path(f"{name}.hint.json")))]
+    inputs += [_relabelled_with_hint(name, rng) for _ in range(5)]
+    positions = set()
+    for G, hint in inputs:
+        calls.clear()
+        cert = mu_fitting_free(G, hints=[hint])
+        assert (cert.total, cert.records[0].rule) == (mu, rule)
+        assert len(calls) == lifts
+        S1 = socle_fitting_free(G).factors[0]
+        positions.update(i for i, g in enumerate(G.generators)
+                         if not S1.member(g))
+    assert len(positions) == (5 if lifts else 0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: alt(5), lambda: load_fixture("S6.grp"),
+    lambda: load_fixture("PSL34.grp"),
+], ids=["A5", "S6", "PSL34"])
+def test_one_factor_block_keeps_g_and_its_chain(monkeypatch, make):
+    # N_G(S1) = G for the one factor of a block: G serves with its own
+    # verified chain, and the only chain built is the trivial C_G(S1)'s
+    G = make()
+    dec = socle_fitting_free(G)
+    builds = _count_chain_builds(monkeypatch)
+    data = induced_aut_group(G, dec.factors, 0)
+    assert data.normalizer is G
+    assert [H.order() for H in builds] == [1]
+    assert data.order == G.order()
 
 
 def _letters(word):
@@ -315,6 +379,9 @@ def test_hint_words_evaluate_with_one_shared_memo():
 
 
 def test_induced_aut_group_orders():
+    # N_G(S1) is G for a one-factor block; in A5 wr Z2 it is the point
+    # stabilizer A5 x A5, whose generators each enlarge the group of those
+    # before them
     for make, expected in ((lambda: alt(5), 60), (lambda: sym(5), 120),
                            (a5wrz2, 60)):
         G = make()
@@ -325,6 +392,13 @@ def test_induced_aut_group_orders():
             assert data.S1 is S
             assert data.order == expected
             assert data.order % data.order_S == 0
+            NG = data.normalizer
+            assert (NG is G) == (len(factors) == 1)
+            assert NG.order() == G.order() // len(factors)
+            if NG is not G:
+                assert not any(
+                    build_group(G.degree, NG.generators[:i]).member(g)
+                    for i, g in enumerate(NG.generators))
 
 
 # --- dispatch table ------------------------------------------------------------

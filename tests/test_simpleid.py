@@ -13,14 +13,14 @@ from mindeg.cli import parse_group_file
 from mindeg.errors import UnsupportedCase
 from mindeg.fflinalg import prime_power
 from mindeg.oracle import mu_oracle
-from mindeg.perm import Permutation, conjugate
+from mindeg.perm import Permutation
 from mindeg.simpleid import (
     SimpleName, _candidates, mu_simple, name_simple, simple_order,
 )
 from mindeg.smallgroup import list_elements
 from mindeg.socle import socle_fitting_free
 
-from .groups import P, alt, psl2, psl_on_plane
+from .groups import P, alt, conjugate, psl2, psl_on_plane
 
 FIXTURES = Path(__file__).parent.parent / "src" / "mindeg" / "fixtures"
 

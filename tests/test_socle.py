@@ -14,7 +14,7 @@ from mindeg.bsgs import (
 )
 from mindeg.cli import run_cli
 from mindeg.errors import NotFittingFree
-from mindeg.perm import Permutation, compose, conjugate
+from mindeg.perm import Permutation, compose
 from mindeg.pipeline import mu_fitting_free
 from mindeg.socle import (
     minimal_normal_under, normalizer_of_factor, simple_factors,
@@ -23,8 +23,8 @@ from mindeg.socle import (
 
 from .groups import (
     A5_WR_Z3, A5_X_DIAGONAL_A5, A6_PSL28, A7_A7, P, a5wrz2,
-    a5wrz2_product_action, a5xa5_diagonal, a5xa6, alt, asl24, asl32, d8,
-    pgammal2, pgl2, psl2, psp44_on_points, sym,
+    a5wrz2_product_action, a5xa5_diagonal, a5xa6, alt, asl24, asl32,
+    conjugate, d8, pgammal2, pgl2, psl2, psp44_on_points, sym,
 )
 from .test_bsgs import _count_chain_builds
 
@@ -546,6 +546,19 @@ def test_symmetric_group_fails_the_perfectness_condition(monkeypatch):
     assert [(H.order(), r) for H, r in perfect] == [(120, False),
                                                     (60, True)]
     assert (N.order(), sampled, blocks) == (60, False, [[N]])
+
+
+def test_faithful_orbit_that_is_not_perfect_ends_the_walk(monkeypatch):
+    # Sym(5) acting diagonally on 5 + 5 points: its first restriction is
+    # faithful, 2-transitive and not affine, but not perfect, so N is not
+    # perfect either and the second orbit is never restricted
+    G = build_group(10, [
+        Permutation(g.images + tuple(5 + x for x in g.images))
+        for g in sym(5).generators])
+    assert G.order() == 120 and len(orbits(G)) == 2
+    restricted = _spy(monkeypatch, "_restriction", 1)
+    assert mindeg.socle._orbit_blocks(G, G, random.Random(0)) is None
+    assert [len(points) for points, _ in restricted] == [5]
 
 
 def test_affine_tie_falls_back_to_the_exhaustive_sweep(monkeypatch):

@@ -16,12 +16,13 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 from groups import (  # noqa: E402
-    _line_maps, a5wrz2, a5xa6, alt, d8, matrix_on_projective_points, pgammal2,
-    pgl2, projective_points, psl2, psl_on_plane, sym,
+    _line_maps, a5wrz2, a5xa6, alt, d8, hint_data, pgammal2, pgl2,
+    projective_points, psl2, psl3_graph_extension, psl_on_plane, sym,
 )
 from mindeg.bsgs import build_group  # noqa: E402
-from mindeg.fflinalg import frobenius, invert, transpose  # noqa: E402
+from mindeg.fflinalg import frobenius  # noqa: E402
 from mindeg.perm import Permutation, parse_permutation  # noqa: E402
+from mindeg.pipeline import matrix_to_projective_perm  # noqa: E402
 
 OUT = os.path.join(ROOT, "src", "mindeg", "fixtures")
 
@@ -93,28 +94,6 @@ def psl2_11_on_11_points():
     return P11
 
 
-def psl34_graph_extension():
-    """PSL(3,4).2 (graph type) on the 21 points plus 21 lines of PG(2,4).
-
-    Matrices act on points by v -> Uv and on lines (indexed by their
-    orthogonal-complement normal vectors) by w -> U^{-T} w; the duality
-    v -> v^perp swaps the two orbits and conjugates U to U^{-T}.
-    """
-    G21, field, L, pts, index = psl_on_plane(3, 4)
-    n = len(pts)
-
-    def double(U):
-        P = matrix_on_projective_points(U, pts, index)
-        Q = matrix_on_projective_points(transpose(invert(U)), pts, index)
-        return Permutation(tuple(list(P.images) + [n + x for x in Q.images]))
-
-    tau = Permutation(tuple([n + i for i in range(n)] + list(range(n))))
-    gens = [double(U) for U in L] + [tau]
-    G = build_group(2 * n, gens)
-    assert G.order() == 2 * G21.order() == 40320
-    return G, [double(U) for U in L], L
-
-
 def aut_a6():
     """Aut(Alt(6)) = PGammaL(2,9) on the projective line (10 points)."""
     F, moebius, t, s, m, full_m = _line_maps(9)
@@ -124,18 +103,8 @@ def aut_a6():
     return G
 
 
-def write_hint(name, factor_index, family, d, q, perm_gens, mats, degree):
-    data = {
-        "factor_index": factor_index,
-        "family": family,
-        "d": d,
-        "q": q,
-        "field_convention": "lex-least-irreducible",
-        "degree": degree,
-        "generators": [list(p.images) for p in perm_gens],
-        "generator_images": [[x for row in M.rows for x in row]
-                             for M in mats],
-    }
+def write_hint(name, family, d, q, perm_gens, mats):
+    data = hint_data(family, d, q, perm_gens, mats)
     path = os.path.join(OUT, f"{name}.hint.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
@@ -169,14 +138,15 @@ def main():
     assert G34.order() == 20160
     write_grp("PSL34", "PSL(3,4) on the 21 points of PG(2,4), from the "
               "SL(3,4) standard generators", G34)
-    perm_gens21 = [matrix_on_projective_points(U, pts34, idx34) for U in L34]
-    write_hint("PSL34", 0, "SL", 3, 4, perm_gens21, L34, 21)
+    perm_gens21 = [matrix_to_projective_perm(U, pts34, idx34) for U in L34]
+    write_hint("PSL34", "SL", 3, 4, perm_gens21, L34)
 
-    G42, dbl_gens, L42 = psl34_graph_extension()
+    G42, dbl_gens, L42 = psl3_graph_extension(4)
+    assert G42.order() == 2 * G34.order() == 40320
     write_grp("PSL34_2", "PSL(3,4) extended by the point-line duality of "
               "PG(2,4): points 1-21, lines 22-42 indexed by normal vectors, "
               "duality v -> v-perp", G42)
-    write_hint("PSL34_2", 0, "SL", 3, 4, dbl_gens, L42, 42)
+    write_hint("PSL34_2", "SL", 3, 4, dbl_gens, L42)
 
     a = parse_permutation("(1 2 3 4 5 6 7 8 9 10 11)", 12)
     b = parse_permutation("(3 7 11 8)(4 10 5 6)", 12)

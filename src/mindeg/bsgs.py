@@ -1,8 +1,7 @@
 """Stabilizer-chain engine for permutation groups.
 
-Provides order, membership with word witness, normal closure,
-centralizer of a normal subgroup, induced actions and preimages of point
-stabilizers under them.
+Provides order, membership, normal closure, centralizer of a normal
+subgroup, induced actions and preimages of point stabilizers under them.
 
 The chain is grown in place by an incremental Schreier-Sims procedure.
 ``PermGroup.extend(g)`` sifts g through the chain; a nontrivial residue
@@ -15,8 +14,8 @@ the smallest points moved by a residue.
 Each level keeps its orbit as a Schreier tree ``point -> (parent,
 generator index)`` (Seress, *Permutation Group Algorithms*, 2003, 4.1),
 grown breadth-first in generator order; orbits only grow.  The coset
-representative u with u(base) = point, its inverse and its word are
-computed from the parent's the first time they are read, and kept.
+representative u with u(base) = point and its inverse are computed from
+the parent's the first time they are read, and kept.
 Adding a strong generator forms no products, and a sift forms only the
 u^-1 of the points it meets, so an unverified chain that is only sifted
 into computes few of them.  Verification, enumeration, coset
@@ -46,8 +45,9 @@ conjugation action, one per generator of the normal subgroup;
 ``preimage_of_stabilizer`` is one, in an action given by the images of
 G's generators.
 
-Other modules read a chain's orbits and point stabilizers only through
-``orbits``, ``point_stabilizer`` and ``is_two_transitive``.
+Other modules read a chain's orbits, point stabilizers and base only
+through ``orbits``, ``point_stabilizer``, ``is_two_transitive`` and
+``is_faithful_on_first``.
 
 Before any class walk, ``centralizer_of_normal(G, H)`` tries to prove
 C_G(H) = 1 from fixed points.  An element c of C_Sym(H) satisfies
@@ -70,107 +70,32 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .perm import Permutation, compose, compose3, identity, inverse
 
-# ---------------------------------------------------------------------------
-# Words over generator indices.
-#
-# A word is a node of a shared expression DAG (directed acyclic graph): a
-# 1-based generator index, W_EMPTY, ("*", a, b) for the product a then b,
-# or ("~", a) for the inverse of a.  Witnesses are built as products of the
-# words of sifted transversal elements, so one chain's words share their
-# nodes; ``evaluate_word`` computes each shared node once.
-
-W_EMPTY = ("1",)
-
-
-def _wmul(a, b):
-    if a is W_EMPTY:
-        return b
-    if b is W_EMPTY:
-        return a
-    return ("*", a, b)
-
-
-def _winv(a):
-    if a is W_EMPTY:
-        return a
-    return ("~", a)
-
-
-def evaluate_word(w, images: Sequence, inverses: Sequence, mul: Callable,
-                  one, memo: Optional[dict] = None):
-    """The value of the word DAG w when index k reads images[k - 1].
-
-    Works over any images with an associative product ``mul`` and identity
-    ``one``: permutations, or matrices.  Inversions are pushed down to the
-    letters, which read ``inverses``, so no product is ever inverted.  Each
-    node is evaluated once per orientation; pass the same ``memo`` to share
-    that work between words over the same images.  The memo is keyed by
-    ``id(node)`` and holds the node as well, so no id is reused while the
-    memo lives.  The walk uses an explicit stack, so deep DAGs are fine.
-    """
-    if memo is None:
-        memo = {}
-
-    def known(node, inv):
-        if isinstance(node, int):
-            return inverses[node - 1] if inv else images[node - 1]
-        if node is W_EMPTY:
-            return one
-        hit = memo.get((id(node), inv))
-        return None if hit is None else hit[1]
-
-    stack = [(w, False)]
-    while stack:
-        node, inv = stack[-1]
-        if known(node, inv) is not None:
-            stack.pop()
-            continue
-        if node[0] == "~":
-            parts = [(node[1], not inv)]
-        elif inv:  # (a b)^-1 = b^-1 a^-1
-            parts = [(node[2], True), (node[1], True)]
-        else:
-            parts = [(node[1], False), (node[2], False)]
-        values = [known(*p) for p in parts]
-        if None in values:
-            stack.extend(p for p, v in zip(parts, values) if v is None)
-            continue
-        stack.pop()
-        memo[id(node), inv] = (node, values[0] if len(values) == 1
-                               else mul(*values))
-    return known(w, False)
-
-
 class _Level:
-    __slots__ = ("base", "gens", "inverses", "words", "tree", "reps",
-                 "rep_invs", "rep_words", "points", "checked")
+    __slots__ = ("base", "gens", "inverses", "tree", "reps", "rep_invs",
+                 "points", "checked")
 
     def __init__(self, base: int, degree: int):
         ident = identity(degree)
         self.base = base
         self.gens: list[Permutation] = []
         self.inverses: list[Permutation] = []
-        self.words: list = []
         # the Schreier tree: orbit point -> (parent, generator index k), in
         # breadth-first discovery order; u(point) = u(parent) * gens[k]
         self.tree: dict = {base: None}
-        # per point: u with u(base) = point, u^-1 and the word of u; fill()
-        # forms u and u^-1 of every point, sifts form u^-1 and the word of
-        # the points they meet
+        # per point: u with u(base) = point and u^-1; fill() forms both for
+        # every point, sifts form the u^-1 of the points they meet
         self.reps = {base: ident}
         self.rep_invs = {base: ident}
-        self.rep_words = {base: W_EMPTY}
         # the orbit in sorted order, refreshed by fill()
         self.points = [base]
         # Schreier pairs (point, generator index) known to give an element
         # of the next level's group
         self.checked: set[tuple[int, int]] = set()
 
-    def add_gen(self, g: Permutation, ginv: Permutation, w) -> None:
+    def add_gen(self, g: Permutation, ginv: Permutation) -> None:
         """Append a strong generator and grow the tree breadth-first."""
         self.gens.append(g)
         self.inverses.append(ginv)
-        self.words.append(w)
         tree = self.tree
         queue = deque()
         k = len(self.gens) - 1
@@ -187,27 +112,17 @@ class _Level:
                     tree[y] = (x, k)
                     queue.append(y)
 
-    def _walk(self, cache: dict, x, step: Callable):
-        """cache[x], extended from the nearest cached ancestor of x by
-        step(value at parent, generator index)."""
-        path = []
-        while x not in cache:
+    def rep_inv(self, x) -> Permutation:
+        """u(x)^-1, where u(x) sends the base to x, extended from the
+        nearest ancestor of x whose u^-1 is known."""
+        invs, path = self.rep_invs, []
+        while x not in invs:
             path.append(x)
             x = self.tree[x][0]
-        value = cache[x]
+        uinv = invs[x]
         for y in reversed(path):
-            value = cache[y] = step(value, self.tree[y][1])
-        return value
-
-    def rep_inv(self, x) -> Permutation:
-        """u(x)^-1, where u(x) sends the base to x."""
-        return self._walk(self.rep_invs, x,
-                          lambda u, k: compose(self.inverses[k], u))
-
-    def rep_word(self, x):
-        """The word of u(x)."""
-        return self._walk(self.rep_words, x,
-                          lambda w, k: _wmul(w, self.words[k]))
+            uinv = invs[y] = compose(self.inverses[self.tree[y][1]], uinv)
+        return uinv
 
     def fill(self) -> None:
         """Sort the orbit into ``points`` and compute u and u^-1 of every
@@ -254,13 +169,12 @@ class PermGroup:
             self._build_chain()
         return self._levels
 
-    def _sift(self, levels, g, w=None, start=0):
-        """Sift g (with word w) through levels[start:].
+    def _sift(self, levels, g, start=0):
+        """Sift g through levels[start:].
 
-        Returns (residue, word, level-index). The index is the first level
-        whose orbit cannot absorb the residue, or len(levels).  Only the
-        u^-1 of the points met are computed, and the word only when w is
-        not None.
+        Returns (residue, level-index). The index is the first level whose
+        orbit cannot absorb the residue, or len(levels).  Only the u^-1 of
+        the points met are computed.
         """
         for i in range(start, len(levels)):
             lvl = levels[i]
@@ -270,18 +184,16 @@ class PermGroup:
             uinv = lvl.rep_invs.get(x)
             if uinv is None:
                 if x not in lvl.tree:
-                    return g, w, i
+                    return g, i
                 uinv = lvl.rep_inv(x)
             g = compose(g, uinv)
-            if w is not None:
-                w = _wmul(w, _winv(lvl.rep_word(x)))
-        return g, w, len(levels)
+        return g, len(levels)
 
     def _build_chain(self) -> None:
         levels: list[_Level] = []
         self._levels = levels
-        for k, g in enumerate(self.generators):
-            self._install(levels, g, k + 1, 0)
+        for g in self.generators:
+            self._install(levels, g, 0)
         self._verify(levels, len(levels) - 1)
 
     def extend(self, g: Permutation, bound: Optional[int] = None) -> bool:
@@ -295,7 +207,7 @@ class PermGroup:
         if g.degree != self.degree:
             raise ValueError("degree mismatch")
         levels = self._chain()
-        i = self._install(levels, g, len(self.generators) + 1, 0)
+        i = self._install(levels, g, 0)
         if i is None:
             return False
         self.generators.append(g)
@@ -318,17 +230,17 @@ class PermGroup:
             i = i - 1 if j is None else j
         self._order = _chain_order(levels)
 
-    def _install(self, levels, g, w, start) -> Optional[int]:
+    def _install(self, levels, g, start) -> Optional[int]:
         """Sift g from levels[start]; a nontrivial residue becomes a strong
         generator of levels 0..i.  Returns i, or None for members."""
-        g, w, i = self._sift(levels, g, w, start)
+        g, i = self._sift(levels, g, start)
         if g.is_identity():
             return None
         if i == len(levels):
             levels.append(_Level(_smallest_moved_point(g), self.degree))
         ginv = inverse(g)
         for lvl in levels[:i + 1]:
-            lvl.add_gen(g, ginv, w)
+            lvl.add_gen(g, ginv)
         return i
 
     def _check_level(self, levels, i) -> Optional[int]:
@@ -344,7 +256,7 @@ class PermGroup:
         for x in lvl.points:
             ux = lvl.reps[x]
             failed_at = None
-            for k, (g, wg) in enumerate(zip(lvl.gens, lvl.words)):
+            for k, g in enumerate(lvl.gens):
                 if (x, k) in checked:
                     continue
                 checked.add((x, k))
@@ -352,9 +264,7 @@ class PermGroup:
                 s = compose3(ux, g, lvl.rep_inv(y))
                 if s.is_identity():
                     continue
-                j = self._install(levels, s, _wmul(
-                    _wmul(lvl.rep_word(x), wg), _winv(lvl.rep_word(y))),
-                    i + 1)
+                j = self._install(levels, s, i + 1)
                 if j is not None and (failed_at is None or j > failed_at):
                     failed_at = j
             if failed_at is not None:
@@ -370,19 +280,22 @@ class PermGroup:
     def member(self, g: Permutation) -> bool:
         if g.degree != self.degree:
             raise ValueError("degree mismatch")
-        res, _, i = self._sift(self._chain(), g)
-        return res.is_identity()
+        return self._sift(self._chain(), g)[0].is_identity()
 
     def contains(self, g: Permutation):
-        """Return (bool, word): the word is a DAG over 1-based indices into
-        ``generators``, for ``evaluate_word``, or None for non-members."""
+        """Return (g in the group, h): h is the group element that the sift
+        matched to g, the one that agrees with g on every base point, or
+        None when g sends a base point out of its level's orbit."""
         if g.degree != self.degree:
             raise ValueError("degree mismatch")
-        res, w, _ = self._sift(self._chain(), g, W_EMPTY)
-        if not res.is_identity():
+        levels = self._chain()
+        res, i = self._sift(levels, g)
+        if i < len(levels):
             return False, None
-        # g * prod(inverses) = id, so g = (that product) inverted
-        return True, _winv(w)
+        if res.is_identity():
+            return True, g
+        # res = compose(g, h^-1) fixes every base point
+        return False, compose(inverse(res), g)
 
     def coset_rep(self, g: Permutation) -> Permutation:
         """The canonical element of the coset {compose(k, g) : k in self}.
@@ -505,7 +418,7 @@ def closure_has_order(G: PermGroup, y: Permutation, order: int,
     stale = 0
     while stale < CLOSURE_STALE_SIFTS:
         x = compose(x, G.random_conjugate(y, rng))
-        if G._install(levels, x, None, 0) is None:
+        if G._install(levels, x, 0) is None:
             stale += 1
         elif _chain_order(levels) == order:
             return True
@@ -557,6 +470,16 @@ def is_two_transitive(H: PermGroup) -> bool:
     # a trivial stabilizer has no level; its orbits are single points
     sizes = [len(lvl.tree) for lvl in H._chain()[:2]] + [1]
     return sizes[:2] == [n, n - 1]
+
+
+def is_faithful_on_first(H: PermGroup, n: int) -> bool:
+    """Whether only the identity of H fixes each of the points 0..n-1.
+
+    Base points are least moved points of residues, which are elements of
+    H, so a base point n or above belongs to a nontrivial element fixing
+    0..n-1; and a base below n leaves no such element but the identity.
+    """
+    return all(lvl.base < n for lvl in H._chain())
 
 
 def _centralizer_is_trivial(G: PermGroup, H: PermGroup) -> bool:

@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass
+from math import prod
 from typing import Optional
 
 from .bsgs import PermGroup, build_group
@@ -99,17 +100,18 @@ def _cmd_order(gf: GroupFile, args) -> int:
 
 def _cmd_socle(gf: GroupFile, args) -> int:
     dec = socle_fitting_free(gf.group, args.seed)
+    # the socle is the direct product of its factors
+    factor_orders = [F.order() for F in dec.factors]
     payload = {
-        "socle_order": dec.socle.order(),
+        "socle_order": prod(factor_orders),
         "socle_generators": [str(g) for g in dec.socle.generators],
-        "factor_orders": [F.order() for F in dec.factors],
+        "factor_orders": factor_orders,
         "minimal_normal_blocks": dec.minimal_normals,
         "fitting_free": True,  # socle_fitting_free raises otherwise
         "probabilistic_minimality": dec.probabilistic_minimality,
     }
-    lines = [f"socle order {dec.socle.order()}",
-             " ".join(["factor orders",
-                       *(str(F.order()) for F in dec.factors)]),
+    lines = [f"socle order {payload['socle_order']}",
+             " ".join(["factor orders", *map(str, factor_orders)]),
              " ".join(["minimal normal blocks",
                        *(",".join(map(str, b)) for b in dec.minimal_normals)])]
     _emit(payload, "\n".join(lines), args.json)

@@ -16,19 +16,20 @@ import json
 import random
 from dataclasses import asdict, dataclass, field
 from itertools import product as iproduct
-from math import factorial
+from math import factorial, prod
 from typing import Optional
 
 from .autlift import (
     MatrixAut, ProjectiveAut, lift_omega_aut, lift_psl_aut, subgroup_in_gamma,
 )
 from .bsgs import (
-    PermGroup, build_group, centralizer_of_normal, evaluate_word, moved_points,
+    PermGroup, build_group, centralizer_of_normal, is_faithful_on_first,
+    moved_points,
 )
 from .errors import DegreeCheckFailed, HintRequired, UnsupportedCase
 from .fflinalg import (
-    FFMatrix, determinant, form_matrix, identity_matrix, invert, matrix,
-    multiply, preserves_form, standard_generators,
+    FFMatrix, determinant, form_matrix, invert, matrix, multiply,
+    preserves_form, scalar_multiply, standard_generators, transpose,
 )
 from .oracle import ORACLE_LIMIT
 from .perm import Permutation, compose, compose3, identity, inverse
@@ -72,15 +73,38 @@ def matrix_to_projective_perm(U: FFMatrix, pts: list[tuple],
 
 
 def projective_action(family: str, d: int, q: int):
-    """(field, L, projection pi of the standard copy onto permutations)."""
+    """(field, L, pi, matrix_of) for the standard copy with generators L.
+
+    pi projects a matrix onto its permutation of the projective points.
+    matrix_of inverts pi on the image x of an element of order p: the
+    images of the d coordinate points and of their sum (a frame) fix a
+    matrix V with pi(V) = x up to a scalar.  V^p is scalar, as x has
+    order p, and y -> y^p is injective on F_q^*, so exactly one multiple
+    of V has order p; that one is returned.
+    """
     fld, L = standard_generators(family, d, q)
     pts = projective_points(fld, d)
     index = {v: i for i, v in enumerate(pts)}
+    frame = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+    frame.append((1,) * d)
 
     def pi(U: FFMatrix) -> Permutation:
         return matrix_to_projective_perm(U, pts, index)
 
-    return fld, L, pi
+    def matrix_of(x: Permutation) -> FFMatrix:
+        *cols, w = (pts[x.images[index[v]]] for v in frame)
+        # V's columns are the images of the coordinate points, scaled so
+        # that they sum to the image of their sum
+        a = multiply(invert(transpose(matrix(fld, cols))),
+                     transpose(matrix(fld, [w])))
+        V = transpose(matrix(fld, [[fld.mul(c, y) for y in col]
+                                   for (c,), col in zip(a.rows, cols)]))
+        Vp = V
+        for _ in range(fld.p - 1):
+            Vp = multiply(Vp, V)
+        return scalar_multiply(fld.pow(fld.inv(Vp.rows[0][0]), q // fld.p), V)
+
+    return fld, L, pi, matrix_of
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +150,6 @@ def load_hint(data: dict) -> RecognitionHint:
     gens = [Permutation(tuple(img)) for img in data["generators"]]
     if any(g.degree != degree for g in gens):
         raise ValueError("hint generator degree mismatch")
-    # PermGroup drops identity generators, which would shift hint words
     if any(g.is_identity() for g in gens):
         raise ValueError("hint generator is the identity")
     return RecognitionHint(factor_index=int(data["factor_index"]),
@@ -189,9 +212,13 @@ def induced_aut_group(G: PermGroup, factors: list[PermGroup], index: int,
     Z(S1) = 1, induces exactly Inn(S1), so A lies in Gamma iff the
     generators of N_G(S1) that enlarge S1 C_G(S1) do.  Only those are
     transported, each conjugation automorphism C_g to a matrix
-    automorphism of the standard copy via Iso o C_g o Iso^{-1}, evaluated
-    through word decompositions.  Words from one chain share their nodes,
-    so all words evaluated over the same images share one memo.
+    automorphism of the standard copy via psi o C_g o psi^{-1}, where psi
+    maps each hint generator h_i to the projective image pi(M_i) of its
+    matrix.  The diagonal group D = <h_i + pi(M_i)>, and E with the two
+    blocks swapped, prove psi an isomorphism and carry it: psi(x) is the
+    second block of the element of D that agrees with x on the first, and
+    psi^{-1} is read off E the same way.  Each matrix is rebuilt from its
+    projective image by ``projective_action``'s ``matrix_of``.
     """
     S1 = factors[index]
     NG = normalizer_of_factor(G, factors, index)
@@ -208,41 +235,24 @@ def induced_aut_group(G: PermGroup, factors: list[PermGroup], index: int,
     for g in hint_gens:
         if not S1.member(g):
             raise ValueError("hint generator is not in the factor")
-    hint_group = build_group(S1.degree, hint_gens)
-    if hint_group.order() != S1.order():
-        raise ValueError("hint generators do not generate the factor")
-
-    fld, L, pi = projective_action(hint.family, hint.d, hint.q)
-    mats = hint.generator_images
-    pi_mats = [pi(M) for M in mats]
-    Gstd = build_group(pi_mats[0].degree, pi_mats)
-    if Gstd.order() != hint_group.order():
-        raise ValueError("hint images do not generate the standard copy "
-                         "(order mismatch)")
-    # both projections of the diagonal group D = <h_i + pi(M_i)> are onto;
-    # equal orders make them injective, so h_i -> pi(M_i) is an isomorphism
-    n = S1.degree
-    D = build_group(n + Gstd.degree, [
-        Permutation(h.images + tuple(n + x for x in m.images))
-        for h, m in zip(hint_gens, pi_mats)])
-    if D.order() != hint_group.order():
+    fld, L, pi, matrix_of = projective_action(hint.family, hint.d, hint.q)
+    pairs = [(h, pi(M)) for h, M in zip(hint_gens, hint.generator_images)]
+    n, m = S1.degree, pi(L[0]).degree
+    D = build_group(n + m, [_join(h, x) for h, x in pairs])
+    # E is D with its points relabelled, so |D| bounds its verification
+    E = PermGroup(m + n)
+    for h, x in pairs:
+        E.extend(_join(x, h), D.order())
+    # both projections of D are injective iff D and E are faithful on
+    # their first blocks; then |D| = |<h_i>| = |S1| proves psi
+    if not (is_faithful_on_first(D, n) and is_faithful_on_first(E, m)):
         raise ValueError("hint images do not define an isomorphism from "
                          "the factor")
+    if D.order() != S1.order():
+        raise ValueError("hint generators do not generate the factor")
+    preimages = [_matched_block(E, pi(U), "hint images do not generate "
+                                "the standard copy") for U in L]
 
-    # preimages of the standard generators: decompose pi(U) in the copy
-    # generated by the hint images, replay the word over the hint perms
-    preimages = []
-    gen_invs = [inverse(h) for h in hint_gens]
-    memo: dict = {}
-    for U in L:
-        ok, word = Gstd.contains(pi(U))
-        assert ok, "standard generator missing from the hinted copy"
-        preimages.append(evaluate_word(word, hint_gens, gen_invs, compose,
-                                       identity(S1.degree), memo))
-
-    inverses = [invert(M) for M in mats]
-    one = identity_matrix(fld, hint.d)
-    memo = {}
     # only the generators that enlarge S1 x C_G(S1) are lifted; with the
     # known orders |S1| |C_G(S1)| and |N_G(S1)| as bounds, no chain is
     # verified beyond either
@@ -254,22 +264,34 @@ def induced_aut_group(G: PermGroup, factors: list[PermGroup], index: int,
     matrix_auts = []
     for g in outer:
         ginv = inverse(g)
-        reps = []
-        for s in preimages:
-            c = compose3(ginv, s, g)
-            ok, word = hint_group.contains(c)
-            assert ok, "conjugate left the factor"
-            reps.append(evaluate_word(word, mats, inverses, multiply, one,
-                                      memo))
-        lam = ProjectiveAut(hint.family, hint.d, hint.q, tuple(reps))
+        images = [matrix_of(_matched_block(D, compose3(ginv, s, g),
+                                           "conjugate left the factor"))
+                  for s in preimages]
+        lam = ProjectiveAut(hint.family, hint.d, hint.q, tuple(images))
         if hint.family == "SL":
             matrix_auts.append(lift_psl_aut(lam))
         elif hint.family == "OmegaPlus":
             matrix_auts.append(lift_omega_aut(lam))
-        else:  # Sp(4, 2^e): trivial center, representatives are exact
-            matrix_auts.append(MatrixAut("Sp", L, reps))
+        else:  # Sp(4, 2^e): trivial center, the images are exact
+            matrix_auts.append(MatrixAut("Sp", L, images))
     data.matrix_auts = matrix_auts
     return data
+
+
+def _join(a: Permutation, b: Permutation) -> Permutation:
+    """a on the first points and b on the points after them."""
+    return Permutation(a.images + tuple(a.degree + y for y in b.images))
+
+
+def _matched_block(X: PermGroup, x: Permutation, message: str
+                   ) -> Permutation:
+    """The second block of the element of X that agrees with x on the
+    first; ValueError(message) when X has no such element."""
+    n = x.degree
+    _, h = X.contains(_join(x, identity(X.degree - n)))
+    if h is None or h.images[:n] != x.images:
+        raise ValueError(message)
+    return Permutation(tuple(y - n for y in h.images[n:]))
 
 
 # ---------------------------------------------------------------------------
@@ -456,10 +478,12 @@ def mu_fitting_free(G: PermGroup,
                 f"{len(named)} hints name minimal normal block {i} (factors "
                 f"{', '.join(map(str, block))}): factor_index "
                 f"{', '.join(map(str, named))}; give one hint per block")
+    # the socle is the direct product of its factors
+    factor_orders = [F.order() for F in dec.factors]
     cert = MuCertificate(
         group_order=G.order(),
-        socle_order=dec.socle.order(),
-        factor_orders=[F.order() for F in dec.factors],
+        socle_order=prod(factor_orders),
+        factor_orders=factor_orders,
         minimal_normal_blocks=dec.minimal_normals,
         flags={"probabilistic-minimality": dec.probabilistic_minimality,
                "hint-used": False, "unsupported-case": False},

@@ -433,17 +433,13 @@ def simple_factors(N: PermGroup) -> list[PermGroup]:
 def _factor_image(g: Permutation, i: int, factors: list[PermGroup]) -> int:
     """Index j with factors[i]^g = factors[j].
 
-    S_i^g lies in S_j when every conjugated generator does, and equal
-    orders then make the two equal.
+    G permutes the factors of a block, and two distinct factors meet
+    trivially, so the one factor that holds s^g, for one nontrivial s in
+    factors[i], is factors[i]^g.
     """
-    Si = factors[i]
-    ginv = inverse(g)
-    conj_gens = [compose3(ginv, s, g) for s in Si.generators]
-    for j, Sj in enumerate(factors):
-        if (Sj.order() == Si.order()
-                and all(Sj.member(c) for c in conj_gens)):
-            return j
-    raise AssertionError("conjugate of a socle factor matches no factor")
+    s = factors[i].generators[0]
+    c = compose3(inverse(g), s, g)
+    return next(j for j, Sj in enumerate(factors) if Sj.member(c))
 
 
 def normalizer_of_factor(G: PermGroup, factors: list[PermGroup],

@@ -4,11 +4,15 @@ from pathlib import Path
 
 from mindeg.bsgs import build_group, preimage_of_stabilizer
 from mindeg.cli import parse_group_file
-from mindeg.fflinalg import Field, standard_generators
+from mindeg.fflinalg import (
+    Field, frobenius, invert, standard_generators, transpose,
+)
 from mindeg.perm import (
     Permutation, compose, compose3, identity, inverse, parse_permutation,
 )
-from mindeg.pipeline import projective_action, projective_points
+from mindeg.pipeline import (
+    matrix_to_projective_perm, projective_action, projective_points,
+)
 
 
 def P(text, n):
@@ -261,28 +265,12 @@ def _mult_order(F, x):
     return k
 
 
-def matrix_on_projective_points(U, pts, index):
-    F = U.field
-    images = []
-    for v in pts:
-        w = [0] * len(v)
-        for r, row in enumerate(U.rows):
-            acc = 0
-            for x, y in zip(row, v):
-                acc = F.add(acc, F.mul(x, y))
-            w[r] = acc
-        nz = next(x for x in w if x)
-        iv = F.inv(nz)
-        images.append(index[tuple(F.mul(iv, x) for x in w)])
-    return Permutation(tuple(images))
-
-
 def psl_on_plane(d, q):
     """PSL(d,q) acting on projective (d-1)-space, from the SL generators."""
     field, L = standard_generators("SL", d, q)
     pts = projective_points(field, d)
     index = {v: i for i, v in enumerate(pts)}
-    perms = [matrix_on_projective_points(U, pts, index) for U in L]
+    perms = [matrix_to_projective_perm(U, pts, index) for U in L]
     return build_group(len(pts), perms), field, L, pts, index
 
 
@@ -339,7 +327,56 @@ def asl32():
 def psp44_on_points():
     """PSp(4,4) on the 85 points of its projective space: rank 3, so
     transitive but not 2-transitive."""
-    _, L, pi = projective_action("Sp", 4, 4)
+    _, L, pi, _ = projective_action("Sp", 4, 4)
     G = build_group(85, [pi(U) for U in L])
     assert G.order() == 979200
     return G
+
+
+def hint_data(family, d, q, gens, mats, factor_index=0):
+    """The hint JSON dictionary for the isomorphism gens[i] -> mats[i]."""
+    return {"factor_index": factor_index, "family": family, "d": d, "q": q,
+            "field_convention": "lex-least-irreducible",
+            "degree": gens[0].degree,
+            "generators": [list(g.images) for g in gens],
+            "generator_images": [[x for row in M.rows for x in row]
+                                 for M in mats]}
+
+
+def pgammasp44_with_hint():
+    """PSp(4,4) extended by the field automorphism, on the 85 points of
+    PG(3,4), and the hint pi(U) -> U on the standard generators.  The
+    Frobenius x -> x^2 on coordinates keeps a point's first nonzero
+    coordinate 1."""
+    fld, L, pi, _ = projective_action("Sp", 4, 4)
+    pts = projective_points(fld, 4)
+    index = {v: i for i, v in enumerate(pts)}
+    frob = Permutation(tuple(index[tuple(frobenius(fld, x, 1) for x in v)]
+                             for v in pts))
+    gens = [pi(U) for U in L]
+    G = build_group(85, gens + [frob])
+    assert G.order() == 2 * 979200
+    return G, hint_data("Sp", 4, 4, gens, L)
+
+
+def psl3_graph_extension(q):
+    """PSL(3,q).2 of graph type on the points plus lines of PG(2,q), the
+    socle generators and the SL(3,q) standard generators they come from.
+
+    U acts on points by v -> Uv and on lines (indexed by their normal
+    vectors) by w -> U^-T w; the duality v -> v^perp swaps the two orbits
+    and conjugates U to U^-T.
+    """
+    fld, L = standard_generators("SL", 3, q)
+    pts = projective_points(fld, 3)
+    index = {v: i for i, v in enumerate(pts)}
+    n = len(pts)
+
+    def double(U):
+        lines = matrix_to_projective_perm(transpose(invert(U)), pts, index)
+        return Permutation(matrix_to_projective_perm(U, pts, index).images
+                           + tuple(n + x for x in lines.images))
+
+    gens = [double(U) for U in L]
+    tau = Permutation(tuple(range(n, 2 * n)) + tuple(range(n)))
+    return build_group(2 * n, gens + [tau]), gens, L

@@ -220,37 +220,28 @@ def test_sp_graph_permutation_squares_to_frobenius():
 
 
 def test_sp_graph_permutation_respects_relations():
-    # the permutation of L extends to an automorphism: any two words for
-    # the same group element have equal images
-    from itertools import product as iproduct
+    # L_i -> L_perm(i) extends to an automorphism iff the diagonal group
+    # <pi(L_i) + pi(L_perm(i))> has the order of the group: then both its
+    # projections are injective.  Swapping two images breaks it.
+    from mindeg.bsgs import build_group
+    from mindeg.perm import Permutation
+    from mindeg.pipeline import projective_action
 
-    from mindeg.bsgs import build_group, evaluate_word
-    from mindeg.perm import compose, identity, inverse
+    _, L, pi, _ = projective_action("Sp", 4, 4)
+    perms = [pi(U) for U in L]
+    n = perms[0].degree
+    order = build_group(n, perms).order()
 
-    from .test_fflinalg import mat_to_perm
+    def diagonal_order(perm):
+        return build_group(2 * n, [
+            Permutation(perms[i].images + tuple(n + y for y in
+                                                perms[j].images))
+            for i, j in enumerate(perm)]).order()
 
-    field, L = standard_generators("Sp", 4, 4)
     perm = sp_graph_permutation(4)
-    vectors = [v for v in iproduct(range(4), repeat=4) if any(v)]
-    index = {v: i for i, v in enumerate(vectors)}
-    perms = [mat_to_perm(U, vectors, index) for U in L]
-    imgs = [perms[perm[i]] for i in range(len(L))]
-    G = build_group(len(vectors), perms)
-
-    def ev(word_signed, gens):
-        g = identity(G.degree)
-        for s in word_signed:
-            h = gens[abs(s) - 1]
-            g = compose(g, h if s > 0 else inverse(h))
-        return g
-
-    rng = random.Random(1)
-    for _ in range(20):
-        w = [rng.randrange(1, len(L) + 1) for _ in range(8)]
-        found, w2 = G.contains(ev(w, perms))
-        assert found
-        assert ev(w, imgs) == evaluate_word(
-            w2, imgs, [inverse(g) for g in imgs], compose, identity(G.degree))
+    assert diagonal_order(perm) == order == 979200
+    perm[0], perm[1] = perm[1], perm[0]
+    assert diagonal_order(perm) == order ** 2
 
 
 def test_classify_omega_inner():

@@ -5,9 +5,9 @@ from math import gcd
 import pytest
 
 from mindeg.bsgs import (
-    W_EMPTY, PermGroup, build_group, centralizer_of_normal, closure_has_order,
-    evaluate_word, induced_action, is_two_transitive, normal_closure, orbits,
-    point_stabilizer, preimage_of_stabilizer,
+    PermGroup, build_group, centralizer_of_normal, closure_has_order,
+    induced_action, is_faithful_on_first, is_two_transitive, normal_closure,
+    orbits, point_stabilizer, preimage_of_stabilizer,
 )
 from mindeg.cli import parse_group_file
 from mindeg.perm import (
@@ -43,12 +43,6 @@ A5 = [P("(1 2 3)", 5), P("(3 4 5)", 5)]
 SYM4 = [P("(1 2)", 4), P("(1 2 3 4)", 4)]
 
 
-def evaluate(word, gens, degree):
-    """The permutation a word DAG stands for over gens."""
-    return evaluate_word(word, gens, [inverse(g) for g in gens], compose,
-                         identity(degree))
-
-
 def test_build_group_orders():
     assert build_group(5, SYM5).order() == 120
     assert build_group(5, A5).order() == 60
@@ -74,14 +68,25 @@ def test_order_matches_bruteforce_closure():
 
 def test_contains_basic():
     G = build_group(3, [P("(1 2 3)", 3)])
-    ok, word = G.contains(identity(3))
-    assert ok and word is W_EMPTY
-    assert evaluate(word, G.generators, 3) == identity(3)
-    ok, word = G.contains(P("(1 2)", 3))
-    assert not ok and word is None
-    ok, word = G.contains(P("(1 3 2)", 3))
-    assert ok
-    assert evaluate(word, G.generators, 3) == P("(1 3 2)", 3)
+    assert G.contains(identity(3)) == (True, identity(3))
+    assert G.contains(P("(1 3 2)", 3)) == (True, P("(1 3 2)", 3))
+    # (1 2) moves the base point 1 inside its orbit, and the element that
+    # agrees with it there is (1 2 3)
+    assert G.contains(P("(1 2)", 3)) == (False, P("(1 2 3)", 3))
+    # Alt(3) on points 1-3 of 4: 4 lies in no orbit
+    H = build_group(4, [P("(1 2 3)", 4)])
+    assert H.contains(P("(1 4)", 4)) == (False, None)
+
+
+def test_faithful_on_first_reads_the_base():
+    diagonal = build_group(10, [P("(1 2 3)(6 7 8)", 10),
+                                P("(1 2 3 4 5)(6 7 8 9 10)", 10)])
+    assert is_faithful_on_first(diagonal, 5)
+    product = build_group(10, [P("(1 2 3)", 10), P("(1 2 3 4 5)", 10),
+                               P("(6 7 8)", 10), P("(6 7 8 9 10)", 10)])
+    assert not is_faithful_on_first(product, 5)
+    assert is_faithful_on_first(product, 10)
+    assert is_faithful_on_first(build_group(10, []), 0)
 
 
 def test_contains_matches_enumeration():
@@ -89,13 +94,16 @@ def test_contains_matches_enumeration():
     members = {g.images for g in G.elements()}
     assert len(members) == 24
     H = build_group(4, [P("(1 2 3)", 4), P("(2 3 4)", 4)])  # Alt(4)
+    base = [lvl.base for lvl in H._chain()]
     for imgs in members:
         g = Permutation(imgs)
-        ok, word = H.contains(g)
+        ok, h = H.contains(g)
         even = len([c for c in g.cycles() if len(c) % 2 == 0]) % 2 == 0
         assert ok == even
+        assert H.member(h)
+        assert all(h.images[b] == g.images[b] for b in base)
         if ok:
-            assert evaluate(word, H.generators, 4) == g
+            assert h == g
 
 
 def test_normal_closure():
@@ -517,39 +525,34 @@ CHAINS = {
 }
 
 
-def _check_transversals(levels, gens, degree, label):
-    """u(x) sends the base to x, u(x) u(x)^-1 = 1, and x's word gives u(x),
-    for every level and orbit point.  u^-1 and the word are read deepest
-    point first, so on a level not yet filled each read walks up the
-    Schreier tree; u comes from fill()."""
-    invs = [inverse(g) for g in gens]
-    memo = {}
+def _check_transversals(levels, label):
+    """u(x) sends the base to x and u(x) u(x)^-1 = 1, for every level and
+    orbit point.  u^-1 is read deepest point first, so on a level not yet
+    filled each read walks up the Schreier tree; u comes from fill()."""
     for i, lvl in enumerate(levels):
         points = reversed(list(lvl.tree))
-        found = [(x, lvl.rep_inv(x), lvl.rep_word(x)) for x in points]
+        found = [(x, lvl.rep_inv(x)) for x in points]
         lvl.fill()
         assert lvl.points == sorted(lvl.tree)
-        for x, uinv, word in found:
+        for x, uinv in found:
             u = lvl.reps[x]
             assert u.images[lvl.base] == x, (label, i, x)
             assert compose(u, uinv).is_identity(), (label, i, x)
-            assert evaluate_word(word, gens, invs, compose, identity(degree),
-                                 memo) == u, (label, i, x)
 
 
 @pytest.mark.parametrize("label", list(CHAINS))
 def test_schreier_tree_transversals(label):
     G = CHAINS[label]()
-    _check_transversals(G._chain(), G.generators, G.degree, label)
+    _check_transversals(G._chain(), label)
     # an unverified chain, grown by sifts and installs alone: no level
     # is filled
     H = PermGroup(G.degree, G.generators)
     levels = []
-    for k, g in enumerate(H.generators):
-        H._install(levels, g, k + 1, 0)
+    for g in H.generators:
+        H._install(levels, g, 0)
     assert all(len(lvl.reps) == 1 for lvl in levels)  # no u formed yet
     assert any(len(lvl.rep_invs) < len(lvl.tree) for lvl in levels)
-    _check_transversals(levels, H.generators, H.degree, label)
+    _check_transversals(levels, label)
 
 
 def test_adding_a_generator_forms_no_products(monkeypatch):
@@ -557,22 +560,10 @@ def test_adding_a_generator_forms_no_products(monkeypatch):
     calls = []
     monkeypatch.setattr(bsgs, "compose", lambda a, b: calls.append((a, b)))
     lvl = bsgs._Level(0, 12)
-    for k, c in enumerate(M12):
+    for c in M12:
         g = P(c, 12)
-        lvl.add_gen(g, inverse(g), k + 1)
+        lvl.add_gen(g, inverse(g))
     assert len(lvl.tree) == 12 and not calls
-
-
-def test_evaluate_word_on_a_deep_dag():
-    a, b = P("(1 2 3 4 5)", 5), P("(1 2)", 5)
-    gens = [a, b]
-    word, expected = 1, a
-    for k in range(5000):
-        if k % 3:
-            word, expected = ("*", word, 2), compose(expected, b)
-        else:
-            word, expected = ("~", word), inverse(expected)
-    assert evaluate(word, gens, 5) == expected
 
 
 def _orbit_cases():

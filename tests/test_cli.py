@@ -1,6 +1,8 @@
 import json
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -14,6 +16,7 @@ from .groups import A6_PSL28, A7_A7, P, alt, conjugate, m11, m22
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir,
                         "src", "mindeg", "fixtures")
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 PINS = os.path.join(os.path.dirname(__file__), "data", "cli_pins.json")
@@ -345,6 +348,55 @@ def test_exit_1_on_a_hint_whose_images_are_swapped(tmp_path, capsys):
     code, out, err = run(capsys, "mu", fx("PSL34_2.grp"), "--hint", str(path))
     assert code == 1 and out == ""
     assert "hint images do not define an isomorphism from the factor" in err
+
+
+def _bad_hint(tmp_path, case):
+    """(group file, hint file, message) for a hint that is no isomorphism
+    of the factor onto the standard copy."""
+    if case == "fano":
+        # GL(3,2) on the 7 points of the Fano plane (point i is the vector
+        # of F_2^3 whose binary digits spell i) and a hint that claims
+        # SL(3,4), its images being the same 0/1 matrices: every order
+        # matches, but the images generate a proper subgroup of the copy
+        group = tmp_path / "fano.grp"
+        group.write_text("degree 7\ngen (2 6)(3 7)\ngen (1 4 2)(3 5 6)\n")
+        data = {"factor_index": 0, "family": "SL", "d": 3, "q": 4,
+                "field_convention": "lex-least-irreducible", "degree": 7,
+                "generators": [[0, 5, 6, 3, 4, 1, 2], [3, 0, 4, 1, 5, 2, 6]],
+                "generator_images": [[1, 1, 0, 0, 1, 0, 0, 0, 1],
+                                     [0, 0, 1, 1, 0, 0, 0, 1, 0]]}
+        message = "hint images do not generate the standard copy"
+    else:
+        group = fx("PSL34_2.grp")
+        with open(fx("PSL34_2.hint.json"), encoding="utf-8") as fh:
+            data = json.load(fh)
+        if case == "identity-images":  # psi is not injective
+            data["generator_images"] = [[1, 0, 0, 0, 1, 0, 0, 0, 1]
+                                        for _ in data["generator_images"]]
+            message = "hint images do not define an isomorphism"
+        else:  # the first 12 generators generate a subgroup of order 960
+            data["generators"] = data["generators"][:12]
+            data["generator_images"] = data["generator_images"][:12]
+            message = "hint generators do not generate the factor"
+    path = tmp_path / "hint.json"
+    path.write_text(json.dumps(data))
+    return str(group), str(path), message
+
+
+@pytest.mark.parametrize("case", ["fano", "identity-images",
+                                  "proper-subgroup"])
+def test_exit_1_on_a_hint_that_is_no_isomorphism(tmp_path, capsys, case):
+    group, hint, message = _bad_hint(tmp_path, case)
+    code, out, err = run(capsys, "mu", group, "--hint", hint)
+    assert code == 1 and out == ""
+    assert message in err
+    # no refusal is an assert, so python -O refuses the same way
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "mindeg.cli", "mu", group, "--hint",
+         hint], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert message in proc.stderr
 
 
 @pytest.mark.parametrize("change", ["degree", "factor_index"])

@@ -19,7 +19,8 @@ from mindeg.smallgroup import QuotientGroup, isomorphism_search, list_elements
 from mindeg.socle import socle_fitting_free
 
 from .groups import (
-    P, a5wrz2, a5xa6, alt, conjugate, m10, pgammal2, pgl2, psl2, s6xa5, sym,
+    P, a5wrz2, a5xa6, alt, conjugate, hint_data, m10, pgammal2,
+    pgammasp44_with_hint, pgl2, psl2, psl3_graph_extension, s6xa5, sym,
 )
 from .test_bsgs import _count_chain_builds, _relabelled_generating_set
 
@@ -251,9 +252,70 @@ def test_graph_extension_requires_hint_and_gives_double():
     assert cert.records[0].outer_index == 2
 
 
-def test_hint_transport_evaluates_shared_word_nodes_once(monkeypatch):
-    # each hint word is a DAG over the hint generators; one memo per hint
-    # evaluates each shared node once (510 products letter by letter)
+def test_sp_hint_end_to_end():
+    # PSp(4,4) extended by its field automorphism on 85 points, with the
+    # hint pi(U) -> U: A = PSp(4,4).2 lies in PGammaSp, so mu is 85.
+    # Sp(4,4) has a trivial center, so each transported matrix is the
+    # exact image: the Frobenius on coordinates squares the entries of
+    # every standard generator.  The frame fixes each image only up to a
+    # scalar; the one multiple of order 2 is the exact one.
+    from mindeg.fflinalg import frobenius, matrix
+    G, data = pgammasp44_with_hint()
+    hint = load_hint(data)
+    cert = mu_fitting_free(G, hints=[hint])
+    assert cert.total == 85
+    assert [(r.rule, r.outer_index) for r in cert.records] == [
+        ("default (A inside PGammaSp)", 2)]
+    factors = socle_fitting_free(G).factors
+    aut, = induced_aut_group(G, factors, 0, hint).matrix_auts
+    fld = hint.generator_images[0].field
+    assert aut.images == [
+        matrix(fld, [[frobenius(fld, x, 1) for x in row] for row in U.rows])
+        for U in hint.generator_images]
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_hinted_graph_extension_of_psl3q(q):
+    # PSL(3,q).2 of graph type on points plus lines, with its hint: row
+    # 11 gives 2 (q^2 + q + 1).  For odd q a transported root element is
+    # no involution, so an image formed as its inverse is caught here.
+    G, gens, L = psl3_graph_extension(q)
+    cert = mu_fitting_free(G, hints=[load_hint(hint_data("SL", 3, q, gens,
+                                                         L))])
+    assert (cert.total, cert.records[0].rule) == (2 * (q * q + q + 1),
+                                                  "row 11")
+
+
+def test_matched_block_refuses_an_element_outside_the_first_block():
+    # Alt(5) acting diagonally on 1-5 and 6-10 is 3-transitive on 1-5 with
+    # base 1, 2, 3, so the sift of (1 2) + 1 ends at the element of Alt(5)
+    # that agrees with (1 2) on the base, which differs from it on 4 and 5
+    from mindeg.pipeline import _matched_block
+    X = build_group(10, [P("(1 2 3)(6 7 8)", 10),
+                         P("(1 2 3 4 5)(6 7 8 9 10)", 10)])
+    assert _matched_block(X, P("(1 2 3)", 5), "") == P("(1 2 3)", 5)
+    ok, h = X.contains(P("(1 2)", 10))
+    assert not ok and h.images[:3] == (1, 0, 2)
+    with pytest.raises(ValueError, match="outside"):
+        _matched_block(X, P("(1 2)", 5), "outside")
+
+
+def test_mu_reads_the_socle_order_off_its_factors(monkeypatch):
+    # Soc(G) is the direct product of its factors, so |Soc(G)| is the
+    # product of their orders, and no chain is built for the socle's
+    # generators (8 chains, where reading |Soc(G)| off a chain made 9)
+    G = load_fixture("A5xA6.grp")
+    G.order()
+    builds = _count_chain_builds(monkeypatch)
+    cert = mu_fitting_free(G)
+    assert (cert.socle_order, cert.total) == (60 * 360, 11)
+    assert len(builds) == 8
+
+
+def test_hint_transport_rebuilds_each_matrix_with_two_products(monkeypatch):
+    # one outer generator, and 18 standard generators of SL(3,4) whose
+    # conjugates are rebuilt from their projective images: one product
+    # solves the frame and one forms V^p for p = 2 (36 on the fixture)
     import mindeg.pipeline
     G = load_fixture("PSL34_2.grp")
     hint = load_hint_file(fixture_path("PSL34_2.hint.json"))
@@ -266,7 +328,7 @@ def test_hint_transport_evaluates_shared_word_nodes_once(monkeypatch):
 
     monkeypatch.setattr(mindeg.pipeline, "multiply", counted)
     assert mu_fitting_free(G, hints=[hint]).total == 42
-    assert len(calls) <= 30
+    assert len(calls) <= 36
 
 
 def _relabelled_with_hint(name, rng):
@@ -330,49 +392,6 @@ def test_one_factor_block_keeps_g_and_its_chain(monkeypatch, make):
     assert data.normalizer is G
     assert [H.order() for H in builds] == [1]
     assert data.order == G.order()
-
-
-def _letters(word):
-    """The word DAG read letter by letter: signed 1-based indices."""
-    out, stack = [], [(word, False)]
-    while stack:
-        node, inv = stack.pop()
-        if isinstance(node, int):
-            out.append(-node if inv else node)
-        elif node[0] == "~":
-            stack.append((node[1], not inv))
-        elif node[0] == "*":  # a then b; inverted: b^-1 then a^-1
-            stack += ([(node[1], True), (node[2], True)] if inv
-                      else [(node[2], False), (node[1], False)])
-    return out
-
-
-def test_hint_words_evaluate_with_one_shared_memo():
-    import random
-
-    from mindeg.bsgs import evaluate_word
-    from mindeg.fflinalg import identity_matrix, invert, multiply
-    from mindeg.perm import compose, identity, inverse
-    hint = load_hint_file(fixture_path("PSL34_2.hint.json"))
-    gens, mats = hint.generators, hint.generator_images
-    H = build_group(gens[0].degree, gens)
-    gen_invs = [inverse(g) for g in gens]
-    mat_invs = [invert(M) for M in mats]
-    one = identity_matrix(mats[0].field, hint.d)
-    perm_memo, mat_memo = {}, {}
-    rng = random.Random(2024)
-    for _ in range(200):
-        g = H.random_element(rng)
-        ok, word = H.contains(g)
-        assert ok
-        assert evaluate_word(word, gens, gen_invs, compose,
-                             identity(H.degree), perm_memo) == g
-        by_letters = one
-        for s in _letters(word):
-            by_letters = multiply(by_letters,
-                                  mats[s - 1] if s > 0 else mat_invs[-s - 1])
-        assert evaluate_word(word, mats, mat_invs, multiply, one,
-                             mat_memo) == by_letters
 
 
 # --- induced automorphism group ------------------------------------------------

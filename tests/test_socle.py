@@ -9,8 +9,8 @@ import mindeg.bsgs
 import mindeg.pipeline
 import mindeg.socle
 from mindeg.bsgs import (
-    build_group, centralizer_of_normal, is_two_transitive, moved_points,
-    normal_closure, orbits, point_stabilizer,
+    build_group, centralizer_of_normal, induced_action, is_two_transitive,
+    moved_points, normal_closure, orbits, point_stabilizer,
 )
 from mindeg.cli import run_cli
 from mindeg.errors import NotFittingFree
@@ -211,6 +211,29 @@ def test_normalizer_of_factor_builds_one_chain(monkeypatch, make, blocks):
         # factors
         assert len(builds) == (0 if len(block) == 1 else 1)
         assert N.order() == G.order() // len(block)
+
+
+def test_factor_image_tests_one_conjugated_generator(monkeypatch):
+    # G permutes the factors of a block and distinct factors meet
+    # trivially, so the factor that holds s^g, for one nontrivial s in
+    # S_i, is S_i^g: a pair (g, i) costs one membership test per factor
+    # tried, j + 1 for S_i^g = S_j (18 here; testing every conjugated
+    # generator of S_i against every factor of its order took 36)
+    G = build_group(15, [P(c, 15) for c in A5_WR_Z3])
+    factors = socle_fitting_free(G).factors
+    assert len(factors) == 3
+    calls = []
+    original = mindeg.bsgs.PermGroup.member
+
+    def counted(self, g):
+        calls.append(g)
+        return original(self, g)
+
+    monkeypatch.setattr(mindeg.bsgs.PermGroup, "member", counted)
+    images = induced_action(G, range(3), lambda g, i: mindeg.socle
+                            ._factor_image(g, i, factors))
+    assert sorted(im.is_identity() for im in images) == [False, True, True]
+    assert len(calls) == sum(j + 1 for im in images for j in im.images) == 18
 
 
 def test_one_factor_blocks_induce_no_action(monkeypatch, capsys):

@@ -65,10 +65,11 @@ from __future__ import annotations
 import random
 from collections import deque
 from math import prod
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .perm import Permutation, compose, compose3, identity, inverse
+from .perm import (
+    Permutation, compose, compose3, conjugator, identity, inverse,
+)
 
 class _Level:
     __slots__ = ("base", "gens", "inverses", "tree", "reps", "rep_invs",
@@ -100,14 +101,14 @@ class _Level:
         queue = deque()
         k = len(self.gens) - 1
         for x in list(tree):  # old points under the new generator
-            y = g.images[x]
+            y = g.table[x]
             if y not in tree:
                 tree[y] = (x, k)
                 queue.append(y)
         while queue:
             x = queue.popleft()
             for k, h in enumerate(self.gens):
-                y = h.images[x]
+                y = h.table[x]
                 if y not in tree:
                     tree[y] = (x, k)
                     queue.append(y)
@@ -147,7 +148,7 @@ def _chain_order(levels) -> int:
 
 
 def _smallest_moved_point(g: Permutation) -> int:
-    return next(x for x, y in enumerate(g.images) if x != y)
+    return next(x for x, y in enumerate(g.table) if x != y)
 
 
 class PermGroup:
@@ -178,7 +179,7 @@ class PermGroup:
         """
         for i in range(start, len(levels)):
             lvl = levels[i]
-            x = g.images[lvl.base]
+            x = g.table[lvl.base]
             if x == lvl.base:
                 continue
             uinv = lvl.rep_invs.get(x)
@@ -260,7 +261,7 @@ class PermGroup:
                 if (x, k) in checked:
                     continue
                 checked.add((x, k))
-                y = g.images[x]
+                y = g.table[x]
                 s = compose3(ux, g, lvl.rep_inv(y))
                 if s.is_identity():
                     continue
@@ -306,7 +307,7 @@ class PermGroup:
         """
         for lvl in self._chain():
             lvl.fill()
-            y = min(lvl.tree, key=g.images.__getitem__)
+            y = min(lvl.tree, key=g.table.__getitem__)
             if y != lvl.base:
                 g = compose(lvl.reps[y], g)
         return g
@@ -437,7 +438,7 @@ def _check_normalizes(G: PermGroup, H: PermGroup) -> None:
 
 def moved_points(gens: Iterable[Permutation]) -> set[int]:
     """The points that some permutation in gens moves."""
-    return {x for g in gens for x, y in enumerate(g.images) if x != y}
+    return {x for g in gens for x, y in enumerate(g.table) if x != y}
 
 
 def orbits(H: PermGroup) -> list[list[int]]:
@@ -446,7 +447,7 @@ def orbits(H: PermGroup) -> list[list[int]]:
     point, then the other orbits by least point."""
     result = [list(lvl.tree) for lvl in H._chain()[:1]]
     seen = set().union(*result)
-    maps = [g.images.__getitem__ for g in H.generators]
+    maps = [g.table.__getitem__ for g in H.generators]
     for alpha in sorted(moved_points(H.generators)):
         if alpha not in seen:
             result.append(list(class_tree(alpha, maps)))
@@ -460,7 +461,7 @@ def point_stabilizer(H: PermGroup, alpha: int) -> PermGroup:
     levels = H._chain()
     if levels and alpha == levels[0].base:
         return PermGroup(H.degree, levels[1].gens if len(levels) > 1 else ())
-    return _stabilizer(H, alpha, [g.images.__getitem__ for g in H.generators])
+    return _stabilizer(H, alpha, [g.table.__getitem__ for g in H.generators])
 
 
 def is_two_transitive(H: PermGroup) -> bool:
@@ -518,14 +519,8 @@ def centralizer_of_normal(G: PermGroup, H: PermGroup) -> PermGroup:
     for h in H.generators:
         if C.is_trivial():
             break
-        C = _stabilizer(C, h.images, [conjugator(g) for g in C.generators])
+        C = _stabilizer(C, h.table, [conjugator(g) for g in C.generators])
     return C
-
-
-def conjugator(g: Permutation) -> Callable:
-    """x -> the images of g^-1 x g, on image tuples of length at least 2."""
-    pre, gi = itemgetter(*inverse(g).images), g.images
-    return lambda x: itemgetter(*pre(x))(gi)
 
 
 def class_tree(x, maps: Sequence[Callable],
@@ -619,4 +614,4 @@ def preimage_of_stabilizer(G: PermGroup, images: Sequence[Permutation],
     """
     if len(images) != len(G.generators):
         raise ValueError("one image per generator of G required")
-    return _stabilizer(G, point, [im.images.__getitem__ for im in images])
+    return _stabilizer(G, point, [im.table.__getitem__ for im in images])

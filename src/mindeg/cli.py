@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, dataclass
+from functools import cache
 from math import prod
 from typing import Optional
 
@@ -190,7 +191,9 @@ _COMMANDS = {
 }
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then reused."""
     parser = argparse.ArgumentParser(
         prog="mindeg",
         description="Minimal faithful permutation degree of Fitting-free "

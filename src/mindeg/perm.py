@@ -3,9 +3,15 @@
 Points are 0-based internally; cycle notation uses 1-based points.
 Composition is left-to-right: (a * b) means "apply a, then b".
 
-A product is a gather: the images of a * b are b's image table read at
-a's images, ``itemgetter(*a.images)(b.images)``, so the loop over points
-runs in C and the result is the same tuple at every degree.
+A permutation's image table ``table`` is ``bytes`` up to degree 256 and a
+tuple of ints above.  Up to degree 256 a product is one ``bytes.translate``
+through b's table padded with the fixed points n..255 (``PAD``), and an
+inverse is ``bytes.maketrans``, both loops in C.  Above 256 a byte cannot
+hold a point, and a product is the gather ``itemgetter(*a)(b)``.  Only
+this module knows the format: other modules read ``table`` as a sequence
+of ints and use it as a hashable key.  Bytes compare like tuples of ints,
+so sorting by ``table`` sorts by images at every degree.  ``images`` is
+the same table as a tuple, for readers outside the hot loops.
 """
 
 from __future__ import annotations
@@ -15,44 +21,65 @@ from dataclasses import dataclass
 from functools import cache, reduce
 from math import lcm
 from operator import itemgetter
+from typing import Callable
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
+# the identity table of Sym(256): PAD[:n] is the identity of degree n, and
+# _TAIL[n] = PAD[n:] pads a table of degree n to a translation table (kept
+# sliced, as a slice per product costs a third of a product at degree 21)
+PAD = bytes(range(256))
+_TAIL = [PAD[n:] for n in range(257)]
 
-@dataclass(frozen=True)
+Table = bytes | tuple[int, ...]
+
+
+@dataclass(frozen=True, slots=True)
 class Permutation:
-    """An element of Sym(n), stored as an image table."""
+    """An element of Sym(n), stored as an image table.
 
-    images: tuple[int, ...]
+    ``Permutation(images)`` takes any sequence of ints and checks that it
+    is a bijection of {0,...,n-1}.
+    """
+
+    table: Table
 
     def __post_init__(self):
-        n = len(self.images)
+        table = self.table
+        n = len(table)
         if n < 1:
             raise ValueError("degree must be at least 1")
-        if sorted(self.images) != list(range(n)):
+        if sorted(table) != list(range(n)):
             raise ValueError("images must be a bijection of {0,...,n-1}")
+        _set_table(self, bytes(table) if n <= 256 else tuple(table))
+
+    @property
+    def images(self) -> tuple[int, ...]:
+        """The image table as a tuple of ints."""
+        return tuple(self.table)
 
     @property
     def degree(self) -> int:
-        return len(self.images)
+        return len(self.table)
 
     def is_identity(self) -> bool:
-        return self.images == _identity_images(len(self.images))
+        return self.table == _identity_table(len(self.table))
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, 0-based, each starting at its smallest point."""
-        seen = [False] * self.degree
+        table = self.table
+        seen = [False] * len(table)
         out = []
-        for start in range(self.degree):
+        for start in range(len(table)):
             if seen[start]:
                 continue
             cyc = [start]
             seen[start] = True
-            x = self.images[start]
+            x = table[start]
             while x != start:
                 seen[x] = True
                 cyc.append(x)
-                x = self.images[x]
+                x = table[x]
             if len(cyc) > 1:
                 out.append(tuple(cyc))
         return out
@@ -67,51 +94,85 @@ class Permutation:
         return f"Permutation({self!s}, degree={self.degree})"
 
 
+_new = object.__new__
+_set_table = Permutation.table.__set__  # the slot, past the frozen check
+
+
 @cache
-def _identity_images(degree: int) -> tuple[int, ...]:
-    return tuple(range(degree))
+def _identity_table(degree: int) -> Table:
+    return PAD[:degree] if degree <= 256 else tuple(range(degree))
 
 
-def _unchecked(images: tuple[int, ...]) -> Permutation:
+def from_table(table: Table) -> Permutation:
     """Wrap an image table known to be a bijection, skipping validation.
 
-    Only for results computed from valid permutations of one degree
-    (products, inverses); input from outside goes through Permutation().
+    Only for tables of this module's format computed from valid
+    permutations of one degree (products, inverses, listings); input from
+    outside goes through Permutation().
     """
-    p = object.__new__(Permutation)
-    object.__setattr__(p, "images", images)
+    p = _new(Permutation)
+    _set_table(p, table)
     return p
+
+
+def padded(g: Permutation) -> bytes:
+    """g's translation table: its images, then the fixed points up to 255.
+
+    For degree at most 256; ``x.translate(padded(g))`` is the table of
+    x * g for any table x of g's degree.
+    """
+    return g.table + _TAIL[len(g.table)]
 
 
 def identity(degree: int) -> Permutation:
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    return _unchecked(_identity_images(degree))
+    return from_table(_identity_table(degree))
 
 
 def compose(a: Permutation, b: Permutation) -> Permutation:
     """Left-to-right product: apply a first, then b."""
-    if len(a.images) != len(b.images):
+    ta, tb = a.table, b.table
+    n = len(ta)
+    if n != len(tb):
         raise ValueError(f"degree mismatch: {a.degree} vs {b.degree}")
-    if len(a.images) == 1:  # itemgetter of one index returns a scalar
-        return a
-    return _unchecked(itemgetter(*a.images)(b.images))
+    if n <= 256:
+        return from_table(ta.translate(tb + _TAIL[n]))
+    return from_table(itemgetter(*ta)(tb))
 
 
 def inverse(a: Permutation) -> Permutation:
-    inv = [0] * len(a.images)
-    for i, x in enumerate(a.images):
+    ta = a.table
+    n = len(ta)
+    if n <= 256:
+        return from_table(bytes.maketrans(ta, PAD[:n])[:n])
+    inv = [0] * n
+    for i, x in enumerate(ta):
         inv[x] = i
-    return _unchecked(tuple(inv))
+    return from_table(tuple(inv))
 
 
 def compose3(a: Permutation, b: Permutation, c: Permutation) -> Permutation:
     """Left-to-right product a * b * c in one pass."""
-    if not len(a.images) == len(b.images) == len(c.images):
+    ta, tb, tc = a.table, b.table, c.table
+    n = len(ta)
+    if not n == len(tb) == len(tc):
         raise ValueError(f"degree mismatch: {a.degree}, {b.degree}, {c.degree}")
-    if len(a.images) == 1:
-        return a
-    return _unchecked(itemgetter(*itemgetter(*a.images)(b.images))(c.images))
+    if n <= 256:
+        tail = _TAIL[n]
+        return from_table(ta.translate(tb + tail).translate(tc + tail))
+    return from_table(itemgetter(*itemgetter(*ta)(tb))(tc))
+
+
+def conjugator(g: Permutation) -> Callable[[Table], Table]:
+    """x -> the table of g^-1 x g, on tables of g's degree."""
+    pre = inverse(g).table
+    n = len(pre)
+    if n <= 256:
+        tail, post = _TAIL[n], padded(g)
+        return lambda x: pre.translate(x + tail).translate(post)
+    gather, post = itemgetter(*pre), g.table
+    return lambda x: itemgetter(*gather(x))(post)
 
 
 def element_order(a: Permutation) -> int:
@@ -119,12 +180,23 @@ def element_order(a: Permutation) -> int:
 
 
 def power(a: Permutation, k: int) -> Permutation:
-    """a^k for k >= 0, one cycle at a time."""
-    images = list(a.images)
+    """a^k for k >= 0."""
+    table = a.table
+    n = len(table)
+    if n <= 256:  # by repeated squaring
+        result, tail = PAD[:n], _TAIL[n]
+        while k:
+            if k & 1:
+                result = result.translate(table + tail)
+            k >>= 1
+            if k:
+                table = table.translate(table + tail)
+        return from_table(result)
+    images = list(table)  # one cycle at a time
     for cyc in a.cycles():
         for j, x in enumerate(cyc):
             images[x] = cyc[(j + k) % len(cyc)]
-    return _unchecked(tuple(images))
+    return from_table(tuple(images))
 
 
 def parse_permutation(text: str, degree: int) -> Permutation:
@@ -154,4 +226,4 @@ def parse_permutation(text: str, degree: int) -> Permutation:
             cyc.append(p)
         for i, p in enumerate(cyc):
             images[p] = cyc[(i + 1) % len(cyc)]
-    return Permutation(tuple(images))
+    return Permutation(images)

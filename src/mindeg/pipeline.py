@@ -92,7 +92,7 @@ def projective_action(family: str, d: int, q: int):
         return matrix_to_projective_perm(U, pts, index)
 
     def matrix_of(x: Permutation) -> FFMatrix:
-        *cols, w = (pts[x.images[index[v]]] for v in frame)
+        *cols, w = (pts[x.table[index[v]]] for v in frame)
         # V's columns are the images of the coordinate points, scaled so
         # that they sum to the image of their sum
         a = multiply(invert(transpose(matrix(fld, cols))),

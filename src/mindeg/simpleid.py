@@ -22,9 +22,9 @@ import math
 import random
 from dataclasses import dataclass
 
-from .bsgs import PermGroup, class_tree, conjugator
+from .bsgs import PermGroup, class_tree
 from .errors import UnsupportedCase
-from .perm import element_order, power
+from .perm import conjugator, element_order, power
 
 
 @dataclass(frozen=True)
@@ -186,7 +186,7 @@ def _is_alt8(G: PermGroup) -> bool:
         if o % 5 == 0:
             break
     conjs = [conjugator(s) for s in G.generators]
-    tree = class_tree(power(g, o // 5).images, conjs, ALT8_CLASS_OF_5)
+    tree = class_tree(power(g, o // 5).table, conjs, ALT8_CLASS_OF_5)
     if tree is None:
         return False
     assert len(tree) == ALT8_CLASS_OF_5, "order-5 class of a group of order 20160"

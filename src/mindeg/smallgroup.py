@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 from .bsgs import PermGroup
 from .errors import LimitExceededError
 from .fflinalg import prime_power
-from .perm import Permutation, compose, compose3, identity, inverse
+from .perm import compose, compose3, from_table, identity, inverse, padded
 
 
 def lazy_import(name: str):
@@ -219,9 +219,8 @@ def _list_perm_group(G: PermGroup, bound: int) -> CayleyGroup:
     if G.degree > 256:
         raise LimitExceededError("degree above 256 not supported for listing")
     # close the identity under right multiplication by each generator
-    ident = bytes(range(G.degree))
-    pads = [bytes(g.images) + bytes(range(G.degree, 256))
-            for g in G.generators]
+    ident = identity(G.degree).table
+    pads = [padded(g) for g in G.generators]
     found = {ident: 0}
     queue = [ident]
     prods = []
@@ -241,7 +240,7 @@ def _list_perm_group(G: PermGroup, bound: int) -> CayleyGroup:
     pos = np.empty(len(els), dtype=np.int32)
     pos[order] = np.arange(len(els), dtype=np.int32)
     cols = pos[np.array(prods, dtype=np.int64).reshape(len(els), len(pads))]
-    perms = [Permutation(tuple(b)) for b in els]
+    perms = [from_table(b) for b in els]
     return CayleyGroup(_table_from_columns(cols[order]), elements=perms)
 
 
@@ -254,13 +253,13 @@ def _list_quotient(Q: QuotientGroup, bound: int) -> CayleyGroup:
     # the cosets in breadth-first order, keyed by their canonical elements
     K, gens = Q.K, Q.G.generators
     bfs = [identity(Q.G.degree)]
-    index = {K.coset_rep(bfs[0]).images: 0}
+    index = {K.coset_rep(bfs[0]).table: 0}
     cols = []
     for x in bfs:
         row = []
         for g in gens:
             y = compose(x, g)
-            key = K.coset_rep(y).images
+            key = K.coset_rep(y).table
             j = index.get(key)
             if j is None:
                 j = index[key] = len(bfs)

@@ -28,13 +28,14 @@ from math import factorial, prod
 
 from .bsgs import (
     PermGroup, centralizer_of_normal, class_tree, closure_has_order,
-    conjugator, induced_action, is_two_transitive, moved_points,
+    induced_action, is_two_transitive, moved_points,
     normal_closure, orbits, preimage_of_stabilizer,
 )
 from .errors import NotFittingFree
 from .fflinalg import prime_power
 from .perm import (
-    Permutation, compose, compose3, element_order, inverse, power,
+    Permutation, compose, compose3, conjugator, element_order, inverse,
+    power,
 )
 
 EXHAUSTIVE_MINIMALITY_BOUND = 10 ** 4
@@ -61,11 +62,11 @@ def _class_representatives(G: PermGroup, N: PermGroup):
     only needs class representatives.
     """
     conjs = [conjugator(g) for g in G.generators]
-    covered: set[tuple] = set()
+    covered = set()
     for y in N.elements():
-        if y.images not in covered:
+        if y.table not in covered:
             yield y
-            covered.update(class_tree(y.images, conjs))
+            covered.update(class_tree(y.table, conjs))
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -120,7 +121,7 @@ def _restriction(N: PermGroup, points: list[int]) -> PermGroup:
     """N acting on an N-invariant list of points, relabelled by position."""
     index = {x: i for i, x in enumerate(points)}
     return PermGroup(len(points), [
-        Permutation(tuple(index[g.images[x]] for x in points))
+        Permutation([index[g.table[x]] for x in points])
         for g in N.generators])
 
 
@@ -154,8 +155,8 @@ def _cut(g: Permutation, points: list[int]) -> Permutation:
     """g on the points, the identity elsewhere."""
     images = list(range(g.degree))
     for x in points:
-        images[x] = g.images[x]
-    return Permutation(tuple(images))
+        images[x] = g.table[x]
+    return Permutation(images)
 
 
 def _linked_classes(N: PermGroup, orbs: list[list[int]],
@@ -260,9 +261,9 @@ def _orbit_blocks(G: PermGroup, N: PermGroup, rng: random.Random
         return None
     class_of = {x: i for i, (points, _) in enumerate(classes)
                 for x in points}
-    maps = [im.images.__getitem__ for im in induced_action(
+    maps = [im.table.__getitem__ for im in induced_action(
         G, range(len(classes)),
-        lambda g, i: class_of[g.images[classes[i][0][0]]])]
+        lambda g, i: class_of[g.table[classes[i][0][0]]])]
     blocks, seen = [], set()
     for i in range(len(classes)):
         if i not in seen:
@@ -334,7 +335,7 @@ def minimal_normal_under(G: PermGroup, C: PermGroup,
     closure_rng = random.Random(seed + 1)
     proof_rng = random.Random(seed + 2)
     start = min((g for g in C.generators if not g.is_identity()),
-                key=lambda g: (min(moved_points([g])), g.images))
+                key=lambda g: (min(moved_points([g])), g.table))
     N = normal_closure(G, [start])
     while True:
         blocks = _orbit_blocks(G, N, proof_rng)

@@ -519,3 +519,36 @@ def test_product_json_output_is_pinned(tmp_path, capsys, name, command,
     code, out, err = run(capsys, command, str(path), "--json", *extra)
     assert code == 0, err
     assert out == expected
+
+
+# --- hash-seed independence ------------------------------------------------------
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    # bytes hash differently in every process, tuples of ints do not: no
+    # output may follow the iteration order of a set or dict keyed by them
+    a6_psl28 = tmp_path / "A6xPSL28.grp"
+    a6_psl28.write_text("degree 15\n" + "".join(f"gen {g}\n"
+                                                for g in A6_PSL28))
+    runs = [["mu", "--json", "--hint", fx("PSL34_2.hint.json"),
+             fx("PSL34_2.grp")],
+            ["mu", "--json", fx("A5xA6.grp")],
+            ["socle", "--json", str(a6_psl28)]]
+    outputs = []
+    for seed in ("0", "1"):
+        outputs.append([subprocess.run(
+            [sys.executable, "-m", "mindeg.cli", *argv], capture_output=True,
+            timeout=120, env={**os.environ, "PYTHONPATH": SRC,
+                              "PYTHONHASHSEED": seed}).stdout
+            for argv in runs])
+    assert all(outputs[0]) and outputs[0] == outputs[1]
+
+
+def test_the_parser_is_reused_without_carrying_arguments_over(capsys):
+    hinted = ["mu", "--json", "--hint", fx("PSL34_2.hint.json"),
+              fx("PSL34_2.grp")]
+    assert run(capsys, *hinted)[0] == 0
+    # the hint list of the first call must not leak into the second
+    code, out, _ = run(capsys, "mu", "--json", fx("A5.grp"))
+    assert code == 0 and json.loads(out)["flags"]["hint-used"] is False
+    assert run(capsys, *hinted)[0] == 0

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from mindeg.perm import (
-    Permutation, compose, compose3, element_order, identity, inverse,
-    parse_permutation,
+    Permutation, compose, compose3, conjugator, element_order, identity,
+    inverse, parse_permutation, power,
 )
 
 
@@ -94,7 +94,11 @@ def _reference_product(*perms):
 
 @given(st.integers(1, 300), st.randoms(use_true_random=False))
 @example(1, random.Random(0))
+@example(2, random.Random(0))
+@example(255, random.Random(0))
+@example(256, random.Random(0))  # the largest degree stored as bytes
 @example(257, random.Random(0))  # images above 255
+@example(300, random.Random(0))
 def test_products_match_the_pointwise_reference(n, rng):
     a, b, c = (randperm(rng, n) for _ in range(3))
     ab = compose(a, b)
@@ -141,3 +145,73 @@ def test_order_is_annihilating(a):
     for _ in range(k):
         g = compose(g, a)
     assert g == identity(a.degree)
+
+
+# Degrees around the switch between bytes tables (up to 256) and tuples.
+KERNEL_DEGREES = [1, 2, 255, 256, 257, 300]
+
+
+def _reference_inverse(p):
+    images = [0] * p.degree
+    for x in range(p.degree):
+        images[p.images[x]] = x
+    return tuple(images)
+
+
+@pytest.mark.parametrize("n", KERNEL_DEGREES)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_kernels_match_the_pointwise_reference(n, seed):
+    # products are checked at these degrees by the test above
+    rng = random.Random(seed)
+    a, b, c = (randperm(rng, n) for _ in range(3))
+    assert inverse(a).images == _reference_inverse(a)
+    e = identity(n)
+    assert e.images == tuple(range(n)) and e.is_identity()
+    assert compose(a, inverse(a)).is_identity()
+    if n > 1:
+        assert not Permutation((1, 0) + tuple(range(2, n))).is_identity()
+    assert power(a, 0) == e
+    for k in (1, 2, 5, 13):
+        assert power(a, k).images == _reference_product(*[a] * k)
+    o = element_order(a)
+    assert power(a, o) == e and power(a, o + 3) == power(a, 3)
+    # x -> g^-1 x g on tables, against the pointwise product
+    conj, cinv = conjugator(c), Permutation(_reference_inverse(c))
+    for x in (a, b, e):
+        y = conj(x.table)
+        assert tuple(y) == _reference_product(cinv, x, c)
+        assert Permutation(y) == compose3(inverse(c), x, c)
+
+
+@pytest.mark.parametrize("n", KERNEL_DEGREES)
+def test_images_is_a_tuple_at_every_degree(n):
+    rng = random.Random(n)
+    a, b = randperm(rng, n), randperm(rng, n)
+    for p in (a, Permutation(list(a.images)), identity(n), compose(a, b),
+              compose3(a, b, a), inverse(a), power(a, 3),
+              Permutation(conjugator(b)(a.table))):
+        assert type(p.images) is tuple
+        assert p.images == tuple(p.table) and p.degree == n
+
+
+@pytest.mark.parametrize("n", KERNEL_DEGREES)
+def test_table_and_images_agree_on_equality_hashing_and_order(n):
+    rng = random.Random(n + 1)
+    gens = [randperm(rng, n) for _ in range(3)]
+    # the same elements reached by different routes, with repeats
+    perms = gens + [compose(g, h) for g in gens for h in gens]
+    perms += [Permutation(p.images) for p in perms]
+    perms += [compose(inverse(g), g) for g in gens] + [identity(n)]
+    for p in perms:
+        for q in perms:
+            assert (p == q) == (p.images == q.images)
+            assert (p.table == q.table) == (p.images == q.images)
+            assert (p.table < q.table) == (p.images < q.images)
+            if p == q:
+                assert hash(p) == hash(q)
+    assert len(set(perms)) == len({p.table for p in perms}) \
+        == len({p.images for p in perms})
+    assert min(perms, key=lambda p: p.table) == \
+        min(perms, key=lambda p: p.images)
+    assert sorted(perms, key=lambda p: p.table) == \
+        sorted(perms, key=lambda p: p.images)

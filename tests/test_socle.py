@@ -877,3 +877,36 @@ def test_transitive_candidates_keep_their_sweep(monkeypatch, make, sweep):
     socle_fitting_free(G)
     assert split and all(r is None for _, r in split)
     assert swept
+
+
+def _conjugacy_classes(G):
+    """Element images -> class number, by closing each element under
+    conjugation by G's generators."""
+    class_of = {}
+    k = 0
+    for y in G.elements():
+        if y.images in class_of:
+            continue
+        class_of[y.images] = k
+        frontier = [y]
+        while frontier:
+            x = frontier.pop()
+            for g in G.generators:
+                c = conjugate(x, g)
+                if c.images not in class_of:
+                    class_of[c.images] = k
+                    frontier.append(c)
+        k += 1
+    return class_of
+
+
+@pytest.mark.parametrize("make,classes", [(lambda: sym(5), 7),
+                                          (a5xa6, 5 * 7)],
+                         ids=["S5", "A5xA6"])
+def test_class_representatives_take_one_element_per_class(make, classes):
+    # the sweep marks each class it has taken by its members' tables; a
+    # mark that no later element matches would let every element through
+    G = make()
+    class_of = _conjugacy_classes(G)
+    reps = list(mindeg.socle._class_representatives(G, G))
+    assert sorted(class_of[y.images] for y in reps) == list(range(classes))

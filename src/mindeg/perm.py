@@ -9,9 +9,10 @@ through b's table padded with the fixed points n..255 (``PAD``), and an
 inverse is ``bytes.maketrans``, both loops in C.  Above 256 a byte cannot
 hold a point, and a product is the gather ``itemgetter(*a)(b)``.  Only
 this module knows the format: other modules read ``table`` as a sequence
-of ints and use it as a hashable key.  Bytes compare like tuples of ints,
-so sorting by ``table`` sorts by images at every degree.  ``images`` is
-the same table as a tuple, for readers outside the hot loops.
+of ints and use it as a hashable key, and list a group's elements through
+``right_closure``.  Bytes compare like tuples of ints, so sorting by
+``table`` sorts by images at every degree.  ``images`` is the same table
+as a tuple, for readers outside the hot loops.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import re
 from dataclasses import dataclass
 from functools import cache, reduce
 from math import lcm
-from operator import itemgetter
-from typing import Callable
+from operator import index, itemgetter
+from typing import Callable, Sequence
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -45,13 +46,13 @@ class Permutation:
     table: Table
 
     def __post_init__(self):
-        table = self.table
-        n = len(table)
+        images = [index(x) for x in self.table]
+        n = len(images)
         if n < 1:
             raise ValueError("degree must be at least 1")
-        if sorted(table) != list(range(n)):
+        if sorted(images) != list(range(n)):
             raise ValueError("images must be a bijection of {0,...,n-1}")
-        _set_table(self, bytes(table) if n <= 256 else tuple(table))
+        _set_table(self, bytes(images) if n <= 256 else tuple(images))
 
     @property
     def images(self) -> tuple[int, ...]:
@@ -103,7 +104,7 @@ def _identity_table(degree: int) -> Table:
     return PAD[:degree] if degree <= 256 else tuple(range(degree))
 
 
-def from_table(table: Table) -> Permutation:
+def _from_table(table: Table) -> Permutation:
     """Wrap an image table known to be a bijection, skipping validation.
 
     Only for tables of this module's format computed from valid
@@ -115,19 +116,10 @@ def from_table(table: Table) -> Permutation:
     return p
 
 
-def padded(g: Permutation) -> bytes:
-    """g's translation table: its images, then the fixed points up to 255.
-
-    For degree at most 256; ``x.translate(padded(g))`` is the table of
-    x * g for any table x of g's degree.
-    """
-    return g.table + _TAIL[len(g.table)]
-
-
 def identity(degree: int) -> Permutation:
     if degree < 1:
         raise ValueError("degree must be at least 1")
-    return from_table(_identity_table(degree))
+    return _from_table(_identity_table(degree))
 
 
 def compose(a: Permutation, b: Permutation) -> Permutation:
@@ -137,19 +129,19 @@ def compose(a: Permutation, b: Permutation) -> Permutation:
     if n != len(tb):
         raise ValueError(f"degree mismatch: {a.degree} vs {b.degree}")
     if n <= 256:
-        return from_table(ta.translate(tb + _TAIL[n]))
-    return from_table(itemgetter(*ta)(tb))
+        return _from_table(ta.translate(tb + _TAIL[n]))
+    return _from_table(itemgetter(*ta)(tb))
 
 
 def inverse(a: Permutation) -> Permutation:
     ta = a.table
     n = len(ta)
     if n <= 256:
-        return from_table(bytes.maketrans(ta, PAD[:n])[:n])
+        return _from_table(bytes.maketrans(ta, PAD[:n])[:n])
     inv = [0] * n
     for i, x in enumerate(ta):
         inv[x] = i
-    return from_table(tuple(inv))
+    return _from_table(tuple(inv))
 
 
 def compose3(a: Permutation, b: Permutation, c: Permutation) -> Permutation:
@@ -160,8 +152,8 @@ def compose3(a: Permutation, b: Permutation, c: Permutation) -> Permutation:
         raise ValueError(f"degree mismatch: {a.degree}, {b.degree}, {c.degree}")
     if n <= 256:
         tail = _TAIL[n]
-        return from_table(ta.translate(tb + tail).translate(tc + tail))
-    return from_table(itemgetter(*itemgetter(*ta)(tb))(tc))
+        return _from_table(ta.translate(tb + tail).translate(tc + tail))
+    return _from_table(itemgetter(*itemgetter(*ta)(tb))(tc))
 
 
 def conjugator(g: Permutation) -> Callable[[Table], Table]:
@@ -169,10 +161,40 @@ def conjugator(g: Permutation) -> Callable[[Table], Table]:
     pre = inverse(g).table
     n = len(pre)
     if n <= 256:
-        tail, post = _TAIL[n], padded(g)
+        tail = _TAIL[n]
+        post = g.table + tail
         return lambda x: pre.translate(x + tail).translate(post)
     gather, post = itemgetter(*pre), g.table
     return lambda x: itemgetter(*gather(x))(post)
+
+
+def right_closure(
+    degree: int, generators: Sequence[Permutation]
+) -> tuple[list[Permutation], list[list[int]]]:
+    """The elements of <generators>, found by closing the identity under
+    right multiplication by each generator, in the order found, and for the
+    i-th element the indices of its products with each generator.
+
+    For degree at most 256, where each product is one ``translate``.
+    """
+    if degree > 256:
+        raise ValueError("right_closure needs degree at most 256")
+    ident = PAD[:degree]
+    pads = [g.table + _TAIL[degree] for g in generators]
+    found = {ident: 0}
+    queue = [ident]
+    prods = []
+    for x in queue:
+        row = []
+        for p in pads:
+            y = x.translate(p)
+            j = found.get(y)
+            if j is None:
+                j = found[y] = len(queue)
+                queue.append(y)
+            row.append(j)
+        prods.append(row)
+    return [_from_table(x) for x in queue], prods
 
 
 def element_order(a: Permutation) -> int:
@@ -181,22 +203,11 @@ def element_order(a: Permutation) -> int:
 
 def power(a: Permutation, k: int) -> Permutation:
     """a^k for k >= 0."""
-    table = a.table
-    n = len(table)
-    if n <= 256:  # by repeated squaring
-        result, tail = PAD[:n], _TAIL[n]
-        while k:
-            if k & 1:
-                result = result.translate(table + tail)
-            k >>= 1
-            if k:
-                table = table.translate(table + tail)
-        return from_table(result)
-    images = list(table)  # one cycle at a time
+    images = list(a.table)
     for cyc in a.cycles():
         for j, x in enumerate(cyc):
             images[x] = cyc[(j + k) % len(cyc)]
-    return from_table(tuple(images))
+    return _from_table(bytes(images) if len(images) <= 256 else tuple(images))
 
 
 def parse_permutation(text: str, degree: int) -> Permutation:

@@ -36,7 +36,7 @@ from typing import Optional, Sequence
 from .bsgs import PermGroup
 from .errors import LimitExceededError
 from .fflinalg import prime_power
-from .perm import compose, compose3, from_table, identity, inverse, padded
+from .perm import compose, compose3, identity, inverse, right_closure
 
 
 def lazy_import(name: str):
@@ -218,29 +218,15 @@ def _list_perm_group(G: PermGroup, bound: int) -> CayleyGroup:
         raise LimitExceededError(f"group order {G.order()} exceeds bound {bound}")
     if G.degree > 256:
         raise LimitExceededError("degree above 256 not supported for listing")
-    # close the identity under right multiplication by each generator
-    ident = identity(G.degree).table
-    pads = [padded(g) for g in G.generators]
-    found = {ident: 0}
-    queue = [ident]
-    prods = []
-    for x in queue:
-        row = []
-        for p in pads:
-            y = x.translate(p)
-            j = found.get(y)
-            if j is None:
-                j = found[y] = len(queue)
-                queue.append(y)
-            row.append(j)
-        prods.append(row)
-    # the identity first, then the rest by image bytes
-    els = [ident] + sorted(queue[1:])
-    order = np.array([found[b] for b in els], dtype=np.int64)
-    pos = np.empty(len(els), dtype=np.int32)
-    pos[order] = np.arange(len(els), dtype=np.int32)
-    cols = pos[np.array(prods, dtype=np.int64).reshape(len(els), len(pads))]
-    perms = [from_table(b) for b in els]
+    els, prods = right_closure(G.degree, G.generators)
+    n = len(els)
+    # the identity first, then the rest by image table
+    tables = [x.table for x in els]
+    order = np.array([0] + sorted(range(1, n), key=tables.__getitem__))
+    pos = np.empty(n, dtype=np.int32)
+    pos[order] = np.arange(n, dtype=np.int32)
+    cols = pos[np.array(prods, dtype=np.int64).reshape(n, len(G.generators))]
+    perms = [els[i] for i in order]
     return CayleyGroup(_table_from_columns(cols[order]), elements=perms)
 
 

@@ -1,11 +1,13 @@
 import random
+from array import array
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from mindeg.perm import (
     Permutation, compose, compose3, conjugator, element_order, identity,
-    inverse, parse_permutation, power,
+    inverse, parse_permutation, power, right_closure,
 )
 
 
@@ -215,3 +217,24 @@ def test_table_and_images_agree_on_equality_hashing_and_order(n):
         min(perms, key=lambda p: p.images)
     assert sorted(perms, key=lambda p: p.table) == \
         sorted(perms, key=lambda p: p.images)
+
+
+@pytest.mark.parametrize("n", [3, 300])
+def test_buffer_inputs_are_read_as_ints(n):
+    # bytes() of an int buffer would copy its raw memory instead
+    images = [1, 0] + list(range(2, n))
+    for seq in (array("i", images), np.array(images)):
+        p = Permutation(seq)
+        assert p.degree == n and p.images == tuple(images)
+        assert all(type(x) is int for x in p.images)
+        assert p == Permutation(images) and hash(p) == hash(Permutation(images))
+
+
+def test_right_closure_lists_the_group_with_its_products():
+    gens = [parse_permutation("(1 2 3)", 4), parse_permutation("(1 2)", 4)]
+    els, prods = right_closure(4, gens)
+    assert els[0] == identity(4) and len(els) == len(set(els)) == 6
+    for x, row in zip(els, prods):
+        assert [els[j] for j in row] == [compose(x, g) for g in gens]
+    with pytest.raises(ValueError):
+        right_closure(257, [])

@@ -1,11 +1,12 @@
 """Lifting projective automorphisms to matrix covers and classifying them.
 
 A projective automorphism (given by its action on the projections of the
-standard generating set L) is lifted to the matrix cover by picking, in
-each image coset VZ, the unique element whose order is the characteristic.
-Classification then searches the field exponent t' and graph flag t'' for
-the unique pair making the twisted map inner-or-diagonal, which is decided
-by the matrix commutation solver.
+standard generating set L) is lifted to the matrix cover image by image:
+``order_p_multiple`` picks the unique scalar multiple of each image whose
+order is the characteristic, for every family.  Classification then
+searches the field exponent t' and graph flag t'' for the unique pair
+making the twisted map inner-or-diagonal, which is decided by the matrix
+commutation solver.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ _EXCLUDED_PSL = {(3, 2), (4, 2)}
 class ProjectiveAut:
     """An automorphism of a projective group, by generator images.
 
-    ``images[i]`` is any matrix representative of the image coset
+    ``images[i]`` is any scalar multiple of a matrix in the image coset
     lambda(U_i Z) of the i-th standard generator of the matrix cover.
     """
 
@@ -51,51 +52,38 @@ class AutClassification:
     in_gamma: bool
 
 
-def center_scalars(family: str, d: int, field) -> list[int]:
-    """Scalars c with cI in the center of the matrix cover."""
-    if family == "SL":
-        return [c for c in field.elements()
-                if c and field.pow(c, d) == 1]
-    if family in ("Sp", "OmegaPlus"):
-        # Z(Sp(4, 2^e)) is trivial: c^2 = 1 forces c = 1 in characteristic 2
-        return [c for c in field.elements() if c and field.mul(c, c) == 1]
-    raise ValueError(f"unknown family {family!r}")
+def order_p_multiple(V: FFMatrix) -> FFMatrix:
+    """The unique scalar multiple of V whose order is the characteristic p.
+
+    V^p = cI when V is a projective element of order p.  Then (lambda V)^p
+    = lambda^p c I, and y -> y^p is a bijection of F_q^* with inverse
+    y -> y^(q/p), so lambda = c^(-q/p) is the only multiple of order p.
+    """
+    field = V.field
+    I = identity_matrix(field, V.nrows)
+    P = V
+    for _ in range(field.p - 1):
+        P = multiply(P, V)
+    c = P.rows[0][0]
+    if (not c or P != scalar_multiply(c, I)
+            or V == scalar_multiply(V.rows[0][0], I)):
+        raise ValueError("image coset contains no element of order p; "
+                         "the input is not an automorphism")
+    return scalar_multiply(field.pow(field.inv(c), field.q // field.p), V)
 
 
-def _has_order_p(W: FFMatrix, p: int) -> bool:
-    I = identity_matrix(W.field, W.nrows)
-    if W == I:
-        return False
-    P = W
-    for _ in range(p - 1):
-        P = multiply(P, W)
-    return P == I
-
-
-def _lift(lam: ProjectiveAut, L: list[FFMatrix], field) -> MatrixAut:
+def _lift(lam: ProjectiveAut, L: list[FFMatrix]) -> MatrixAut:
     if len(lam.images) != len(L):
         raise ValueError("one image per standard generator required")
-    scalars = center_scalars(lam.family, lam.d, field)
-    images = []
-    for V in lam.images:
-        order_p = [W for c in scalars
-                   for W in [scalar_multiply(c, V)]
-                   if _has_order_p(W, field.p)]
-        if not order_p:
-            raise ValueError(
-                "image coset contains no element of order p; "
-                "the input is not an automorphism")
-        assert len(order_p) == 1, "coset uniqueness violated"
-        images.append(order_p[0])
-    return MatrixAut(lam.family, L, images)
+    return MatrixAut(lam.family, L, [order_p_multiple(V) for V in lam.images])
 
 
 def lift_psl_aut(lam: ProjectiveAut) -> MatrixAut:
     """Lift an automorphism of PSL(d,q), d >= 3, to SL(d,q).
 
-    Each image coset VZ contains exactly one element of order p (the
-    characteristic); that element is alpha(U).  Excluded: (d,q) in
-    {(3,2), (4,2)} where the uniqueness fails.
+    The scalar multiples of each image contain exactly one element of
+    order p (the characteristic); that element is alpha(U).  Excluded:
+    (d,q) in {(3,2), (4,2)} where the uniqueness fails.
     """
     if lam.family != "SL":
         raise ValueError("expected an SL-cover automorphism")
@@ -103,22 +91,22 @@ def lift_psl_aut(lam: ProjectiveAut) -> MatrixAut:
         raise ValueError("lifting requires d >= 3")
     if (lam.d, lam.q) in _EXCLUDED_PSL:
         raise ValueError(f"(d,q) = ({lam.d},{lam.q}) is excluded")
-    field, L = standard_generators("SL", lam.d, lam.q)
-    return _lift(lam, L, field)
+    _, L = standard_generators("SL", lam.d, lam.q)
+    return _lift(lam, L)
 
 
 def lift_omega_aut(lam: ProjectiveAut) -> MatrixAut:
     """Lift an automorphism of POmega+(2d,3), 2d >= 8, to Omega+(2d,3).
 
-    Z = {I, -I}, and each 2-element coset VZ contains exactly one element
-    of order 3.
+    Z = {I, -I}, and of each image's multiples V and -V exactly one has
+    order 3.
     """
     if lam.family != "OmegaPlus":
         raise ValueError("expected an OmegaPlus-cover automorphism")
     if lam.d < 8:
         raise ValueError("lifting requires matrix size 2d >= 8")
-    field, L = standard_generators("OmegaPlus", lam.d, lam.q)
-    return _lift(lam, L, field)
+    _, L = standard_generators("OmegaPlus", lam.d, lam.q)
+    return _lift(lam, L)
 
 
 def sp_graph_permutation(q: int) -> list[int]:
@@ -187,26 +175,21 @@ def classify_aut(alpha: MatrixAut) -> AutClassification:
 
     index = {U.rows: i for i, U in enumerate(L)}
     if alpha.family == "Sp":
-        perm = sp_graph_permutation(field.q)
-        graph_inv = [0] * len(L)
-        for i, j in enumerate(perm):
-            graph_inv[j] = i
-
-        def graph_preimage(i: int) -> int:
-            return graph_inv[i]
+        graph = sp_graph_permutation(field.q)
     elif alpha.family == "SL":
-        def graph_preimage(i: int) -> int:
-            # the transpose-inverse is an involution on L
-            return index[transpose(invert(L[i])).rows]
+        graph = [index[transpose(invert(U)).rows] for U in L]
     else:
         raise ValueError(f"unknown family {alpha.family!r}")
+    # preimages of L under no graph part (t'' = 0) and under the graph map
+    graph_inv = [0] * len(L)
+    for i, j in enumerate(graph):
+        graph_inv[j] = i
 
     passing = []
-    for t2 in (0, 1):
+    for t2, preimage in enumerate((range(len(L)), graph_inv)):
         for t1 in range(1, e + 1):
             images = []
-            for i in range(len(L)):
-                j = graph_preimage(i) if t2 else i
+            for j in preimage:
                 W = _frobenius_matrix(L[j], (e - t1) % e)
                 images.append(alpha.images[index[W.rows]])
             F = solve_commutation(L, images)

@@ -428,12 +428,13 @@ def closure_has_order(G: PermGroup, y: Permutation, order: int,
     return False
 
 
-def _check_normalizes(G: PermGroup, H: PermGroup) -> None:
+def normalizes(G: PermGroup, H: PermGroup) -> bool:
+    """Whether G normalizes H: each g^-1 h g of generators lies in H."""
     for g in G.generators:
         ginv = inverse(g)
-        for h in H.generators:
-            if not H.member(compose3(ginv, h, g)):
-                raise ValueError("precondition failed: G does not normalize H")
+        if not all(H.member(compose3(ginv, h, g)) for h in H.generators):
+            return False
+    return True
 
 
 def moved_points(gens: Iterable[Permutation]) -> set[int]:
@@ -512,7 +513,8 @@ def centralizer_of_normal(G: PermGroup, H: PermGroup) -> PermGroup:
     in turn replaces C by its stabilizer in C, whose order is exactly
     |C| / |h^C|.
     """
-    _check_normalizes(G, H)
+    if not normalizes(G, H):
+        raise ValueError("precondition failed: G does not normalize H")
     if _centralizer_is_trivial(G, H):
         return PermGroup(G.degree)
     C = G

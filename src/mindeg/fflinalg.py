@@ -7,10 +7,8 @@ the lexicographically least irreducible monic polynomial of degree e
 reproducible across systems that adopt the same convention.
 
 One Gauss-Jordan routine, ``_eliminate``, serves inverses, determinants
-and nullspaces; only nullspaces over prime fields take a numpy
-elimination, which is much faster on the dense systems of the orthogonal
-groups.  That routine imports numpy itself, so the module loads without
-it.  ``prime_power`` is the package's one prime-power test.
+and nullspaces over every field, in pure Python; the module never imports
+numpy.  ``prime_power`` is the package's one prime-power test.
 """
 
 from __future__ import annotations
@@ -302,53 +300,23 @@ def invert(a: FFMatrix) -> FFMatrix:
 
 def nullspace(field: Field, rows, ncols: int) -> list[list[int]]:
     """Deterministic basis of the right nullspace {v : a·v = 0} of the
-    matrix a with these rows of field codes (nonempty, not re-validated)."""
-    if field.e == 1:
-        return _nullspace_prime(field, rows, ncols)
+    matrix a with these rows of field codes (nonempty, not re-validated).
+
+    One basis vector per free column of the reduced row echelon form, with
+    a 1 there; the form is unique, so the basis depends only on a.
+    """
     rows = [list(r) for r in rows]
     pivots, _ = _eliminate(field, rows)
-    return _nullspace_from_rref(field, rows, pivots, ncols)
-
-
-def _nullspace_from_rref(field, rows, pivots, m):
     pivot_set = set(pivots)
-    free = [c for c in range(m) if c not in pivot_set]
+    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for fc in free:
-        v = [0] * m
+        v = [0] * ncols
         v[fc] = 1
         for r, pc in enumerate(pivots):
             v[pc] = field.neg(rows[r][fc])
         basis.append(v)
     return basis
-
-
-def _nullspace_prime(field: Field, rows, m: int) -> list[list[int]]:
-    import numpy as np
-
-    p = field.p
-    A = np.array(rows, dtype=np.int64) % p
-    n = len(A)
-    inv_table = [0] + [pow(x, p - 2, p) for x in range(1, p)]
-    pivots = []
-    r = 0
-    for c in range(m):
-        nz = np.nonzero(A[r:, c])[0]
-        if len(nz) == 0:
-            continue
-        pr = r + int(nz[0])
-        if pr != r:
-            A[[r, pr]] = A[[pr, r]]
-        A[r] = (A[r] * inv_table[int(A[r, c])]) % p
-        mask = (A[:, c] != 0)
-        mask[r] = False
-        if mask.any():
-            A[mask] = (A[mask] - np.outer(A[mask, c], A[r])) % p
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    return _nullspace_from_rref(field, A[:r].tolist(), pivots, m)
 
 
 # ---------------------------------------------------------------------------

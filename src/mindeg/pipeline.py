@@ -20,7 +20,8 @@ from math import factorial, prod
 from typing import Optional
 
 from .autlift import (
-    MatrixAut, ProjectiveAut, lift_omega_aut, lift_psl_aut, subgroup_in_gamma,
+    MatrixAut, ProjectiveAut, lift_omega_aut, lift_psl_aut, order_p_multiple,
+    subgroup_in_gamma,
 )
 from .bsgs import (
     PermGroup, build_group, centralizer_of_normal, is_faithful_on_first,
@@ -29,7 +30,7 @@ from .bsgs import (
 from .errors import DegreeCheckFailed, HintRequired, UnsupportedCase
 from .fflinalg import (
     FFMatrix, determinant, form_matrix, invert, matrix, multiply,
-    preserves_form, scalar_multiply, standard_generators, transpose,
+    preserves_form, standard_generators, transpose,
 )
 from .oracle import ORACLE_LIMIT
 from .perm import Permutation, compose, compose3, identity, inverse
@@ -76,11 +77,9 @@ def projective_action(family: str, d: int, q: int):
     """(field, L, pi, matrix_of) for the standard copy with generators L.
 
     pi projects a matrix onto its permutation of the projective points.
-    matrix_of inverts pi on the image x of an element of order p: the
-    images of the d coordinate points and of their sum (a frame) fix a
-    matrix V with pi(V) = x up to a scalar.  V^p is scalar, as x has
-    order p, and y -> y^p is injective on F_q^*, so exactly one multiple
-    of V has order p; that one is returned.
+    matrix_of inverts pi: the images of the d coordinate points and of
+    their sum (a frame) fix a matrix V with pi(V) = x, unique up to a
+    scalar multiple.
     """
     fld, L = standard_generators(family, d, q)
     pts = projective_points(fld, d)
@@ -97,12 +96,8 @@ def projective_action(family: str, d: int, q: int):
         # that they sum to the image of their sum
         a = multiply(invert(transpose(matrix(fld, cols))),
                      transpose(matrix(fld, [w])))
-        V = transpose(matrix(fld, [[fld.mul(c, y) for y in col]
-                                   for (c,), col in zip(a.rows, cols)]))
-        Vp = V
-        for _ in range(fld.p - 1):
-            Vp = multiply(Vp, V)
-        return scalar_multiply(fld.pow(fld.inv(Vp.rows[0][0]), q // fld.p), V)
+        return transpose(matrix(fld, [[fld.mul(c, y) for y in col]
+                                      for (c,), col in zip(a.rows, cols)]))
 
     return fld, L, pi, matrix_of
 
@@ -218,7 +213,8 @@ def induced_aut_group(G: PermGroup, factors: list[PermGroup], index: int,
     blocks swapped, prove psi an isomorphism and carry it: psi(x) is the
     second block of the element of D that agrees with x on the first, and
     psi^{-1} is read off E the same way.  Each matrix is rebuilt from its
-    projective image by ``projective_action``'s ``matrix_of``.
+    projective image by ``projective_action``'s ``matrix_of``, up to a
+    scalar that the lift removes.
     """
     S1 = factors[index]
     NG = normalizer_of_factor(G, factors, index)
@@ -272,8 +268,9 @@ def induced_aut_group(G: PermGroup, factors: list[PermGroup], index: int,
             matrix_auts.append(lift_psl_aut(lam))
         elif hint.family == "OmegaPlus":
             matrix_auts.append(lift_omega_aut(lam))
-        else:  # Sp(4, 2^e): trivial center, the images are exact
-            matrix_auts.append(MatrixAut("Sp", L, images))
+        else:  # Sp(4, 2^e): trivial center, the order-2 multiple is exact
+            matrix_auts.append(MatrixAut(
+                "Sp", L, [order_p_multiple(V) for V in images]))
     data.matrix_auts = matrix_auts
     return data
 

@@ -33,10 +33,10 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional, Sequence
 
-from .bsgs import PermGroup
+from .bsgs import PermGroup, normalizes
 from .errors import LimitExceededError
 from .fflinalg import prime_power
-from .perm import compose, compose3, identity, inverse, right_closure
+from .perm import compose, identity, right_closure
 
 
 def lazy_import(name: str):
@@ -162,11 +162,8 @@ class QuotientGroup:
         for k in self.K.generators:
             if not self.G.member(k):
                 raise ValueError("K is not a subgroup of G")
-        for g in self.G.generators:
-            ginv = inverse(g)
-            for k in self.K.generators:
-                if not self.K.member(compose3(ginv, k, g)):
-                    raise ValueError("K is not normalized by G")
+        if not normalizes(self.G, self.K):
+            raise ValueError("K is not normalized by G")
 
     def index(self) -> int:
         return self.G.order() // self.K.order()

@@ -333,6 +333,18 @@ def psp44_on_points():
     return G
 
 
+def center_scalars(family, d, field):
+    """Scalars c with cI in the center of the matrix cover: the reference
+    that the order-p lift is tested against."""
+    if family == "SL":
+        return [c for c in field.elements()
+                if c and field.pow(c, d) == 1]
+    if family in ("Sp", "OmegaPlus"):
+        # Z(Sp(4, 2^e)) is trivial: c^2 = 1 forces c = 1 in characteristic 2
+        return [c for c in field.elements() if c and field.mul(c, c) == 1]
+    raise ValueError(f"unknown family {family!r}")
+
+
 def hint_data(family, d, q, gens, mats, factor_index=0):
     """The hint JSON dictionary for the isomorphism gens[i] -> mats[i]."""
     return {"factor_index": factor_index, "family": family, "d": d, "q": q,

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from mindeg.autlift import (
-    MatrixAut, ProjectiveAut, center_scalars, classify_aut, lift_psl_aut,
+    MatrixAut, ProjectiveAut, classify_aut, lift_psl_aut,
 )
 from mindeg.fflinalg import (
     commutation_space, determinant, form_matrix, identity_matrix, invert,
@@ -25,7 +25,7 @@ from mindeg.simpleid import SimpleName
 from mindeg.smallgroup import from_direct_factors, list_elements
 from mindeg.socle import socle_fitting_free
 
-from .groups import d8, sym
+from .groups import center_scalars, d8, sym
 from .test_autlift import conj_aut, random_word_element
 from .test_cli import fx
 from .test_pipeline import load_fixture

@@ -3,14 +3,16 @@ import random
 import pytest
 
 from mindeg.autlift import (
-    ProjectiveAut, center_scalars, classify_aut, lift_omega_aut, lift_psl_aut,
-    sp_graph_permutation, subgroup_in_gamma,
+    ProjectiveAut, classify_aut, lift_omega_aut, lift_psl_aut,
+    order_p_multiple, sp_graph_permutation, subgroup_in_gamma,
 )
 from mindeg.fflinalg import (
-    MatrixAut, form_matrix, frobenius, identity_matrix, invert, matrix,
-    multiply, preserves_form, scalar_multiply, solve_commutation,
+    MatrixAut, determinant, form_matrix, frobenius, identity_matrix, invert,
+    matrix, multiply, preserves_form, scalar_multiply, solve_commutation,
     standard_generators, transpose,
 )
+
+from .groups import center_scalars
 
 
 def random_word_element(L, rng, length=10):
@@ -126,6 +128,48 @@ def test_lift_omega_rejects_small_dimension():
         lift_omega_aut(ProjectiveAut("OmegaPlus", 6, 3, tuple(L)))
     with pytest.raises(ValueError):
         lift_omega_aut(ProjectiveAut("SL", 8, 3, tuple(L)))
+
+
+# --- the order-p lift, on every family ------------------------------------------
+
+
+def _power(V, k):
+    P = V
+    for _ in range(k - 1):
+        P = multiply(P, V)
+    return P
+
+
+@pytest.mark.parametrize("family,d,q", [("SL", 3, 3), ("SL", 3, 4),
+                                        ("Sp", 4, 4), ("OmegaPlus", 8, 3)])
+def test_order_p_multiple_is_the_one_multiple_of_order_p(family, d, q):
+    field, L = standard_generators(family, d, q)
+    I = identity_matrix(field, d)
+    g = random_word_element(L, random.Random(41), length=6)
+    for U in conj_aut(family, L, g).images:
+        multiples = [scalar_multiply(c, U) for c in range(1, q)]
+        assert [W for W in multiples
+                if W != I and _power(W, field.p) == I] == [U]
+        assert all(order_p_multiple(W) == U for W in multiples)
+    # a scalar has order 1 in every multiple; diag(x, 1, .., 1, 1/x) for
+    # the primitive x = 2 of F_3 and F_4 has a non-scalar p-th power
+    diag = matrix(field, [[(2 if i == 0 else field.inv(2) if i == d - 1
+                            else 1) if i == j else 0 for j in range(d)]
+                          for i in range(d)])
+    for V in (I, diag):
+        with pytest.raises(ValueError, match="no element of order p"):
+            order_p_multiple(V)
+
+
+def test_lift_psl_accepts_representatives_outside_sl():
+    # -U has determinant -1 in SL(3,3), whose center is trivial; -U has
+    # order 6, and its order-3 multiple U is in SL, as an element of
+    # order p has det^p = 1 and p does not divide q - 1
+    field, L = standard_generators("SL", 3, 3)
+    reps = [scalar_multiply(2, U) for U in L]
+    assert {determinant(V) for V in reps} == {2}
+    alpha = lift_psl_aut(ProjectiveAut("SL", 3, 3, tuple(reps)))
+    assert alpha.images == L
 
 
 # --- inner-or-diagonal test ----------------------------------------------------

@@ -64,7 +64,9 @@ def test_parse_rejects_malformed(tmp_path):
         "degree 4\ngen (1 9)\n",             # point out of range
         "degree 4\nkernel\nkernel\n",        # duplicate kernel
         "# only a comment\n",                # missing degree
-        "degree 4\ngen (1 2 3)\nkernel\ngen (1 4)\n",  # K not normal
+        "degree 4\ngen (1 2 3)\nkernel\ngen (1 4)\n",  # K not in G
+        # K <= G = S4 but not normal
+        "degree 4\ngen (1 2 3 4)\ngen (1 2)\nkernel\ngen (1 2)\n",
         "degree 0\n",                        # degree not positive
         "degree -2\n",
         "degree 4 5\n",                      # extra token

@@ -1,7 +1,8 @@
 """`mindeg mu` never loads numpy; the oracle loads it on first use.
 
 The check runs in a fresh interpreter, because this process has numpy
-loaded already.  ``mindeg.oracle`` and ``mindeg.smallgroup`` must still be
+loaded already.  Its `mu` runs include a hint over the prime field F_3,
+whose commutation systems go through the one elimination of `fflinalg`.  ``mindeg.oracle`` and ``mindeg.smallgroup`` must still be
 imported with ``mindeg.cli``: the bench tracer patches their functions
 through ``sys.modules`` before any command runs.
 """
@@ -12,6 +13,8 @@ import sys
 from pathlib import Path
 
 import mindeg.cli
+
+from .groups import hint_data, psl3_graph_extension
 
 SRC = Path(mindeg.cli.__file__).resolve().parent.parent
 FIXTURES = SRC / "mindeg" / "fixtures"
@@ -32,6 +35,7 @@ fx = sys.argv[2]
 for argv in (["mu", "--json", fx + "/A5wrZ2.grp"],
              ["mu", "--json", "--hint", fx + "/PSL34_2.hint.json",
               fx + "/PSL34_2.grp"],
+             ["mu", "--json", "--hint", sys.argv[4], sys.argv[3]],
              ["mu-oracle", "--json", fx + "/S5.grp"]):
     if argv[0] == "mu-oracle":
         report["mu"] = state()
@@ -44,18 +48,27 @@ print(json.dumps(report))
 """
 
 
-def test_mu_runs_without_numpy_and_the_oracle_loads_it():
+def test_mu_runs_without_numpy_and_the_oracle_loads_it(tmp_path):
+    # hinted PSL(3,3).2 of graph type
+    G, gens, L = psl3_graph_extension(3)
+    group = tmp_path / "PSL33_2.grp"
+    group.write_text(f"degree {G.degree}\n"
+                     + "".join(f"gen {g}\n" for g in G.generators))
+    hint = tmp_path / "PSL33_2.hint.json"
+    hint.write_text(json.dumps(hint_data("SL", 3, 3, gens, L)))
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, str(SRC), str(FIXTURES)],
+        [sys.executable, "-c", CHILD, str(SRC), str(FIXTURES), str(group),
+         str(hint)],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert report["codes"] == [0, 0, 0]
+    assert report["codes"] == [0, 0, 0, 0]
     assert {"mindeg.oracle", "mindeg.smallgroup"} <= set(
         report["import"]["mindeg"])
     assert report["import"]["numpy"] == []
     assert report["mu"]["numpy"] == []
     assert json.loads(report["outputs"][0])["total"] == 10
     assert json.loads(report["outputs"][1])["total"] == 42
-    assert json.loads(report["outputs"][2])["mu"] == 5
+    assert json.loads(report["outputs"][2])["total"] == 26
+    assert json.loads(report["outputs"][3])["mu"] == 5
     assert report["oracle"]["numpy"] != []  # numpy did load on first use

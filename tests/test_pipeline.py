@@ -315,18 +315,22 @@ def test_mu_reads_the_socle_order_off_its_factors(monkeypatch):
 def test_hint_transport_rebuilds_each_matrix_with_two_products(monkeypatch):
     # one outer generator, and 18 standard generators of SL(3,4) whose
     # conjugates are rebuilt from their projective images: one product
-    # solves the frame and one forms V^p for p = 2 (36 on the fixture)
+    # solves the frame and the lift forms V^p for p = 2 (36 on the
+    # fixture, counted wherever the run calls multiply)
+    import mindeg.autlift
+    import mindeg.fflinalg
     import mindeg.pipeline
     G = load_fixture("PSL34_2.grp")
     hint = load_hint_file(fixture_path("PSL34_2.hint.json"))
     calls = []
-    original = mindeg.pipeline.multiply
+    original = mindeg.fflinalg.multiply
 
     def counted(a, b):
         calls.append(None)
         return original(a, b)
 
-    monkeypatch.setattr(mindeg.pipeline, "multiply", counted)
+    for module in (mindeg.fflinalg, mindeg.autlift, mindeg.pipeline):
+        monkeypatch.setattr(module, "multiply", counted)
     assert mu_fitting_free(G, hints=[hint]).total == 42
     assert len(calls) <= 36
 

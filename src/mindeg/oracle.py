@@ -15,16 +15,14 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import product
-from operator import and_
+from operator import index
 
-from .errors import LimitExceededError
+from .errors import DegreeCheckFailed, LimitExceededError
 from .fflinalg import prime_power
 from .smallgroup import (
-    CayleyGroup, _conjugates, _hom_from_gen_images, _mask_of, all_subgroups,
-    from_direct_factors, lazy_import,
+    CayleyGroup, Elements, _at, _conjugates, _hom_from_gen_images, _lookup,
+    _minus, all_subgroups, from_direct_factors,
 )
-
-np = lazy_import("numpy")
 
 ORACLE_LIMIT = 2000
 
@@ -38,49 +36,53 @@ class OracleWitness:
     core_intersection: list[int]
 
 
-def _list_of_mask(mask: int) -> list[int]:
-    out = []
-    x = 0
-    while mask:
-        if mask & 1:
-            out.append(x)
-        mask >>= 1
-        x += 1
-    return out
+def _mask_of(members) -> int:
+    """The bitmask of a list of element indices."""
+    mask = 0
+    for x in members:
+        mask |= 1 << x
+    return mask
 
 
-def _check_subgroup(C: CayleyGroup, members: list[int]):
-    s = set(int(x) for x in members)
-    if 0 not in s:
+def _meet(A: Elements, B: Elements) -> Elements:
+    """The elements of A that lie in B, in the order of A."""
+    return _minus(A, _lookup(_minus(A, _lookup(B))))
+
+
+def _check_subgroup(C: CayleyGroup, members: list[int]) -> Elements:
+    """The sorted distinct ``members``, packed; raises ValueError unless
+    they form a subgroup."""
+    if 0 not in members:
         raise ValueError("subgroup must contain the identity")
-    t = C.table
-    for a in s:
-        for b in s:
-            if int(t[a, b]) not in s:
-                raise ValueError("element set is not closed under the product")
+    if min(members) < 0 or max(members) >= C.order:
+        raise ValueError("subgroup elements must be element indices")
+    H = C.pack(sorted(set(members)))
+    inside, times = _lookup(H), _at(H)
+    for a in H:
+        if _minus(times(C.table[a]), inside):
+            raise ValueError("element set is not closed under the product")
+    return H
+
+
+def _core(C: CayleyGroup, H, gens: list[int]) -> Elements:
+    """The sorted core of the subgroup with elements H: the meet of its
+    conjugacy class."""
+    members = _check_subgroup(C, [index(x) for x in H])
+    return reduce(_meet, _conjugates(C, members, gens))
 
 
 def core(C: CayleyGroup, H) -> list[int]:
     """The largest normal subgroup of C inside the subgroup H."""
-    members = sorted(int(x) for x in H)
-    _check_subgroup(C, members)
-    return _list_of_mask(_core_mask(C, np.array(members, dtype=np.int64),
-                                    C.generating_set()))
-
-
-def _core_mask(C: CayleyGroup, members: np.ndarray, gens: list[int]) -> int:
-    return reduce(and_, _conjugates(C, members, gens))
+    return list(_core(C, H, C.generating_set()))
 
 
 def is_faithful_collection(C: CayleyGroup, Hs) -> bool:
     """True iff the cores of the given subgroups intersect trivially."""
     gens = C.generating_set()
-    meet = (1 << C.order) - 1
+    meet = C.everything
     for H in Hs:
-        members = sorted(int(x) for x in H)
-        _check_subgroup(C, members)
-        meet &= _core_mask(C, np.array(members, dtype=np.int64), gens)
-    return meet == 1
+        meet = _meet(meet, _core(C, H, gens))
+    return len(meet) == 1
 
 
 def _abelian_candidates(C: CayleyGroup) -> list[tuple[int, int, list[int]]]:
@@ -97,7 +99,7 @@ def _abelian_candidates(C: CayleyGroup) -> list[tuple[int, int, list[int]]]:
     gens = C.generating_set()
     orders = C.element_orders()
     parts: dict[int, int] = {}  # prime p -> the p-part of exp(G)
-    for k in set(orders.tolist()):
+    for k in set(orders):
         pe = prime_power(k)
         if pe is not None:
             parts[pe[0]] = max(parts.get(pe[0], 1), k)
@@ -111,13 +113,13 @@ def _abelian_candidates(C: CayleyGroup) -> list[tuple[int, int, list[int]]]:
             phi = _hom_from_gen_images(C, Z, gens, images)
             if phi is None:
                 continue
-            kernel = np.nonzero(phi == 0)[0]
+            kernel = [x for x, y in enumerate(phi) if y == 0]
             if len(kernel) == C.order:
                 continue
-            mask = _mask_of(kernel.tolist())
+            mask = _mask_of(kernel)
             cost = C.order // len(kernel)
             if mask not in out or out[mask][0] > cost:
-                out[mask] = (cost, kernel.tolist())
+                out[mask] = (cost, kernel)
     return [(cost, mask, sub) for mask, (cost, sub) in out.items()]
 
 
@@ -125,15 +127,14 @@ def _general_candidates(C: CayleyGroup) -> list[tuple[int, int, list[int]]]:
     """One (cost, core mask, representative subgroup) per conjugacy class."""
     gens = C.generating_set()
     out: dict[int, tuple[int, list[int]]] = {}
-    visited: set[int] = set()
+    visited: set[Elements] = set()
     for sub in all_subgroups(C):
-        mask = _mask_of(sub)
-        if mask in visited or len(sub) == C.order:
+        if len(sub) == C.order or C.pack(sub) in visited:
             continue
         # the core of a subgroup is the meet of its conjugacy class
-        seen = _conjugates(C, np.array(sub, dtype=np.int64), gens)
-        visited |= seen.keys()
-        coremask = reduce(and_, seen)
+        seen = _conjugates(C, sub, gens)
+        visited.update(seen)
+        coremask = _mask_of(reduce(_meet, seen))
         cost = C.order // len(sub)
         if coremask not in out or out[coremask][0] > cost:
             out[coremask] = (cost, sub)
@@ -159,7 +160,7 @@ def mu_oracle(C: CayleyGroup, limit: int = ORACLE_LIMIT) -> tuple[int, OracleWit
     if C.order == 1:
         return 0, OracleWitness(subgroups=[], total_degree=0, core_intersection=[0])
 
-    if (C.table == C.table.T).all():
+    if C.table == C.columns:
         cands = _abelian_candidates(C)
     else:
         cands = _general_candidates(C)
@@ -184,7 +185,8 @@ def mu_oracle(C: CayleyGroup, limit: int = ORACLE_LIMIT) -> tuple[int, OracleWit
                 dist[nxt] = nd
                 parent[nxt] = (state, idx)
                 heapq.heappush(heap, (nd, nxt))
-    assert 1 in dist, "no faithful collection found"
+    if 1 not in dist:
+        raise DegreeCheckFailed("the oracle found no faithful collection")
     mu = dist[1]
 
     witness_subs = []
@@ -195,8 +197,14 @@ def mu_oracle(C: CayleyGroup, limit: int = ORACLE_LIMIT) -> tuple[int, OracleWit
         node = prev
     witness_subs.reverse()
 
-    assert len(witness_subs) <= max(1, int(math.log2(C.order)) + 1)
-    assert sum(C.order // len(s) for s in witness_subs) == mu
-    assert is_faithful_collection(C, witness_subs)
+    if len(witness_subs) > max(1, int(math.log2(C.order)) + 1):
+        raise DegreeCheckFailed(
+            f"the oracle's witness has {len(witness_subs)} subgroups, more "
+            f"than log2 of the order {C.order} allows")
+    if sum(C.order // len(s) for s in witness_subs) != mu:
+        raise DegreeCheckFailed(
+            f"the oracle's witness indices do not sum to mu = {mu}")
+    if not is_faithful_collection(C, witness_subs):
+        raise DegreeCheckFailed("the oracle's witness is not faithful")
     return mu, OracleWitness(subgroups=witness_subs, total_degree=mu,
                              core_intersection=[0])

@@ -6,10 +6,22 @@ generator-image enumeration.  A table is built from its generator
 columns, walking the Cayley graph (Holt, Eick and O'Brien, Handbook of
 Computational Group Theory, 2005): only the products x·g of each element
 x with each generator g are formed from permutations or cosets, and
-every other column is one gather along a spanning tree from the
-identity.  The cosets of a quotient are keyed by their canonical
-representatives ``PermGroup.coset_rep``, and every table is checked by
-one exact associativity test, Light's test over a generating set.
+every other column, and then every row, is one gather along a spanning
+tree from the identity.  The cosets of a quotient are keyed by their
+canonical representatives ``PermGroup.coset_rep``, and every table is
+checked by one exact associativity test, Light's test over a generating
+set.
+
+The representation follows the order m, as ``perm`` does for degrees.
+Each row and each column of a table, and each list of elements, is
+``bytes`` up to order 256 and a tuple of ints above.  Up to 256 a gather
+is one ``bytes.translate`` through a table padded to 256 bytes, the
+elements of one list missing from another are one ``translate`` that
+deletes them, and the sorted members of a list are two; above 256 the
+same steps are ``itemgetter`` and set operations.  Past the choice of
+``bytes`` or ``tuple`` by order (``CayleyGroup.pack``), only ``_at``,
+``_minus``, ``_sorted``, ``_lookup``, ``_grow`` and ``_cat`` know the
+format.  A subgroup is keyed by its sorted element list.
 
 Every subgroup closure, from greedy generating sets to subgroup joins,
 is the right-multiplication closure ``_join``, and every conjugacy class
@@ -27,123 +39,187 @@ source.
 
 from __future__ import annotations
 
-import importlib.util
-import sys
 from dataclasses import dataclass
-from itertools import product
-from typing import Optional, Sequence
+from itertools import chain, compress, filterfalse, product
+from math import prod
+from operator import getitem, index, itemgetter
+from typing import Callable, Iterator, Optional, Sequence
 
 from .bsgs import PermGroup, normalizes
 from .errors import LimitExceededError
 from .fflinalg import prime_power
-from .perm import compose, identity, right_closure
+from .perm import PAD, _TAIL, compose, identity, right_closure
+
+# A list of group elements (a row or column of a table, a subgroup):
+# bytes up to order 256, a tuple above.
+Elements = bytes | tuple[int, ...]
 
 
-def lazy_import(name: str):
-    """The module ``name``, whose code runs when an attribute is first read.
-
-    The lazy-import recipe of the importlib documentation ("Implementing
-    lazy imports"): the module is entered in ``sys.modules`` at once, so
-    every later import of it gets the same object.  A module that is
-    already there is returned as it is.
-    """
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    loader = importlib.util.LazyLoader(spec.loader)
-    spec.loader = loader
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    loader.exec_module(module)
-    return module
+def _at(xs: Elements) -> Callable[[Elements], Elements]:
+    """The gather seq -> (seq[x] for x in xs), packed like xs."""
+    if type(xs) is bytes:
+        return lambda seq: xs.translate(seq + _TAIL[len(seq)])
+    if len(xs) > 1:
+        return itemgetter(*xs)
+    return lambda seq: tuple(seq[x] for x in xs)
 
 
-# Cayley tables are numpy arrays, and `mu` builds one only on rare paths;
-# numpy loads with the first table, not with this module.
-np = lazy_import("numpy")
+def _lookup(xs: Elements):
+    """A container of the elements of xs for ``in`` and ``_minus``."""
+    return xs if type(xs) is bytes else frozenset(xs)
+
+
+def _grow(xs: Elements):
+    """A growing container of the elements of xs, for ``in``, ``_minus``
+    and ``_sorted``, with its method that adds the elements of a list: a
+    bytearray for bytes, a set for a tuple."""
+    if type(xs) is bytes:
+        seen = bytearray(xs)
+        return seen, seen.extend
+    seen = set(xs)
+    return seen, seen.update
+
+
+def _cat(parts: list[Elements]) -> Elements:
+    """The lists in ``parts`` one after another."""
+    if type(parts[0]) is bytes:
+        return b"".join(parts)
+    return tuple(chain.from_iterable(parts))
+
+
+def _minus(xs: Elements, seen) -> Elements:
+    """The elements of xs that are not in ``seen`` (from ``_lookup`` or
+    ``_grow``), in the order of xs."""
+    if type(xs) is bytes:
+        return xs.translate(None, seen)
+    return tuple(filterfalse(seen.__contains__, xs))
+
+
+def _sorted(xs) -> Elements:
+    """The distinct elements of xs (packed or from ``_grow``), ascending."""
+    if isinstance(xs, (bytes, bytearray)):
+        return PAD.translate(None, PAD.translate(None, xs))
+    return tuple(sorted(set(xs)))
+
+
+def _check_permutations(lines, m: int):
+    """Raise ValueError unless every line is a permutation of range(m)."""
+    ident = PAD[:m] if m <= 256 else tuple(range(m))
+    if not all(_sorted(line) == ident for line in lines):
+        raise ValueError("table rows/columns are not permutations")
 
 
 class CayleyGroup:
     """A group of order m given by its multiplication table.
 
-    Element 0 is the identity; ``table[i, j]`` is the product "i then j"
-    (matching the left-to-right convention for permutations).
+    Element 0 is the identity; ``table[i][j]`` is the product "i then j"
+    (matching the left-to-right convention for permutations), and
+    ``columns[j][i]`` is the same product.  ``CayleyGroup(table)`` reads
+    any square table of ints (lists, int buffers, arrays) and checks that
+    it is a group.
     """
 
-    def __init__(self, table: np.ndarray, elements: Optional[list] = None):
-        table = np.asarray(table, dtype=np.int32)
-        m = table.shape[0]
-        if table.shape != (m, m):
+    def __init__(self, table: Sequence[Sequence[int]],
+                 elements: Optional[list] = None):
+        m = len(table)
+        pack = bytes if m <= 256 else tuple
+        rows = [pack([index(x) for x in row]) for row in table]
+        if not m or any(len(row) != m for row in rows):
             raise ValueError("table must be square")
+        cols = [pack(col) for col in zip(*rows)]
+        _check_permutations(chain(rows, cols), m)
+        self._setup(rows, cols, elements)
+
+    @classmethod
+    def _from_rows(cls, rows: list, columns: list,
+                   elements: Optional[list] = None) -> CayleyGroup:
+        """A table from ``_table_from_columns``, its rows and columns
+        packed already and permutations (that function checks them)."""
+        C = object.__new__(cls)
+        C._setup(rows, columns, elements)
+        return C
+
+    def _setup(self, rows, columns, elements):
+        m = len(rows)
         self.order = m
-        self.table = table
+        self.pack = bytes if m <= 256 else tuple
+        self.everything = PAD[:m] if m <= 256 else tuple(range(m))
+        self.table = rows
+        self.columns = columns
         self.elements = elements
         self._validate()
-        # 0 is the unique minimum of each row, located at the inverse
-        self.inverse = np.argmin(self.table, axis=1).astype(np.int32)
-        self._orders: Optional[np.ndarray] = None
+        # 0 is in each row once, at the inverse
+        self.inverse = self.pack([row.index(0) for row in rows])
+        self._orders: Optional[list[int]] = None
         self._class_data = None
 
     def _validate(self):
-        m = self.order
-        t = self.table
-        rng_row = np.arange(m, dtype=np.int32)
-        if not (np.sort(t, axis=1) == rng_row).all() or not (np.sort(t, axis=0) == rng_row[:, None]).all():
-            raise ValueError("table rows/columns are not permutations")
-        if not (t[0] == rng_row).all() or not (t[:, 0] == rng_row).all():
+        rows, cols, ident = self.table, self.columns, self.everything
+        if rows[0] != ident or cols[0] != ident:
             raise ValueError("element 0 is not the identity")
         # Light's test: (xa)z = x(az) for all x, z and each generator a.
         # The elements a passing it are closed under products, and every
         # element is a product of the greedy generators, so it is exact.
         for a in self.generating_set():
-            if not (t[t[:, a]] == t[:, t[a]]).all():
+            through_a = _at(rows[a])
+            if not all(rows[xa] == through_a(row)
+                       for xa, row in zip(cols[a], rows)):
                 raise ValueError("table is not associative")
+
+    def conjugation(self, n: int) -> Elements:
+        """The map x -> x^n = (n^-1 x) n, as the list of images."""
+        return _at(self.table[self.inverse[n]])(self.columns[n])
+
+    def conjugates_of(self, x: int, ns: Elements) -> Iterator[int]:
+        """The elements x^n = (n^-1 x) n for n in ns."""
+        left = _at(_at(ns)(self.inverse))(self.columns[x])
+        return map(getitem, map(self.table.__getitem__, left), ns)
 
     # -- cached element statistics -----------------------------------------
 
-    def element_orders(self) -> np.ndarray:
+    def element_orders(self) -> list[int]:
         if self._orders is None:
-            m = self.order
-            orders = np.empty(m, dtype=np.int64)
-            t = self.table
-            for x in range(m):
+            orders = []
+            for x, col in enumerate(self.columns):
                 k, y = 1, x
                 while y != 0:
-                    y = t.item(y, x)
+                    y = col[y]
                     k += 1
-                orders[x] = k
+                orders.append(k)
             self._orders = orders
         return self._orders
 
     def conjugacy_data(self):
         """(class id per element = min class member, class size per element)."""
         if self._class_data is None:
-            m, t, inv = self.order, self.table, self.inverse
-            all_g = np.arange(m)
-            class_id = np.full(m, -1, dtype=np.int64)
-            class_size = np.zeros(m, dtype=np.int64)
+            m, rows = self.order, self.table
+            class_id = [-1] * m
+            class_size = [0] * m
             for x in range(m):
                 if class_id[x] >= 0:
                     continue
-                cls = np.unique(t[t[inv[all_g], x], all_g])
-                class_id[cls] = cls.min()
-                class_size[cls] = len(cls)
+                # g^-1 x for every g, then times g
+                left = _at(self.inverse)(self.columns[x])
+                cls = {rows[y][g] for g, y in enumerate(left)}
+                least = min(cls)
+                for y in cls:
+                    class_id[y] = least
+                    class_size[y] = len(cls)
             self._class_data = (class_id, class_size)
         return self._class_data
 
     def generating_set(self) -> list[int]:
         """Greedy generating set of at most ceil(log2 m) elements."""
         gens: list[int] = []
-        members = np.zeros(1, dtype=np.int64)
-        current = np.zeros(self.order, dtype=bool)
-        current[0] = True
+        members = self.pack([0])
+        inside = _lookup(members)
         for x in range(1, self.order):
-            if not current[x]:
+            if x not in inside:
                 gens.append(x)
-                members = _join(self.table, members, x)
-                current[members] = True
+                members = _join(self, members, x)
                 if len(members) == self.order:
                     break
+                inside = _lookup(members)
         return gens
 
 
@@ -185,29 +261,41 @@ def list_elements(X, bound: int) -> CayleyGroup:
     raise TypeError("expected PermGroup or QuotientGroup")
 
 
-def _table_from_columns(cols: np.ndarray) -> np.ndarray:
-    """The Cayley table of a group from its generator columns.
+def _table_from_columns(cols: list[list[int]]) -> tuple[list, list]:
+    """The rows and columns of a Cayley table from its generator columns.
 
-    ``cols[x, k]`` is the index of x·g_k for generators g_k of the group,
+    ``cols[x][k]`` is the index of x·g_k for generators g_k of the group,
     and index 0 is the identity.  A spanning tree of the Cayley graph
-    from the identity reaches each z as y·g_k, and then column z of the
-    table is column y followed by right multiplication by g_k:
-    ``table[:, z] = cols[table[:, y], k]``, one gather per column.
+    from the identity reaches each z as y·g_k.  Column z of the table is
+    then column y followed by right multiplication by g_k, and row z is
+    row g_k followed by row y (x·z = (x·y)·g_k and z·x = y·(g_k·x)): one
+    gather each.  So every row and column is a product of the generators'
+    rows and columns, and when these are permutations, all are.
     """
-    m = cols.shape[0]
-    right = np.ascontiguousarray(cols.T, dtype=np.int32)  # right[k][x] = x·g_k
-    by_col = np.empty((m, m), dtype=np.int32)  # by_col[z] = table[:, z]
-    by_col[0] = np.arange(m, dtype=np.int32)
-    reached = [True] + [False] * (m - 1)
-    queue = [0]
-    nbrs = cols.tolist()
+    m = len(cols)
+    pack = bytes if m <= 256 else tuple
+    right = [pack(c) for c in zip(*cols)]  # right[k][x] = x·g_k
+    _check_permutations(right, m)
+    by_col: list = [None] * m
+    by_col[0] = PAD[:m] if m <= 256 else tuple(range(m))
+    queue, tree = [0], []
     for y in queue:
-        for k, z in enumerate(nbrs[y]):
-            if not reached[z]:
-                reached[z] = True
-                by_col[z] = right[k][by_col[y]]
+        for k, z in enumerate(cols[y]):
+            if by_col[z] is None:
+                by_col[z] = _at(by_col[y])(right[k])
                 queue.append(z)
-    return np.ascontiguousarray(by_col.T)
+                tree.append((z, y, k))
+    if None in by_col:
+        raise ValueError("the generators do not reach every element")
+    # row g_k: g_k·x, read off the columns
+    gen_rows = [pack([col[g] for col in by_col]) for g in cols[0]]
+    _check_permutations(gen_rows, m)
+    through = [_at(row) for row in gen_rows]
+    by_row: list = [None] * m
+    by_row[0] = by_col[0]
+    for z, y, k in tree:
+        by_row[z] = through[k](by_row[y])
+    return by_row, by_col
 
 
 def _list_perm_group(G: PermGroup, bound: int) -> CayleyGroup:
@@ -219,12 +307,13 @@ def _list_perm_group(G: PermGroup, bound: int) -> CayleyGroup:
     n = len(els)
     # the identity first, then the rest by image table
     tables = [x.table for x in els]
-    order = np.array([0] + sorted(range(1, n), key=tables.__getitem__))
-    pos = np.empty(n, dtype=np.int32)
-    pos[order] = np.arange(n, dtype=np.int32)
-    cols = pos[np.array(prods, dtype=np.int64).reshape(n, len(G.generators))]
-    perms = [els[i] for i in order]
-    return CayleyGroup(_table_from_columns(cols[order]), elements=perms)
+    order = [0] + sorted(range(1, n), key=tables.__getitem__)
+    pos = [0] * n
+    for i, x in enumerate(order):
+        pos[x] = i
+    cols = [[pos[y] for y in prods[x]] for x in order]
+    return CayleyGroup._from_rows(*_table_from_columns(cols),
+                                  elements=[els[i] for i in order])
 
 
 def _list_quotient(Q: QuotientGroup, bound: int) -> CayleyGroup:
@@ -233,23 +322,31 @@ def _list_quotient(Q: QuotientGroup, bound: int) -> CayleyGroup:
         raise LimitExceededError(f"quotient order {n} exceeds bound {bound}")
     if Q.K.is_trivial():
         return _list_perm_group(Q.G, bound)
-    # the cosets in breadth-first order, keyed by their canonical elements
     K, gens = Q.K, Q.G.generators
+    # the cosets in breadth-first order, keyed by their canonical elements,
+    # each with the word in the generators that reached it
     bfs = [identity(Q.G.degree)]
-    index = {K.coset_rep(bfs[0]).table: 0}
+    words: list[tuple[int, ...]] = [()]
+    index_of = {K.coset_rep(bfs[0]).table: 0}
     cols = []
-    for x in bfs:
+    for x, word in zip(bfs, words):
         row = []
-        for g in gens:
+        for k, g in enumerate(gens):
             y = compose(x, g)
             key = K.coset_rep(y).table
-            j = index.get(key)
+            j = index_of.get(key)
             if j is None:
-                j = index[key] = len(bfs)
+                j = index_of[key] = len(bfs)
                 bfs.append(y)
+                words.append(word + (k,))
             row.append(j)
         cols.append(row)
-    t = _table_from_columns(np.array(cols, dtype=np.int64).reshape(n, len(gens)))
+
+    def times(x, y):  # the coset x·y, along the word of y
+        for k in words[y]:
+            x = cols[x][k]
+        return x
+
     # representatives in listing order: the identity, the generators, then
     # products of earlier representatives until every coset has one
     reps = [bfs[0]]
@@ -267,94 +364,77 @@ def _list_quotient(Q: QuotientGroup, bound: int) -> CayleyGroup:
         add(cols[0][k], reps[0], g)
     while len(order) < n:
         for a, b in product(range(len(order)), repeat=2):
-            add(t.item(order[a], order[b]), reps[a], reps[b])
+            add(times(order[a], order[b]), reps[a], reps[b])
             if len(order) == n:
                 break
-    o = np.array(order, dtype=np.int64)
-    table = np.array(pos, dtype=np.int32)[t[np.ix_(o, o)]]
-    return CayleyGroup(table, elements=reps)
+    # listed element a is the coset order[a]
+    cols = [[pos[y] for y in cols[c]] for c in order]
+    return CayleyGroup._from_rows(*_table_from_columns(cols), elements=reps)
 
 
 def from_direct_factors(moduli: Sequence[int]) -> CayleyGroup:
-    """Direct product of cyclic groups Z_{n1} x ... x Z_{nk}."""
+    """Direct product of cyclic groups Z_{n1} x ... x Z_{nk}.
+
+    Element x has digits x_1, ..., x_k in mixed radix, the last digit
+    the least significant; generator c adds 1 to digit c.
+    """
     moduli = [int(n) for n in moduli]
     if not moduli or any(n < 1 for n in moduli):
         raise ValueError("moduli must be positive")
-    m = int(np.prod(moduli))
-    idx = np.arange(m)
-    digits = []
-    rest = idx.copy()
-    for n in reversed(moduli):
-        digits.append(rest % n)
-        rest //= n
-    digits.reverse()  # digits[c] = component c of each element index
-    table = np.zeros((m, m), dtype=np.int64)
-    weight = 1
-    for c in range(len(moduli) - 1, -1, -1):
-        comp = (digits[c][:, None] + digits[c][None, :]) % moduli[c]
-        table += comp * weight
-        weight *= moduli[c]
-    return CayleyGroup(table.astype(np.int32))
+    weights = [prod(moduli[c + 1:]) for c in range(len(moduli))]
+    cols = [[x + w if x // w % n < n - 1 else x - (n - 1) * w
+             for n, w in zip(moduli, weights)]
+            for x in range(prod(moduli))]
+    return CayleyGroup._from_rows(*_table_from_columns(cols))
 
 
 # ---------------------------------------------------------------------------
 # Subgroup enumeration
 
 
-def _mask_of(members: list[int]) -> int:
-    """The bitmask of a list of element indices (Python ints)."""
-    mask = 0
-    for x in members:
-        mask |= 1 << x
-    return mask
-
-
-def _cyclic_subgroups(C: CayleyGroup) -> tuple[np.ndarray, np.ndarray]:
+def _cyclic_subgroups(C: CayleyGroup) -> tuple[list[int], list[int]]:
     """Cyclic subgroups of prime-power order as (generators, index).
 
-    Ordered by (size, mask); ``index[x]`` is the position of <x> in that
-    order, or -1 where the order of x is not a prime power.  These suffice
-    as join seeds: every subgroup is the join of the prime-power cyclic
-    subgroups of its elements.
+    Ordered by size, then by the bitmask of their elements; ``index[x]``
+    is the position of <x> in that order, or -1 where the order of x is
+    not a prime power.  These suffice as join seeds: every subgroup is
+    the join of the prime-power cyclic subgroups of its elements.
     """
-    t = C.table
-    cyclic: dict[int, tuple[int, int]] = {}
-    mask_of = [0] * C.order
-    for g in range(1, C.order):
+    cyclic: dict[Elements, int] = {}
+    key_of: list = [None] * C.order
+    for g, col in enumerate(C.columns):
         members = [0]
         y = g
         while y != 0:
             members.append(y)
-            y = t.item(y, g)
-        if prime_power(len(members)) is None:
+            y = col[y]
+        if g == 0 or prime_power(len(members)) is None:
             continue
-        mask = mask_of[g] = _mask_of(members)
-        if mask not in cyclic:
-            cyclic[mask] = (len(members), g)
-    order = sorted(cyclic.items(), key=lambda kv: (kv[1][0], kv[0]))
-    position = {mask: i for i, (mask, _) in enumerate(order)}
-    index = np.array([position.get(mask, -1) for mask in mask_of],
-                     dtype=np.int32)
-    gens = np.array([gen for _, (_, gen) in order], dtype=np.int64)
-    return gens, index
+        key = key_of[g] = _sorted(C.pack(members))
+        cyclic.setdefault(key, g)
+    # a bitmask orders sets of one size by their elements, largest first
+    order = sorted(cyclic, key=lambda key: (len(key), key[::-1]))
+    position = {key: i for i, key in enumerate(order)}
+    return ([cyclic[key] for key in order],
+            [position.get(key, -1) for key in key_of])
 
 
-def _conjugates(C: CayleyGroup, members: np.ndarray,
-                gens: list[int]) -> dict[int, np.ndarray]:
-    """The conjugacy class of a subgroup, element arrays keyed by mask."""
-    seen = {_mask_of(members.tolist()): members}
-    frontier = [members]
-    while frontier:
-        new = []
-        for arr in frontier:
-            for g in gens:
-                conj = C.table[C.table[C.inverse[g], arr], g]
-                m = _mask_of(conj.tolist())
-                if m not in seen:
-                    seen[m] = conj
-                    new.append(conj)
-        frontier = new
-    return seen
+def _conjugates(C: CayleyGroup, members: Sequence[int],
+                gens: list[int]) -> list[Elements]:
+    """The conjugacy class of a subgroup, each member as its sorted
+    element list, the given subgroup first."""
+    start = _sorted(C.pack([index(x) for x in members]))
+    maps = [C.conjugation(g) for g in gens]
+    seen = {start}
+    out = [start]
+    for H in out:
+        conjugated = _at(H)
+        for x_to_xg in maps:
+            K = _sorted(conjugated(x_to_xg))
+            if K not in seen:
+                seen.add(K)
+                out.append(K)
+    return out
 
 
 def all_subgroups(C: CayleyGroup) -> list[list[int]]:
@@ -373,81 +453,84 @@ def all_subgroups(C: CayleyGroup) -> list[list[int]]:
     (n in N_G(H0)) that is joined, and <H0, c''> = <H0^n, c'^n> = K'^n,
     again a conjugate of K; induct on |K|.
     """
-    t = C.table
     m = C.order
     cyc_gens, cyc_index = _cyclic_subgroups(C)
     divisors = [d for d in range(1, m + 1) if m % d == 0]
     gens = C.generating_set()
-    full_mask = (1 << m) - 1
-    everything = np.arange(m, dtype=np.int64)[:, None]
-    inv = C.inverse[:, None]
-
-    def conjugated(xs):  # [n, j] = the element x_j^n = n^-1 x_j n
-        return t[t[inv, np.asarray(xs, dtype=np.int64)[None, :]], everything]
-
-    # conj[n, i] = the index of <c_i>^n
-    conj = cyc_index[conjugated(cyc_gens)]
-    first = np.arange(len(cyc_gens), dtype=np.int32)
-    trivial = np.zeros(1, dtype=np.int64)
-    found: dict[int, np.ndarray] = {1: trivial}
+    trivial = C.pack([0])
+    found = {trivial}
     # class representatives still to join: (elements, generators)
-    work: list[tuple[np.ndarray, list[int]]] = [(trivial, [])]
+    work: list[tuple[Elements, Elements]] = [(trivial, C.pack([]))]
     while work:
-        arr, hgens = work.pop()
-        if len(arr) == m:
+        H, hgens = work.pop()
+        if len(H) == m:
             continue
-        inside = np.zeros(m, dtype=bool)
-        inside[arr] = True
+        inside = _lookup(H)
         # N_G(H0): the n that conjugate every generator of H0 into H0
-        normalizer = inside[conjugated(hgens)].all(axis=1)
-        # i is the least index of its orbit conj[N, i]; join those outside H0
-        least = conj[normalizer].min(axis=0) == first
-        for g in cyc_gens[least & ~inside[cyc_gens]].tolist():
-            jarr = _join(t, arr, g, divisors)
-            jmask = full_mask if len(jarr) == m else _mask_of(jarr.tolist())
-            if jmask not in found:
-                found.update(_conjugates(C, jarr, gens))
-                work.append((jarr, hgens + [g]))
-    return sorted((np.sort(arr).tolist() for arr in found.values()),
-                  key=lambda s: (len(s), s))
+        normalizer = C.everything
+        for h in hgens:
+            normalizer = C.pack(compress(normalizer, map(
+                inside.__contains__, C.conjugates_of(h, normalizer))))
+        done: set[int] = set()
+        for i, c in enumerate(cyc_gens):
+            if i in done or c in inside:
+                continue
+            # i is the least index of its orbit; N_G(H0) fixes H0, so
+            # the whole orbit lies outside H0
+            done.update(map(cyc_index.__getitem__,
+                            C.conjugates_of(c, normalizer)))
+            J = _join(C, H, c, divisors)
+            if J not in found:
+                found.update(_conjugates(C, J, gens))
+                work.append((J, hgens + C.pack([c])))
+    return sorted(map(list, found), key=lambda s: (len(s), s))
 
 
-def _join(t: np.ndarray, subgroup: np.ndarray, g: int,
-          divisors: Optional[list[int]] = None) -> np.ndarray:
-    """Elements of <H, g>, for the element array of a subgroup H.
+def _join(C: CayleyGroup, subgroup: Elements, g: int,
+          divisors: Optional[list[int]] = None) -> Elements:
+    """The sorted elements of <H, g>, for the elements of a subgroup H.
 
-    Right-multiplication closure by g, a left coset xH at a time: a set
-    that holds H and is closed under right multiplication by g and by H
-    holds <H, g>.  With the group-order divisor list supplied, stops early
+    Right-multiplication closure by g, in left cosets xH: a set that
+    holds H and is closed under right multiplication by g and by H holds
+    <H, g>.  With the group-order divisor list supplied, stops early
     once the element count rules out every proper subgroup order (the
     join must be the whole group).
     """
-    m = t.shape[0]
+    m = C.order
     h = len(subgroup)
     cutoff = m + 1
     if divisors is not None:
         proper = [d for d in divisors if d < m and d % h == 0]
         cutoff = max(proper, default=h)
-    seen = np.zeros(m, dtype=bool)
-    seen[subgroup] = True
-    count = h
+    rows, cols = C.table, C.columns
+    coset = _at(subgroup)  # coset(rows[z]) = zH
+    times_g = cols[g]
+    seen, add = _grow(subgroup)
     frontier = subgroup
     while True:
         # the table column of g is a permutation, so prods are distinct
-        prods = t[frontier, g]
-        fresh = prods[~seen[prods]]
-        if not len(fresh):
-            return np.nonzero(seen)[0]
-        if count + len(fresh) > cutoff:  # before forming the cosets
-            return np.arange(m, dtype=np.int64)
-        new = np.zeros(m, dtype=bool)
-        new[t[fresh[:, None], subgroup]] = True  # the cosets zH of fresh z
-        new &= ~seen
-        seen |= new
-        frontier = np.nonzero(new)[0]
-        count += len(frontier)
-        if count > cutoff:
-            return np.arange(m, dtype=np.int64)
+        fresh = _minus(_at(frontier)(times_g), seen)
+        if not fresh:
+            return _sorted(seen)
+        if len(seen) + len(fresh) > cutoff:  # before forming the cosets
+            return C.everything
+        if h * h <= len(fresh):
+            # fresh meets at least len(fresh) / h >= h cosets: form fresh·H
+            # by one gather per element of H instead of one per coset
+            by_fresh = _at(fresh)
+            frontier = _sorted(_cat([by_fresh(cols[x]) for x in subgroup]))
+            add(frontier)
+        else:
+            # one gather per new coset zH
+            new = []
+            for z in fresh:
+                if z not in seen:
+                    zH = coset(rows[z])
+                    add(zH)
+                    new.append(zH)
+            frontier = _cat(new)
+        if len(seen) > cutoff:
+            return C.everything
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +552,8 @@ def _hom_from_gen_images(Csrc: CayleyGroup, Cdst: CayleyGroup,
         x = queue.pop()
         fx = phi[x]
         for g, fg in zip(gens, images):
-            y = ts.item(x, g)
-            fy = td.item(fx, fg)
+            y = ts[x][g]
+            fy = td[fx][fg]
             if phi[y] < 0:
                 phi[y] = fy
                 queue.append(y)
@@ -478,7 +561,7 @@ def _hom_from_gen_images(Csrc: CayleyGroup, Cdst: CayleyGroup,
                 return None
     if -1 in phi:
         return None  # gens do not generate the source
-    return np.array(phi, dtype=np.int64)
+    return phi
 
 
 def _candidate_images(Csrc: CayleyGroup, Cdst: CayleyGroup, g: int) -> list[int]:
@@ -501,7 +584,7 @@ def isomorphism_search(C1: CayleyGroup, C2: CayleyGroup) -> Optional[list[int]]:
     if C1.order != C2.order:
         return None
     o1, o2 = C1.element_orders(), C2.element_orders()
-    if sorted(o1.tolist()) != sorted(o2.tolist()):
+    if sorted(o1) != sorted(o2):
         return None
     gens = C1.generating_set()
     if not gens:  # trivial group
@@ -509,22 +592,21 @@ def isomorphism_search(C1: CayleyGroup, C2: CayleyGroup) -> Optional[list[int]]:
     cands = [_candidate_images(C1, C2, g) for g in gens]
     t1, t2 = C1.table, C2.table
     # want[i][j] = o(g_j·g_i) for j < i
-    want = [[o1[t1.item(gj, gi)] for gj in gens[:i]]
+    want = [[o1[t1[gj][gi]] for gj in gens[:i]]
             for i, gi in enumerate(gens)]
 
     def rec(i, chosen):
         if i == len(gens):
             phi = _hom_from_gen_images(C1, C2, gens, chosen)
-            if phi is not None and len(np.unique(phi)) == C1.order:
+            if phi is not None and len(set(phi)) == C1.order:
                 return phi
             return None
         for x in cands[i]:
-            if any(o2[t2.item(xj, x)] != w for xj, w in zip(chosen, want[i])):
+            if any(o2[t2[xj][x]] != w for xj, w in zip(chosen, want[i])):
                 continue
             phi = rec(i + 1, chosen + [x])
             if phi is not None:
                 return phi
         return None
 
-    phi = rec(0, [])
-    return None if phi is None else phi.tolist()
+    return rec(0, [])

@@ -1,8 +1,11 @@
-"""`mindeg mu` never loads numpy; the oracle loads it on first use.
+"""No command loads numpy.
 
 The check runs in a fresh interpreter, because this process has numpy
 loaded already.  Its `mu` runs include a hint over the prime field F_3,
-whose commutation systems go through the one elimination of `fflinalg`.  ``mindeg.oracle`` and ``mindeg.smallgroup`` must still be
+whose commutation systems go through the one elimination of `fflinalg`,
+and S6 with no witness draws, so that the Alt(6) row falls back to the
+Cayley table search.  The oracle runs list Cayley tables of a group and
+of a quotient.  ``mindeg.oracle`` and ``mindeg.smallgroup`` must still be
 imported with ``mindeg.cli``: the bench tracer patches their functions
 through ``sys.modules`` before any command runs.
 """
@@ -22,6 +25,7 @@ FIXTURES = SRC / "mindeg" / "fixtures"
 CHILD = """\
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
+import mindeg.pipeline
 from mindeg.cli import run_cli
 
 def state():
@@ -36,7 +40,11 @@ for argv in (["mu", "--json", fx + "/A5wrZ2.grp"],
              ["mu", "--json", "--hint", fx + "/PSL34_2.hint.json",
               fx + "/PSL34_2.grp"],
              ["mu", "--json", "--hint", sys.argv[4], sys.argv[3]],
-             ["mu-oracle", "--json", fx + "/S5.grp"]):
+             ["mu", "--json", fx + "/S6.grp"],
+             ["mu-oracle", "--json", fx + "/S5.grp"],
+             ["mu-quotient", "--json", fx + "/S4modV4.grp"]):
+    if argv[-1].endswith("S6.grp"):
+        mindeg.pipeline.SYM6_WITNESS_DRAWS = 0
     if argv[0] == "mu-oracle":
         report["mu"] = state()
     out = io.StringIO()
@@ -48,7 +56,7 @@ print(json.dumps(report))
 """
 
 
-def test_mu_runs_without_numpy_and_the_oracle_loads_it(tmp_path):
+def test_no_command_loads_numpy(tmp_path):
     # hinted PSL(3,3).2 of graph type
     G, gens, L = psl3_graph_extension(3)
     group = tmp_path / "PSL33_2.grp"
@@ -62,7 +70,7 @@ def test_mu_runs_without_numpy_and_the_oracle_loads_it(tmp_path):
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert report["codes"] == [0, 0, 0, 0]
+    assert report["codes"] == [0, 0, 0, 0, 0, 0]
     assert {"mindeg.oracle", "mindeg.smallgroup"} <= set(
         report["import"]["mindeg"])
     assert report["import"]["numpy"] == []
@@ -70,5 +78,7 @@ def test_mu_runs_without_numpy_and_the_oracle_loads_it(tmp_path):
     assert json.loads(report["outputs"][0])["total"] == 10
     assert json.loads(report["outputs"][1])["total"] == 42
     assert json.loads(report["outputs"][2])["total"] == 26
-    assert json.loads(report["outputs"][3])["mu"] == 5
-    assert report["oracle"]["numpy"] != []  # numpy did load on first use
+    assert json.loads(report["outputs"][3])["total"] == 6
+    assert json.loads(report["outputs"][4])["mu"] == 5
+    assert json.loads(report["outputs"][5])["mu"] == 3
+    assert report["oracle"]["numpy"] == []

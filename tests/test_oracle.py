@@ -1,7 +1,8 @@
 import pytest
 
+import mindeg.oracle
 from mindeg.bsgs import build_group
-from mindeg.errors import LimitExceededError
+from mindeg.errors import DegreeCheckFailed, LimitExceededError
 from mindeg.oracle import core, is_faithful_collection, mu_oracle
 from mindeg.perm import parse_permutation
 from mindeg.smallgroup import from_direct_factors, list_elements
@@ -142,3 +143,11 @@ def test_mu_subadditive_on_products():
         mu_b, _ = mu_oracle(from_direct_factors(b))
         mu_ab, _ = mu_oracle(from_direct_factors(a + b))
         assert mu_ab <= mu_a + mu_b
+
+
+def test_mu_oracle_checks_its_witness(monkeypatch):
+    # the checks raise, so they also run under python -O
+    monkeypatch.setattr(mindeg.oracle, "is_faithful_collection",
+                        lambda C, Hs: False)
+    with pytest.raises(DegreeCheckFailed, match="not faithful"):
+        mu_oracle(sym4())

@@ -1,13 +1,15 @@
+from array import array
+
 import numpy as np
 import pytest
 
 from mindeg.bsgs import build_group
 from mindeg.cli import parse_group_file
 from mindeg.errors import LimitExceededError
-from mindeg.oracle import ORACLE_LIMIT
+from mindeg.oracle import ORACLE_LIMIT, mu_oracle
 from mindeg.perm import compose, parse_permutation
 from mindeg.smallgroup import (
-    CayleyGroup, QuotientGroup, _conjugates, _mask_of, all_subgroups,
+    CayleyGroup, QuotientGroup, _conjugates, all_subgroups,
     from_direct_factors, isomorphism_search, list_elements,
 )
 
@@ -40,7 +42,7 @@ def test_list_elements_sym3():
     from mindeg.perm import compose
     for i in range(6):
         for j in range(6):
-            assert C.elements[C.table[i, j]] == compose(C.elements[i], C.elements[j])
+            assert C.elements[C.table[i][j]] == compose(C.elements[i], C.elements[j])
 
 
 def _listing_target(name, tmp_path):
@@ -54,7 +56,7 @@ def _listing_target(name, tmp_path):
 @pytest.mark.parametrize("name", ["A5.grp", "PSL27.grp", "S6.grp", "trivial",
                                   "S4modV4.grp", "S5xA5modA5"])
 def test_list_elements_matches_the_definition(name, tmp_path):
-    # table[i, j] is the index of x_i x_j (of its coset, for a quotient),
+    # table[i][j] is the index of x_i x_j (of its coset, for a quotient),
     # checked pair by pair from the listed elements
     X = _listing_target(name, tmp_path)
     C = list_elements(X, bound=ORACLE_LIMIT)
@@ -68,9 +70,10 @@ def test_list_elements_matches_the_definition(name, tmp_path):
         assert C.order == X.order()
     index = {key(x): i for i, x in enumerate(C.elements)}
     assert len(index) == C.order and C.elements[0].is_identity()
-    table = C.table.tolist()
     for i, x in enumerate(C.elements):
-        assert [index[key(compose(x, y))] for y in C.elements] == table[i]
+        assert [index[key(compose(x, y))] for y in C.elements] == list(C.table[i])
+    # columns[j][i] = table[i][j]
+    assert list(map(tuple, C.columns)) == list(zip(*C.table))
 
 
 def test_list_elements_bound_exceeded():
@@ -116,7 +119,7 @@ def test_quotient_with_coset_key():
 def test_from_direct_factors():
     C = from_direct_factors([2, 3])
     assert C.order == 6
-    assert sorted(C.element_orders().tolist()) == [1, 2, 3, 3, 6, 6]
+    assert sorted(C.element_orders()) == [1, 2, 3, 3, 6, 6]
 
 
 def test_subgroups_z6():
@@ -134,6 +137,15 @@ def test_subgroups_sym3():
 def test_subgroups_klein():
     subs = all_subgroups(klein_cayley())
     assert sorted(len(s) for s in subs) == [1, 2, 2, 2, 4]
+
+
+@pytest.mark.parametrize("moduli,n_subgroups,mu", [
+    ([3, 5, 17], 8, 25), ([256], 9, 256), ([257], 2, 257)])
+def test_orders_at_the_256_step(moduli, n_subgroups, mu):
+    # orders 255 and 256 store bytes, 257 tuples
+    C = from_direct_factors(moduli)
+    assert len(all_subgroups(C)) == n_subgroups
+    assert mu_oracle(C)[0] == mu
 
 
 def test_subgroups_cyclic_count_is_divisor_count():
@@ -162,7 +174,7 @@ def brute_subgroups(C):
                 changed = False
                 for a in list(members):
                     for b in list(members):
-                        p = int(t[a, b])
+                        p = t[a][b]
                         if p not in members:
                             members.add(p)
                             changed = True
@@ -203,8 +215,8 @@ def test_subgroup_and_class_counts(name, n_subgroups, n_classes):
     gens = C.generating_set()
     classes: list[set[int]] = []
     for s in subs:
-        if not any(_mask_of(s) in cls for cls in classes):
-            classes.append(set(_conjugates(C, np.array(s), gens)))
+        if not any(tuple(s) in cls for cls in classes):
+            classes.append({tuple(K) for K in _conjugates(C, s, gens)})
     assert len(classes) == n_classes
     assert sum(len(cls) for cls in classes) == n_subgroups
 
@@ -233,7 +245,7 @@ def test_subgroups_are_closed_and_lagrange():
     for s in all_subgroups(C):
         assert C.order % len(s) == 0
         members = set(s)
-        assert all(int(t[a, b]) in members for a in s for b in s)
+        assert all(t[a][b] in members for a in s for b in s)
 
 
 def test_iso_search_negative():
@@ -248,17 +260,18 @@ def test_iso_search_positive_and_symmetric():
     assert phi is not None
     for i in range(6):
         for j in range(6):
-            assert phi[A.table[i, j]] == B.table[phi[i], phi[j]]
+            assert phi[A.table[i][j]] == B.table[phi[i]][phi[j]]
     assert isomorphism_search(B, A) is not None
 
 
 def test_iso_search_psigmal29_to_s6_respects_every_product():
     A = list_elements(pgammal2(9), bound=ORACLE_LIMIT)
     S6 = list_elements(sym(6), bound=ORACLE_LIMIT)
-    phi = np.array(isomorphism_search(A, S6))
-    assert sorted(phi.tolist()) == list(range(720))
+    phi = isomorphism_search(A, S6)
+    assert sorted(phi) == list(range(720))
     # phi(x_i x_j) = phi(x_i) phi(x_j) on all 720^2 pairs
-    assert (phi[A.table] == S6.table[phi[:, None], phi[None, :]]).all()
+    phi, a, s6 = np.array(phi), np.array(A.table), np.array(S6.table)
+    assert (phi[a] == s6[phi[:, None], phi[None, :]]).all()
 
 
 def test_trivial_group_edge_cases():
@@ -268,14 +281,13 @@ def test_trivial_group_edge_cases():
     assert isomorphism_search(T, T) == [0]
 
 
-@pytest.mark.parametrize("m", [8, 300, 1000])
+@pytest.mark.parametrize("m", [8, 256, 258, 300, 1000])
 def test_cayley_rejects_an_intercalate_swap(m):
     # Z_m with the 2x2 subsquare on rows 1, 1 + m/2 and columns 2, 2 + m/2
     # swapped: still a Latin square with identity 0, but not associative
-    idx = np.arange(m)
-    t = (idx[:, None] + idx[None, :]) % m
-    rows, cols = [1, 1 + m // 2], [2, 2 + m // 2]
-    t[np.ix_(rows, cols)] = t[np.ix_(rows, cols[::-1])]
+    t = [[(i + j) % m for j in range(m)] for i in range(m)]
+    for i in (1, 1 + m // 2):
+        t[i][2], t[i][2 + m // 2] = t[i][2 + m // 2], t[i][2]
     with pytest.raises(ValueError, match="not associative"):
         CayleyGroup(t)
 
@@ -284,4 +296,13 @@ def test_cayley_rejects_bad_tables():
     with pytest.raises(ValueError):
         CayleyGroup(np.array([[0, 1], [0, 1]]))
     with pytest.raises(ValueError):
-        CayleyGroup(np.array([[1, 0], [0, 1]]))
+        CayleyGroup([[1, 0], [0, 1]])
+
+
+def test_int_buffers_are_read_as_ints():
+    # bytes(row) of an int64 row would copy its raw memory
+    z6 = [[(i + j) % 6 for j in range(6)] for i in range(6)]
+    tables = [CayleyGroup(t).table
+              for t in (z6, [array("i", row) for row in z6], np.array(z6))]
+    assert tables[0] == tables[1] == tables[2]
+    assert [list(row) for row in tables[0]] == z6
